@@ -11,6 +11,22 @@
 // memory (src/net/prefetch.h); otherwise it is the plain blocking Client.
 // Stores are namespaced "w<worker>.<operator>.h<n>" so every physical
 // operator's stores are distinct server-side.
+//
+// RMW accumulator cache: each backend keeps a write-through copy of the
+// accumulators it has put, keyed by (store, key, window). A Put stores the
+// value locally and still sends it (batched); a Remove erases the entry and
+// sends; a Get that hits returns without a round trip. This is sound because
+// a store namespace has exactly one writer, this backend: the value it last
+// wrote is what the server holds, or will hold once the client's pending
+// batch or the replay buffer reaches it, and a Put re-applied by an
+// at-least-once retry writes the same value again. The cache is cleared
+// whenever any call through the backend returns a non-OK status (other than
+// NotFound from a read), since a failed write may not have landed as cached.
+// It holds only live windows — the SPE removes each window's state when it
+// fires — and is bounded by ClientOptions::read_ahead_cache_bytes: a Put
+// that would exceed the budget drops that entry, so a later Get goes to the
+// server. Hits and misses are counted in remote.rmw_cache_hits and
+// remote.rmw_cache_misses (docs/OBSERVABILITY.md).
 #ifndef SRC_BACKENDS_REMOTE_BACKEND_H_
 #define SRC_BACKENDS_REMOTE_BACKEND_H_
 

@@ -695,7 +695,8 @@ Status AsyncClient::TryRequest(const std::vector<OpRequest>& ops,
   return Status::Ok();
 }
 
-Status AsyncClient::SendRequest(std::vector<OpRequest> ops, std::vector<OpResult>* results,
+Status AsyncClient::SendRequest(const std::vector<OpRequest>& ops,
+                                std::vector<OpResult>* results,
                                 bool translate_handles) {
   obs::Counter* retries = obs::MetricsRegistry::Global().GetCounter("client.retries");
   const int64_t deadline = DeadlineFromNow(options_.request_timeout_ms);
@@ -767,7 +768,7 @@ Status AsyncClient::Ping() {
   std::vector<OpRequest> ops(1);
   ops[0].type = OpType::kPing;
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   return results[0].status;
 }
 
@@ -779,7 +780,7 @@ Status AsyncClient::OpenStore(const std::string& ns, const OperatorStateSpec& sp
   ops[0].ns = ns;
   ops[0].spec = spec;
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
 
   StoreReg reg;
@@ -809,7 +810,7 @@ Status AsyncClient::OpenStore(const std::string& ns, const OperatorStateSpec& sp
     reg_ops[0].type = OpType::kEttRegister;
     reg_ops[0].store_id = *handle;
     std::vector<OpResult> reg_results;
-    SendRequest(std::move(reg_ops), &reg_results).IgnoreError();
+    SendRequest(reg_ops, &reg_results).IgnoreError();
   }
   return Status::Ok();
 }
@@ -817,34 +818,58 @@ Status AsyncClient::OpenStore(const std::string& ns, const OperatorStateSpec& sp
 Status AsyncClient::BufferWrite(OpRequest op) {
   batch_bytes_ += OpFootprint(op);
   batch_.push_back(std::move(op));
-  if (batch_.size() >= options_.max_batch_ops || batch_bytes_ >= options_.max_batch_bytes) {
-    return Flush();
+  if (batch_.size() < options_.max_batch_ops && batch_bytes_ < options_.max_batch_bytes) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  const Status s = Flush();
+  if (!s.ok() && !batch_.empty()) {
+    // As in Client::BufferWrite: earlier writes stay pending, this one is
+    // handed back to its caller.
+    batch_bytes_ -= OpFootprint(batch_.back());
+    batch_.pop_back();
+  }
+  return s;
 }
 
 Status AsyncClient::Flush() {
   if (batch_.empty()) {
     return Status::Ok();
   }
-  std::vector<OpRequest> ops;
-  ops.swap(batch_);
-  batch_bytes_ = 0;
-  std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
-  for (const OpResult& result : results) {
-    FLOWKV_RETURN_IF_ERROR(result.status);
-  }
-  return Status::Ok();
+  return SendBatch(nullptr, nullptr);
 }
 
 Status AsyncClient::RoundTripOne(OpRequest op, OpResult* result) {
-  FLOWKV_RETURN_IF_ERROR(Flush());
-  std::vector<OpRequest> ops;
-  ops.push_back(std::move(op));
+  return SendBatch(&op, result);
+}
+
+Status AsyncClient::SendBatch(OpRequest* read, OpResult* result) {
+  if (read != nullptr) {
+    if (read->store_id >= stores_.size()) {
+      // Checked before the frame is built, so a bad read cannot fail — and
+      // clear — the writes it would have carried.
+      return Status::InvalidArgument("unknown store handle " + std::to_string(read->store_id));
+    }
+    batch_.push_back(std::move(*read));
+  }
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
-  *result = std::move(results[0]);
+  const Status sent = SendRequest(batch_, &results);
+  if (read != nullptr) {
+    batch_.pop_back();
+  }
+  if (!sent.ok() && MayBeUndelivered(sent)) {
+    // No answer: the writes stay pending and ride the next frame.
+    return sent;
+  }
+  const size_t writes = batch_.size();
+  batch_.clear();
+  batch_bytes_ = 0;
+  FLOWKV_RETURN_IF_ERROR(sent);
+  for (size_t i = 0; i < writes; ++i) {
+    FLOWKV_RETURN_IF_ERROR(results[i].status);
+  }
+  if (read != nullptr) {
+    *result = std::move(results.back());
+  }
   return Status::Ok();
 }
 
@@ -949,8 +974,10 @@ Status AsyncClient::GetWindowChunk(uint64_t handle, const Window& w,
   FLOWKV_RETURN_IF_ERROR(result.status);
   *chunk = std::move(result.chunk);
   *done = result.done;
-  if (options_.enable_prefetch_push && result.done) {
-    cache_.OnRemoteReadDone(handle, w);
+  if (options_.enable_prefetch_push) {
+    // From the first remote chunk on, this window drains remotely: a push
+    // completing mid-drain must not serve slices already read.
+    cache_.OnRemoteRead(handle, w);
   }
   return Status::Ok();
 }
@@ -1001,7 +1028,7 @@ Status AsyncClient::Stats(std::string* json) {
   ops[0].type = OpType::kStats;
   std::vector<OpResult> results;
   // No handle translation: kStats addresses the server, not a store.
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   *json = std::move(results[0].stats_json);
   return Status::Ok();

@@ -22,10 +22,12 @@
 // Flush() succeed is guaranteed the reader thread has already banked any
 // push that flush triggered: the cache hit is deterministic, not a race.
 //
-// The public API, batching behavior, retry policy (shared absolute deadline,
-// reconnect + replay on kConnectionReset, whole-batch kOverloaded backoff,
-// round-robin failover, no retry after kTimedOut), and the at-least-once
-// caveats are identical to `Client` — see client.h. Registration for pushes
+// The public API, batching behavior (a read carries the pending writes in
+// its own frame; writes that got no answer stay pending for the next one),
+// retry policy (shared absolute deadline, reconnect + replay on
+// kConnectionReset, whole-batch kOverloaded backoff, round-robin failover,
+// no retry after kTimedOut), and the at-least-once caveats are identical to
+// `Client` — see client.h. Registration for pushes
 // (kEttRegister) is automatic: on every fresh connection the capability
 // probe checks caps.prefetch_push, and each open AAR store is (re)registered
 // when the server supports it, so failover to a legacy or freshly promoted
@@ -128,7 +130,8 @@ class AsyncClient : public StoreClient {
 
   Status BufferWrite(OpRequest op);
   Status RoundTripOne(OpRequest op, OpResult* result);
-  Status SendRequest(std::vector<OpRequest> ops, std::vector<OpResult>* results,
+  Status SendBatch(OpRequest* read, OpResult* result);
+  Status SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                      bool translate_handles = true);
   Status TryRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                     int64_t deadline_nanos) EXCLUDES(mu_);

@@ -575,7 +575,7 @@ bool FencedWhole(const std::vector<OpResult>& results) {
 
 }  // namespace
 
-Status Client::SendRequest(std::vector<OpRequest> ops, std::vector<OpResult>* results,
+Status Client::SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                            bool translate_handles) {
   obs::Counter* retries = obs::MetricsRegistry::Global().GetCounter("client.retries");
   const int64_t deadline = DeadlineFromNow(options_.request_timeout_ms);
@@ -639,7 +639,7 @@ Status Client::SendRequest(std::vector<OpRequest> ops, std::vector<OpResult>* re
 }
 
 Status Client::ExecuteRaw(std::vector<OpRequest> ops, std::vector<OpResult>* results) {
-  return SendRequest(std::move(ops), results, /*translate_handles=*/false);
+  return SendRequest(ops, results, /*translate_handles=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -651,7 +651,7 @@ Status Client::Ping() {
   std::vector<OpRequest> ops(1);
   ops[0].type = OpType::kPing;
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   return results[0].status;
 }
 
@@ -663,7 +663,7 @@ Status Client::OpenStore(const std::string& ns, const OperatorStateSpec& spec,
   ops[0].ns = ns;
   ops[0].spec = spec;
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
 
   StoreReg reg;
@@ -682,34 +682,59 @@ Status Client::OpenStore(const std::string& ns, const OperatorStateSpec& spec,
 Status Client::BufferWrite(OpRequest op) {
   batch_bytes_ += OpFootprint(op);
   batch_.push_back(std::move(op));
-  if (batch_.size() >= options_.max_batch_ops || batch_bytes_ >= options_.max_batch_bytes) {
-    return Flush();
+  if (batch_.size() < options_.max_batch_ops && batch_bytes_ < options_.max_batch_bytes) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  const Status s = Flush();
+  if (!s.ok() && !batch_.empty()) {
+    // The earlier writes stay pending (they were acked to their callers),
+    // but this op's caller is told it failed: un-buffer it so whatever the
+    // caller does next (retry, replay buffer) holds its only copy.
+    batch_bytes_ -= OpFootprint(batch_.back());
+    batch_.pop_back();
+  }
+  return s;
 }
 
 Status Client::Flush() {
   if (batch_.empty()) {
     return Status::Ok();
   }
-  std::vector<OpRequest> ops;
-  ops.swap(batch_);
-  batch_bytes_ = 0;
-  std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
-  for (const OpResult& result : results) {
-    FLOWKV_RETURN_IF_ERROR(result.status);
-  }
-  return Status::Ok();
+  return SendBatch(nullptr, nullptr);
 }
 
 Status Client::RoundTripOne(OpRequest op, OpResult* result) {
-  FLOWKV_RETURN_IF_ERROR(Flush());
-  std::vector<OpRequest> ops;
-  ops.push_back(std::move(op));
+  return SendBatch(&op, result);
+}
+
+Status Client::SendBatch(OpRequest* read, OpResult* result) {
+  if (read != nullptr) {
+    if (read->store_id >= stores_.size()) {
+      // Checked before the frame is built, so a bad read cannot fail — and
+      // clear — the writes it would have carried.
+      return Status::InvalidArgument("unknown store handle " + std::to_string(read->store_id));
+    }
+    batch_.push_back(std::move(*read));
+  }
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results));
-  *result = std::move(results[0]);
+  const Status sent = SendRequest(batch_, &results);
+  if (read != nullptr) {
+    batch_.pop_back();
+  }
+  if (!sent.ok() && MayBeUndelivered(sent)) {
+    // No answer: the writes stay pending and ride the next frame.
+    return sent;
+  }
+  const size_t writes = batch_.size();
+  batch_.clear();
+  batch_bytes_ = 0;
+  FLOWKV_RETURN_IF_ERROR(sent);
+  for (size_t i = 0; i < writes; ++i) {
+    FLOWKV_RETURN_IF_ERROR(results[i].status);
+  }
+  if (read != nullptr) {
+    *result = std::move(results.back());
+  }
   return Status::Ok();
 }
 
@@ -827,7 +852,7 @@ Status Client::Stats(std::string* json) {
   ops[0].type = OpType::kStats;
   std::vector<OpResult> results;
   // No handle translation: kStats addresses the server, not a store.
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   *json = std::move(results[0].stats_json);
   return Status::Ok();
@@ -839,7 +864,7 @@ Status Client::ClusterInfo(std::vector<std::pair<std::string, int64_t>>* fields)
   ops[0].type = OpType::kClusterInfo;
   std::vector<OpResult> results;
   // No handle translation: kClusterInfo addresses the server, not a store.
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   for (const auto& field : results[0].stat_fields) {
     if (field.first == kStatClusterEpoch) {
@@ -858,7 +883,7 @@ Status Client::ClusterAdmin(const std::string& command, uint64_t target_epoch,
   ops[0].path = command;
   ops[0].timestamp = static_cast<int64_t>(target_epoch);
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(std::move(ops), &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   if (fields != nullptr) {
     *fields = std::move(results[0].stat_fields);

@@ -1,8 +1,18 @@
 // Blocking client for the FlowKV state server. One socket, one outstanding
 // request at a time; writes (appends, puts, merges, removes) are buffered
-// into a batch that flushes when it fills, when Flush() is called, or before
-// any read — so per-key op order is preserved end to end (a key always maps
-// to the same server shard, and a batch executes in op order per shard).
+// into a batch that is sent when it fills, when Flush() is called, or with
+// the next read. A read carries the pending writes in its own frame — writes
+// first, the read last — so it costs one round trip, not a flush plus a
+// read. Per-key op order is preserved end to end: a key always maps to the
+// same server shard, and a batch executes in op order per shard, so the read
+// observes every write before it. A failed write in that frame surfaces as
+// the read's status.
+//
+// Buffered writes are never dropped on a transport failure: when a batch
+// (or a read carrying one) gets no answer — kConnectionReset, kTimedOut, or
+// a batch shed or fenced whole — the writes stay pending, in order, and
+// ride the next frame. Only the op whose call reported the failure is
+// handed back to its caller.
 //
 // Stores are addressed by client-side handles. The client remembers every
 // (namespace, spec) it opened; after a reconnect — exponential backoff, up
@@ -18,11 +28,12 @@
 // refreshes the cluster view: the client polls kClusterInfo across all its
 // endpoints, adopts the highest primary epoch it finds, reconnects there,
 // and re-sends — so a failover converges inside one request's retry budget.
-// A kTimedOut request is NOT retried —
-// the op may have been applied, and the caller decides whether re-sending is
-// safe for its pattern. All attempts of one request share a single deadline
-// (request_timeout_ms) and a retry budget; backoff sleeps use decorrelated
-// jitter and are capped so they never outlive the deadline.
+// A kTimedOut request is NOT retried within the call — the op may have been
+// applied, and the caller decides whether re-sending is safe for its
+// pattern. (Buffered writes it carried stay pending and go out with the next
+// frame, as described above.) All attempts of one request share a single
+// deadline (request_timeout_ms) and a retry budget; backoff sleeps use
+// decorrelated jitter and are capped so they never outlive the deadline.
 //
 // Failover: `standbys` lists fallback endpoints. When a connect attempt to
 // the current endpoint fails, the client advances round-robin through
@@ -30,9 +41,10 @@
 // so a primary killed mid-run degrades to a reconnect-and-replay against the
 // standby rather than an error surfacing to the SPE.
 //
-// Delivery semantics: automatic reset retries make writes at-least-once. If
-// the connection drops after the server executed a batch but before the
-// response arrived, the replayed batch re-applies its ops — idempotent ops
+// Delivery semantics: automatic reset retries, and re-sending a pending
+// batch that got no answer, make writes at-least-once. If the connection
+// drops after the server executed a batch but before the response arrived,
+// the replayed batch re-applies its ops — idempotent ops
 // (Put/Remove, OpenStore) are unaffected, but Append/Merge can duplicate
 // values. Callers that cannot tolerate duplicates should checkpoint/replay
 // at a higher level (as the SPE's exactly-once recovery does) rather than
@@ -122,7 +134,11 @@ struct ClientOptions {
   // Only takes effect after the capability probe confirms the connected
   // server answers caps.prefetch_push, so legacy servers degrade silently.
   bool enable_prefetch_push = false;
-  // Capacity bound for the read-ahead cache (LRU eviction past it).
+  // Client-side cache budget. Bounds the AsyncClient read-ahead cache (LRU
+  // eviction past it) and, per RemoteBackend, the write-through RMW
+  // accumulator cache (remote_backend.h), which applies to both clients: a
+  // put that would exceed it is not cached, so a later get goes to the
+  // server.
   size_t read_ahead_cache_bytes = 16u << 20;
 
   // Marks every request as the replication apply stream (protocol.h,
@@ -131,6 +147,14 @@ struct ClientOptions {
   // no-client-writes fence. Ordinary clients must leave this false.
   bool internal_apply = false;
 };
+
+// Whether a failed request may not have reached the server, or its answer
+// may not have come back: a reset or timeout, or a batch the server shed or
+// fenced whole. Buffered writes in such a request stay pending for the next
+// frame rather than being dropped.
+inline bool MayBeUndelivered(const Status& s) {
+  return s.IsConnectionReset() || s.IsTimedOut() || s.IsOverloaded() || s.IsFencedOff();
+}
 
 // Opens a non-blocking SOCK_STREAM connection to `ep` — or to
 // `options.unix_socket_path` when `use_unix` — applying
@@ -158,7 +182,7 @@ class Client : public StoreClient {
   Status OpenStore(const std::string& ns, const OperatorStateSpec& spec,
                    uint64_t* handle, StorePattern* pattern) override;
 
-  // ----- buffered writes (flushed on batch-full / Flush() / any read) -----
+  // ----- buffered writes (sent on batch-full / Flush() / with any read) -----
   Status AppendAligned(uint64_t handle, const Slice& key, const Slice& value,
                        const Window& w) override;
   Status AppendUnaligned(uint64_t handle, const Slice& key, const Slice& value,
@@ -172,7 +196,7 @@ class Client : public StoreClient {
   // Sends any buffered writes and waits for their acks.
   Status Flush() override;
 
-  // ----- reads (implicitly Flush() first) -----
+  // ----- reads (carry the pending writes in the same frame) -----
   Status GetWindowChunk(uint64_t handle, const Window& w,
                         std::vector<WindowChunkEntry>* chunk, bool* done) override;
   Status GetUnaligned(uint64_t handle, const Slice& key, const Window& w,
@@ -180,7 +204,7 @@ class Client : public StoreClient {
   Status RmwGet(uint64_t handle, const Slice& key, const Window& w,
                 std::string* accumulator) override;
 
-  // ----- store management (implicitly Flush() first) -----
+  // ----- store management (carry the pending writes, like reads) -----
   Status Checkpoint(uint64_t handle, const std::string& server_dir) override;
   Status GatherStats(uint64_t handle,
                      std::vector<std::pair<std::string, int64_t>>* fields) override;
@@ -226,17 +250,24 @@ class Client : public StoreClient {
 
   explicit Client(ClientOptions options);
 
-  // Appends a write op to the batch, flushing if full.
+  // Appends a write op to the batch, flushing if full. On a failed flush the
+  // earlier writes stay pending and `op` is dropped from the batch.
   Status BufferWrite(OpRequest op);
-  // Flush + single-op round trip; `*result` is the op's result.
+  // One round trip for `op` carrying the pending writes; `*result` is the
+  // op's result.
   Status RoundTripOne(OpRequest op, OpResult* result);
+  // Sends the pending writes, then `read` when non-null, as one frame. If
+  // the frame may be undelivered (MayBeUndelivered) the writes stay pending;
+  // otherwise they are cleared, the first failed write's status is returned,
+  // and `*result` receives the read's result.
+  Status SendBatch(OpRequest* read, OpResult* result);
 
   // Sends `ops` (store_id fields hold client handles; translated to server
   // ids per attempt when `translate_handles`) and fills `results`. All
   // attempts share one deadline; reconnects + retries on kConnectionReset
   // and whole-batch kOverloaded up to the retry budget; returns kTimedOut
   // without retrying.
-  Status SendRequest(std::vector<OpRequest> ops, std::vector<OpResult>* results,
+  Status SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                      bool translate_handles = true);
 
   // One attempt on the current socket, bounded by the absolute deadline.

@@ -281,7 +281,7 @@ bool ReadAheadCache::TryServe(uint64_t handle, const Window& w,
   return true;
 }
 
-void ReadAheadCache::OnRemoteReadDone(uint64_t handle, const Window& w) {
+void ReadAheadCache::OnRemoteRead(uint64_t handle, const Window& w) {
   MutexLock lock(&mu_);
   const Key key{handle, w};
   auto entry_it = entries_.find(key);

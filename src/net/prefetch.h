@@ -197,9 +197,13 @@ class ReadAheadCache {
   bool TryServe(uint64_t handle, const Window& w,
                 std::vector<WindowChunkEntry>* chunk) EXCLUDES(mu_);
 
-  // Caller thread: a remote read of (handle, w) finished draining — forget
-  // the local count and discard (as waste) any entry that never got served.
-  void OnRemoteReadDone(uint64_t handle, const Window& w) EXCLUDES(mu_);
+  // Caller thread: a remote read of (handle, w) returned a chunk, so the
+  // window drains remotely from here on — forget the local count and discard
+  // (as waste) any entry that never got served. Called on every chunk, not
+  // just the last: once one shard's slice has been read remotely, serving
+  // the window whole from a push that completes mid-drain would deliver
+  // that slice twice.
+  void OnRemoteRead(uint64_t handle, const Window& w) EXCLUDES(mu_);
 
   // Drop every cached entry (reconnect/failover). Local append counts are
   // kept: they describe client-side history, and any partial re-push against

@@ -270,6 +270,9 @@ class Server::Impl {
     std::vector<OpResult> results;
     std::vector<std::vector<OpResult>> fanout_partials;
     std::atomic<size_t> remaining{0};  // outstanding shard tasks (+1 dispatcher ref)
+    // Set by a shard that posted a push to another reactor while executing
+    // this request; the ack must then queue behind it (CompleteRequest).
+    std::atomic<bool> push_posted{false};
   };
 
   struct ShardWorkItem {
@@ -462,9 +465,11 @@ class Server::Impl {
   // push frame always precedes the ack of the append that closed the window
   // (inline: queued directly on this reactor's conn; cross-reactor: the
   // kPushSend task is posted ahead of kFinish and per-pair task order is
-  // FIFO). A client that has seen its Flush() return has therefore already
-  // been handed the push.
-  void DispatchFiredPushes(int shard);
+  // FIFO, and when the request completes on the connection's own reactor
+  // CompleteRequest queues the ack behind the push). A client that has seen
+  // its Flush() return has therefore already been handed the push. Returns
+  // whether any push was posted to another reactor.
+  bool DispatchFiredPushes(int shard);
   // Queues one pre-encoded push frame on a connection this reactor owns;
   // sheds the push (counted) instead of queueing past the outbox budget so a
   // slow consumer degrades to remote reads rather than unbounded buffering.
@@ -2111,7 +2116,9 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
   }
   // Fired windows go out before the caller posts kFinish for this request,
   // so on any one connection the push precedes the triggering append's ack.
-  DispatchFiredPushes(shard);
+  if (DispatchFiredPushes(shard)) {
+    pending->push_posted.store(true, std::memory_order_release);
+  }
   const int64_t exec_end_nanos = MonotonicNanos();
   obs::TraceCompleteSpan("server_exec", "server", dequeue_nanos, exec_end_nanos,
                          "trace_id", static_cast<int64_t>(pending->trace_id), "ops",
@@ -2121,8 +2128,12 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
 
 void Server::Impl::CompleteRequest(const std::shared_ptr<PendingRequest>& pending) {
   // Fan-out assembly, cursor advance, parking and the response encode all
-  // belong to the connection's owner thread.
-  if (single_threaded_ || tl_reactor == pending->conn_reactor) {
+  // belong to the connection's owner thread. On that thread, finish inline
+  // unless another reactor posted a push here for this request: that
+  // kPushSend is still in our task queue, and posting kFinish to ourselves
+  // queues the ack behind it (push before ack, DispatchFiredPushes).
+  if (single_threaded_ || (tl_reactor == pending->conn_reactor &&
+                           !pending->push_posted.load(std::memory_order_acquire))) {
     FinishPending(pending);
     return;
   }
@@ -2143,11 +2154,12 @@ void Server::Impl::CompleteRequest(const std::shared_ptr<PendingRequest>& pendin
 // Prefetch push
 // ---------------------------------------------------------------------------
 
-void Server::Impl::DispatchFiredPushes(int shard) {
+bool Server::Impl::DispatchFiredPushes(int shard) {
   ShardPrefetchScheduler* sched = shard_state_[shard].prefetch.get();
   if (sched == nullptr || !sched->has_fired()) {
-    return;
+    return false;
   }
+  bool posted = false;
   std::vector<FiredPush> fired;
   sched->TakeFired(&fired);
   for (FiredPush& push : fired) {
@@ -2192,9 +2204,10 @@ void Server::Impl::DispatchFiredPushes(int shard) {
       task.frame_payload = std::move(body);
       // Best-effort: a reactor refusing tasks is stopping, and its
       // connections are going away with it.
-      PostTask(target, std::move(task));
+      posted |= PostTask(target, std::move(task));
     }
   }
+  return posted;
 }
 
 void Server::Impl::SendPushLocal(Reactor& r, uint64_t conn_id, std::string header,

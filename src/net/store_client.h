@@ -3,8 +3,10 @@
 // outstanding request, no push handling) and `AsyncClient` (a reader thread
 // demuxing responses and unsolicited kPushChunk frames into a ReadAheadCache,
 // so remote AAR reads can be served from client memory). Both keep the same
-// calling contract: one caller thread, buffered writes flushed on batch-full
-// / Flush() / any read, at-least-once retry semantics (see client.h).
+// calling contract: one caller thread; buffered writes sent on batch-full /
+// Flush(), or carried by the next read in the same frame; writes that got no
+// answer kept pending, never dropped; at-least-once retry semantics (see
+// client.h).
 #ifndef SRC_NET_STORE_CLIENT_H_
 #define SRC_NET_STORE_CLIENT_H_
 
@@ -32,7 +34,7 @@ class StoreClient {
   virtual Status OpenStore(const std::string& ns, const OperatorStateSpec& spec,
                            uint64_t* handle, StorePattern* pattern) = 0;
 
-  // ----- buffered writes (flushed on batch-full / Flush() / any read) -----
+  // ----- buffered writes (sent on batch-full / Flush() / with any read) -----
   virtual Status AppendAligned(uint64_t handle, const Slice& key, const Slice& value,
                                const Window& w) = 0;
   virtual Status AppendUnaligned(uint64_t handle, const Slice& key, const Slice& value,
@@ -46,7 +48,8 @@ class StoreClient {
   // Sends any buffered writes and waits for their acks.
   virtual Status Flush() = 0;
 
-  // ----- reads (implicitly Flush() first) -----
+  // ----- reads: carry the pending writes in the same frame, writes first;
+  // a failed write surfaces as the read's status -----
   virtual Status GetWindowChunk(uint64_t handle, const Window& w,
                                 std::vector<WindowChunkEntry>* chunk, bool* done) = 0;
   virtual Status GetUnaligned(uint64_t handle, const Slice& key, const Window& w,
@@ -54,7 +57,8 @@ class StoreClient {
   virtual Status RmwGet(uint64_t handle, const Slice& key, const Window& w,
                         std::string* accumulator) = 0;
 
-  // ----- store management (implicitly Flush() first) -----
+  // ----- store management (Checkpoint / GatherStats carry the pending
+  // writes like reads; Stats flushes them first) -----
   virtual Status Checkpoint(uint64_t handle, const std::string& server_dir) = 0;
   virtual Status GatherStats(uint64_t handle,
                              std::vector<std::pair<std::string, int64_t>>* fields) = 0;

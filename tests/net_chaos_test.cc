@@ -38,6 +38,7 @@
 #include "src/net/server.h"
 #include "src/nexmark/generator.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/metrics.h"
 #include "src/spe/job_runner.h"
 
 namespace flowkv {
@@ -323,12 +324,15 @@ TEST_F(NetChaosTest, NexmarkEquivalenceUnderShortIoAndLatency) {
 // Lossy faults (resets, refused connects, corrupted reads) force retries that
 // may re-execute a delivered batch, so the sweep runs the RMW-only queries —
 // their Puts are idempotent, making retry convergence exact (docs/NETWORK.md:
-// at-least-once delivery + idempotent ops = exactly-once effect).
+// at-least-once delivery + idempotent ops = exactly-once effect). q11's
+// session merges add Get(absorbed) + Remove, which the RMW accumulator cache
+// answers and forgets locally while the writes behind them are retried on
+// the wire.
 TEST_F(NetChaosTest, NexmarkEquivalenceUnderResetsAndCorruption) {
   const NexmarkConfig nexmark = SmallNexmark();
   const QueryParams params = DefaultParams();
 
-  for (const std::string& query : {std::string("q5"), std::string("q12")}) {
+  for (const std::string& query : {std::string("q5"), std::string("q11"), std::string("q12")}) {
     faults_->ClearFaults();
     FlowKvBackendFactory embedded(JoinPath(dir_, "embedded_lossy_" + query),
                                   FlowKvOptions{});
@@ -356,17 +360,38 @@ TEST_F(NetChaosTest, NexmarkEquivalenceUnderResetsAndCorruption) {
   }
 }
 
-// The replay buffer papers over a full outage the retry budget cannot: with
-// buffering enabled and the server unreachable, writes are held locally and
-// replayed once the service returns, in order, before the next read.
-TEST_F(NetChaosTest, ReplayBufferRidesOutATotalOutage) {
-  net::ClientOptions copts = RetryingOptions();
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+// Reads `key` through a backend freshly created for the same worker and
+// operator: same server-side store, but an empty client batch and an empty
+// accumulator cache, so only the server can answer.
+Status ReadThroughFreshBackend(RemoteBackendFactory* factory, const std::string& op,
+                               const std::string& key, std::string* value) {
+  std::unique_ptr<StateBackend> backend;
+  FLOWKV_RETURN_IF_ERROR(factory->CreateBackend(0, op, &backend));
+  std::unique_ptr<RmwState> state;
+  FLOWKV_RETURN_IF_ERROR(backend->CreateRmw(RmwSpec(op), &state));
+  return state->Get(key, Window(0, 1000), value);
+}
+
+// Fail-fast options for tests that black out the network on purpose.
+net::ClientOptions OutageOptions(net::ClientOptions copts) {
   copts.request_timeout_ms = 400;  // fail fast while the plan refuses all
   copts.max_retries = 1;
   copts.max_reconnect_attempts = 2;
-  std::unique_ptr<net::Client> probe;
-  ASSERT_TRUE(net::Client::Connect(copts, &probe).ok());
+  return copts;
+}
 
+// The replay buffer papers over a full outage the retry budget cannot: with
+// buffering enabled and the server unreachable, writes are held locally and
+// replayed once the service returns, in order, before the next read that
+// reaches the server. One-op batches make every Put try the network, so the
+// outage really is met by the replay buffer, not the client batch.
+TEST_F(NetChaosTest, ReplayBufferRidesOutATotalOutage) {
+  net::ClientOptions copts = OutageOptions(RetryingOptions());
+  copts.max_batch_ops = 1;
   RemoteBackendFactory factory(copts);
   factory.set_replay_buffer_bytes(1u << 20);
   std::unique_ptr<StateBackend> backend;
@@ -378,23 +403,104 @@ TEST_F(NetChaosTest, ReplayBufferRidesOutATotalOutage) {
 
   // Total outage: every send and connect fails. Writes must still be
   // accepted (buffered), not surfaced as errors.
+  const int64_t buffered_before = CounterValue("remote.buffered_writes");
   SocketFaultPlan outage;
   outage.reset_on_send_prob = 1.0;
   outage.connect_refuse_prob = 1.0;
   faults_->SetPlan(outage);
   ASSERT_TRUE(state->Put("during1", w, "d1").ok());
   ASSERT_TRUE(state->Put("during2", w, "d2").ok());
+  EXPECT_EQ(CounterValue("remote.buffered_writes") - buffered_before, 2);
 
-  // Service restored: the next read drains the buffer first, so it observes
-  // both buffered writes.
+  // Service restored: a read that reaches the server replays the buffer
+  // first. The key was never written, so the accumulator cache cannot
+  // answer it.
   faults_->ClearFaults();
   std::string value;
-  ASSERT_TRUE(state->Get("during1", w, &value).ok());
-  EXPECT_EQ(value, "d1");
-  ASSERT_TRUE(state->Get("during2", w, &value).ok());
-  EXPECT_EQ(value, "d2");
-  ASSERT_TRUE(state->Get("before", w, &value).ok());
-  EXPECT_EQ(value, "b");
+  EXPECT_TRUE(state->Get("absent", w, &value).IsNotFound());
+
+  for (const auto& [key, expected] : {std::pair<std::string, std::string>{"before", "b"},
+                                      {"during1", "d1"},
+                                      {"during2", "d2"}}) {
+    const Status s = ReadThroughFreshBackend(&factory, "outage", key, &value);
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    EXPECT_EQ(value, expected) << key;
+  }
+}
+
+// Regression: writes acked while sitting in the client batch must survive a
+// failed flush. With four-op batches, a and b wait client-side when the
+// outage starts; c joins them, and d fills the batch, whose send fails. All
+// four calls return OK, so all four writes must reach the server, in order.
+TEST_F(NetChaosTest, AckedBatchedWritesSurviveAFailedFlush) {
+  net::ClientOptions copts = OutageOptions(RetryingOptions());
+  copts.max_batch_ops = 4;
+  RemoteBackendFactory factory(copts);
+  factory.set_replay_buffer_bytes(1u << 20);
+  std::unique_ptr<StateBackend> backend;
+  ASSERT_TRUE(factory.CreateBackend(0, "batched", &backend).ok());
+  std::unique_ptr<RmwState> state;
+  ASSERT_TRUE(backend->CreateRmw(RmwSpec("batched"), &state).ok());
+  const Window w(0, 1000);
+  ASSERT_TRUE(state->Put("a", w, "va").ok());
+  ASSERT_TRUE(state->Put("b", w, "vb").ok());
+
+  SocketFaultPlan outage;
+  outage.reset_on_send_prob = 1.0;
+  outage.connect_refuse_prob = 1.0;
+  faults_->SetPlan(outage);
+  ASSERT_TRUE(state->Put("c", w, "vc").ok());
+  ASSERT_TRUE(state->Put("d", w, "vd").ok());
+  // An overwrite during the outage: order decides which value wins.
+  ASSERT_TRUE(state->Put("a", w, "va2").ok());
+
+  faults_->ClearFaults();
+  std::string value;
+  EXPECT_TRUE(state->Get("absent", w, &value).IsNotFound());
+
+  for (const auto& [key, expected] : {std::pair<std::string, std::string>{"a", "va2"},
+                                      {"b", "vb"},
+                                      {"c", "vc"},
+                                      {"d", "vd"}}) {
+    const Status s = ReadThroughFreshBackend(&factory, "batched", key, &value);
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    EXPECT_EQ(value, expected) << key;
+  }
+}
+
+// The RMW accumulator cache is dropped on any failure: after an injected
+// error, the next Get of a cached key goes to the server.
+TEST_F(NetChaosTest, RmwCacheMissesAfterAnInjectedError) {
+  net::ClientOptions copts = OutageOptions(RetryingOptions());
+  copts.max_batch_ops = 1;
+  RemoteBackendFactory factory(copts);
+  std::unique_ptr<StateBackend> backend;
+  ASSERT_TRUE(factory.CreateBackend(0, "invalidate", &backend).ok());
+  std::unique_ptr<RmwState> state;
+  ASSERT_TRUE(backend->CreateRmw(RmwSpec("invalidate"), &state).ok());
+  const Window w(0, 1000);
+  ASSERT_TRUE(state->Put("k", w, "v1").ok());
+
+  std::string value;
+  int64_t hits = CounterValue("remote.rmw_cache_hits");
+  ASSERT_TRUE(state->Get("k", w, &value).ok());
+  EXPECT_EQ(value, "v1");
+  EXPECT_EQ(CounterValue("remote.rmw_cache_hits") - hits, 1);
+
+  // No replay buffer: the outage surfaces as an error from the Put.
+  SocketFaultPlan outage;
+  outage.reset_on_send_prob = 1.0;
+  outage.connect_refuse_prob = 1.0;
+  faults_->SetPlan(outage);
+  EXPECT_FALSE(state->Put("k", w, "v2").ok());
+  faults_->ClearFaults();
+
+  hits = CounterValue("remote.rmw_cache_hits");
+  const int64_t misses = CounterValue("remote.rmw_cache_misses");
+  ASSERT_TRUE(state->Get("k", w, &value).ok());
+  EXPECT_EQ(value, "v1") << "the failed put must not have reached the server";
+  EXPECT_EQ(CounterValue("remote.rmw_cache_hits") - hits, 0);
+  EXPECT_EQ(CounterValue("remote.rmw_cache_misses") - misses, 1);
 }
 
 // ---------------------------------------------------------------------------

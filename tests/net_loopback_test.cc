@@ -1,6 +1,7 @@
 // Loopback server/client integration: a real flowkv_server::net::Server on
 // 127.0.0.1 exercised through the blocking client across all three store
-// patterns, multi-shard window drains, write batching, server-side metrics,
+// patterns, multi-shard window drains, write batching, reads carrying the
+// pending writes (both clients), server-side metrics,
 // error passthrough, timeouts, oversized-frame protection, and the graceful
 // drain → checkpoint → restart → resume cycle (no acknowledged state lost).
 #include <gtest/gtest.h>
@@ -21,9 +22,11 @@
 #include <vector>
 
 #include "src/common/env.h"
+#include "src/net/async_client.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
+#include "tools/stat_format.h"
 
 namespace flowkv {
 namespace net {
@@ -196,6 +199,119 @@ TEST_F(NetLoopbackTest, AurAppendGetMerge) {
   std::sort(values.begin(), values.end());
   EXPECT_EQ(values, (std::vector<std::string>{"a", "b", "c"}));
 }
+
+// A read carries the pending write batch in its own frame. Checked for both
+// clients (param: true = AsyncClient) through the server's kStats counters.
+class NetPiggybackTest : public NetLoopbackTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  std::unique_ptr<StoreClient> MakeStoreClient() {
+    ClientOptions copts;
+    copts.port = server_->port();
+    copts.request_timeout_ms = 20'000;
+    if (GetParam()) {
+      std::unique_ptr<AsyncClient> async;
+      EXPECT_TRUE(AsyncClient::Connect(copts, &async).ok());
+      return async;
+    }
+    std::unique_ptr<Client> blocking;
+    EXPECT_TRUE(Client::Connect(copts, &blocking).ok());
+    return blocking;
+  }
+
+  // Server-wide request count and per-shard op counts from kStats. The
+  // kStats request itself counts as one request.
+  struct Counts {
+    int64_t requests = 0;
+    std::vector<int64_t> shard_ops;
+  };
+  static Counts FetchCounts(StoreClient* client) {
+    Counts counts;
+    std::string json;
+    EXPECT_TRUE(client->Stats(&json).ok());
+    tools::JsonValue doc;
+    EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
+    const tools::JsonValue* server = doc.Get("server");
+    const tools::JsonValue* shards = doc.Get("shards");
+    EXPECT_NE(server, nullptr);
+    EXPECT_NE(shards, nullptr);
+    if (server != nullptr && shards != nullptr) {
+      counts.requests = static_cast<int64_t>(server->Num("requests"));
+      for (const tools::JsonValue& shard : shards->arr) {
+        counts.shard_ops.push_back(static_cast<int64_t>(shard.Num("ops")));
+      }
+    }
+    return counts;
+  }
+};
+
+TEST_P(NetPiggybackTest, ReadCarriesBufferedWritesInOneRequest) {
+  auto client = MakeStoreClient();
+  uint64_t h = 0;
+  ASSERT_TRUE(client->OpenStore("t.piggy.h0", RmwSpec("piggy-op"), &h, nullptr).ok());
+  const Window w(0, 1000);
+
+  const Counts before = FetchCounts(client.get());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(client->RmwPut(h, "key" + std::to_string(i), w, "v" + std::to_string(i)).ok());
+  }
+  std::string acc;
+  ASSERT_TRUE(client->RmwGet(h, "key0", w, &acc).ok());
+  EXPECT_EQ(acc, "v0");
+  const Counts after = FetchCounts(client.get());
+  // The read and the second kStats: the 24 puts rode the read's frame.
+  EXPECT_EQ(after.requests - before.requests, 2);
+  ASSERT_EQ(after.shard_ops.size(), 3u);
+  for (size_t s = 0; s < after.shard_ops.size(); ++s) {
+    EXPECT_GT(after.shard_ops[s], before.shard_ops[s]) << "no write landed on shard " << s;
+  }
+
+  // Read-your-writes in one frame, on whichever shard each key maps to.
+  for (int i = 0; i < 24; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(client->RmwPut(h, key, w, "w" + std::to_string(i)).ok());
+    ASSERT_TRUE(client->RmwGet(h, key, w, &acc).ok());
+    EXPECT_EQ(acc, "w" + std::to_string(i));
+  }
+  EXPECT_EQ(FetchCounts(client.get()).requests - after.requests, 24 + 1);
+}
+
+TEST_P(NetPiggybackTest, FailedWriteSurfacesFromTheRead) {
+  auto client = MakeStoreClient();
+  uint64_t rmw = 0;
+  uint64_t aar = 0;
+  ASSERT_TRUE(client->OpenStore("t.piggyfail.h0", RmwSpec("piggy-rmw"), &rmw, nullptr).ok());
+  ASSERT_TRUE(client->OpenStore("t.piggyfail.h1", AarSpec("piggy-aar"), &aar, nullptr).ok());
+  const Window w(0, 1000);
+
+  // An RMW put against an AAR store is refused by the server, but only when
+  // it executes: buffering it succeeds.
+  ASSERT_TRUE(client->RmwPut(aar, "k", w, "v").ok());
+  ASSERT_TRUE(client->RmwPut(rmw, "good", w, "g").ok());
+  std::string acc;
+  const Status read = client->RmwGet(rmw, "good", w, &acc);
+  EXPECT_EQ(read.code(), StatusCode::kFailedPrecondition) << read.ToString();
+
+  // The frame executed: the good write landed and the batch is not re-sent.
+  ASSERT_TRUE(client->RmwGet(rmw, "good", w, &acc).ok());
+  EXPECT_EQ(acc, "g");
+}
+
+TEST_P(NetPiggybackTest, BadReadHandleKeepsPendingWrites) {
+  auto client = MakeStoreClient();
+  uint64_t h = 0;
+  ASSERT_TRUE(client->OpenStore("t.piggybad.h0", RmwSpec("piggy-bad"), &h, nullptr).ok());
+  const Window w(0, 1000);
+  ASSERT_TRUE(client->RmwPut(h, "k", w, "v").ok());
+  std::string acc;
+  EXPECT_EQ(client->RmwGet(h + 99, "k", w, &acc).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(client->RmwGet(h, "k", w, &acc).ok());
+  EXPECT_EQ(acc, "v");
+}
+
+INSTANTIATE_TEST_SUITE_P(BothClients, NetPiggybackTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Async" : "Blocking");
+                         });
 
 TEST_F(NetLoopbackTest, ServerMetricsAreLabeled) {
   auto client = MakeClient();

@@ -133,13 +133,38 @@ TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
   pushed.push_back(WindowChunkEntry{"k", {"v0", "v1"}});  // 2 != 1: unservable
   cache.OnPush(1, w, 1, std::move(pushed));
 
-  cache.OnRemoteReadDone(1, w);
+  cache.OnRemoteRead(1, w);
   EXPECT_EQ(cache.counters().waste, 2);
   EXPECT_EQ(cache.bytes(), 0u);
   // The local count is forgotten too: the window's life is over.
   std::vector<WindowChunkEntry> chunk;
   EXPECT_FALSE(cache.TryServe(1, w, &chunk));
   EXPECT_EQ(cache.counters().misses, 0);
+}
+
+// A window whose drain has started remotely is never served from the cache,
+// even when the pushes complete mid-drain and the counts then match: the
+// slices already read would be delivered twice.
+TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
+  ReadAheadCache cache(1u << 20);
+  const Window w(0, 1000);
+  cache.OnLocalAppend(1, w);
+  cache.OnLocalAppend(1, w);
+  std::vector<WindowChunkEntry> shard0;
+  shard0.push_back(WindowChunkEntry{"a", {"v0"}});
+  cache.OnPush(1, w, 1, std::move(shard0));
+
+  // Miss (1 of 2 values pushed): the first remote chunk is read.
+  std::vector<WindowChunkEntry> chunk;
+  EXPECT_FALSE(cache.TryServe(1, w, &chunk));
+  cache.OnRemoteRead(1, w);
+
+  // The other shard's push lands before the drain's next call.
+  std::vector<WindowChunkEntry> shard1;
+  shard1.push_back(WindowChunkEntry{"b", {"v1"}});
+  cache.OnPush(1, w, 2, std::move(shard1));
+  EXPECT_FALSE(cache.TryServe(1, w, &chunk));
+  EXPECT_EQ(cache.counters().hits, 0);
 }
 
 TEST(ReadAheadCacheTest, ClearDropsEntriesButKeepsLocalCounts) {
@@ -414,6 +439,41 @@ TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
   std::map<std::string, std::vector<std::string>> after_drop;
   ASSERT_TRUE(ReadWindow(blocking.get(), h2, w0, &after_drop).ok());
   EXPECT_TRUE(after_drop.empty()) << "kDropWindow did not consume server state";
+}
+
+// Push before ack must hold when the shards sit on different reactors: a
+// shard on another reactor posts its push to the connection's reactor, and
+// the ack must not overtake it when the request completes there. Every
+// window closed by an acked flush is then a hit, never a miss.
+TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
+  net::ServerOptions options;
+  options.num_shards = 2;
+  options.reactor_threads = 2;
+  options.data_dir = JoinPath(dir_, "server_data");
+  options.enable_prefetch_push = true;
+  ASSERT_TRUE(net::Server::Start(options, &server_).ok());
+  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  ASSERT_NE(client, nullptr);
+  uint64_t h = 0;
+  ASSERT_TRUE(client->OpenStore("t.reactors.h0", AarSpec("reactors-op"), &h, nullptr).ok());
+
+  const int kWindows = 100;
+  for (int i = 0; i < kWindows; ++i) {
+    const Window w(i * 1000, (i + 1) * 1000);
+    const Window next((i + 1) * 1000, (i + 2) * 1000);
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_TRUE(client->AppendAligned(h, "k" + std::to_string(k), "v", w).ok());
+    }
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_TRUE(client->AppendAligned(h, "k" + std::to_string(k), "next", next).ok());
+    }
+    ASSERT_TRUE(client->Flush().ok());
+    std::map<std::string, std::vector<std::string>> got;
+    ASSERT_TRUE(ReadWindow(client.get(), h, w, &got).ok());
+    ASSERT_EQ(got.size(), 16u) << "window " << i;
+  }
+  EXPECT_EQ(client->cache_counters().hits, kWindows);
+  EXPECT_EQ(client->cache_counters().misses, 0);
 }
 
 TEST_F(NetPrefetchE2ETest, CrossClientPushIsStaleWithoutLocalHistory) {
