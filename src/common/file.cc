@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -261,80 +262,97 @@ Status SequentialFile::Skip(uint64_t n) {
 
 // --------------------------- ZeroCopyTransfer ---------------------------
 
-Status ZeroCopyTransfer(const std::string& src_path, uint64_t src_offset, uint64_t length,
+Status ZeroCopyTransfer(const std::string& src_path, const std::vector<ByteRange>& ranges,
                         AppendFile* dst, IoStats* stats) {
+  if (ranges.empty()) {
+    return Status::Ok();
+  }
   // The destination's user-space buffer must be drained before writing to its
   // fd behind its back.
   FLOWKV_RETURN_IF_ERROR(dst->Flush());
 
   std::unique_ptr<RandomAccessFile> src;
   FLOWKV_RETURN_IF_ERROR(RandomAccessFile::Open(src_path, &src, stats));
-  if (src_offset + length > src->size()) {
-    return Status::InvalidArgument("transfer range beyond EOF of " + src_path);
+  uint64_t total = 0;
+  for (const ByteRange& r : ranges) {
+    if (r.length > src->size() || r.offset > src->size() - r.length) {
+      return Status::InvalidArgument("transfer range beyond EOF of " + src_path);
+    }
+    total += r.length;
   }
 
+  // Progress: ranges[next] is the first range not fully moved, `done` bytes
+  // of it already are.
+  size_t next = 0;
+  uint64_t done = 0;
 #if defined(__linux__)
   {
     NanoScope scope(stats, &IoStats::write_nanos);
-    uint64_t remaining = length;
-    off_t in_off = static_cast<off_t>(src_offset);
-    // We need the raw destination fd; reconstruct via /proc is overkill —
-    // copy_file_range requires it, so AppendFile exposes append-only
-    // semantics through O_APPEND and we open a second fd on the same path.
+    // copy_file_range rejects O_APPEND destinations (EBADF), so write through
+    // a second, positional fd on the same path starting at its current end.
     int out_fd = -1;
     FsHooks* hooks = GetFsHooks();
     // The kernel-space path writes around AppendFile's buffer; give the
     // hooks the same visibility a WriteRaw would.
-    if (hooks == nullptr || hooks->PreWrite(dst->path(), remaining).ok()) {
-      out_fd = ::open(dst->path().c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (hooks == nullptr || hooks->PreWrite(dst->path(), total).ok()) {
+      out_fd = ::open(dst->path().c_str(), O_WRONLY | O_CLOEXEC);
     }
-    if (out_fd >= 0) {
-      bool fell_back = false;
-      while (remaining > 0) {
-        ssize_t moved = ::copy_file_range(src->fd(), &in_off, out_fd, nullptr, remaining, 0);
-        if (moved < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          fell_back = true;  // e.g. EXDEV or unsupported fs
-          break;
+    const off_t end = out_fd >= 0 ? ::lseek(out_fd, 0, SEEK_END) : -1;
+    if (end >= 0) {
+      off_t out_off = end;
+      while (next < ranges.size()) {
+        if (done == ranges[next].length) {
+          ++next;
+          done = 0;
+          continue;
         }
-        if (moved == 0) {
-          break;
+        off_t in_off = static_cast<off_t>(ranges[next].offset + done);
+        const ssize_t moved = ::copy_file_range(src->fd(), &in_off, out_fd, &out_off,
+                                                ranges[next].length - done, 0);
+        if (moved < 0 && errno == EINTR) {
+          continue;
         }
-        remaining -= static_cast<uint64_t>(moved);
+        if (moved <= 0) {
+          break;  // e.g. EXDEV or an unsupported fs: finish in user space
+        }
+        done += static_cast<uint64_t>(moved);
       }
-      ::close(out_fd);
-      const uint64_t moved_in_kernel = length - remaining;
+      const uint64_t moved_in_kernel = static_cast<uint64_t>(out_off - end);
       if (stats != nullptr) {
         stats->bytes_written += static_cast<int64_t>(moved_in_kernel);
       }
       // Keep AppendFile's logical size in sync with the bytes that went
       // around its buffer.
       dst->AccountExternalWrite(moved_in_kernel);
-      if (!fell_back && remaining == 0) {
-        return Status::Ok();
-      }
-      // Partial kernel-space progress: fall through and copy the remainder
-      // the slow way from the updated offset.
-      src_offset = static_cast<uint64_t>(in_off);
-      length = remaining;
+    }
+    if (out_fd >= 0) {
+      ::close(out_fd);
     }
   }
 #endif
 
-  // Portable fallback: bounce through a user-space buffer.
+  // Portable fallback for whatever the kernel did not move: bounce through a
+  // user-space buffer.
   std::string scratch;
-  scratch.resize(256 * 1024);
-  while (length > 0) {
-    size_t chunk = static_cast<size_t>(std::min<uint64_t>(length, scratch.size()));
-    Slice got;
-    FLOWKV_RETURN_IF_ERROR(src->Read(src_offset, chunk, &got, scratch.data()));
-    FLOWKV_RETURN_IF_ERROR(dst->Append(got));
-    src_offset += chunk;
-    length -= chunk;
+  for (; next < ranges.size(); ++next, done = 0) {
+    uint64_t offset = ranges[next].offset + done;
+    uint64_t length = ranges[next].length - done;
+    scratch.resize(static_cast<size_t>(std::min<uint64_t>(length, 256 * 1024)));
+    while (length > 0) {
+      const size_t chunk = static_cast<size_t>(std::min<uint64_t>(length, scratch.size()));
+      Slice got;
+      FLOWKV_RETURN_IF_ERROR(src->Read(offset, chunk, &got, scratch.data()));
+      FLOWKV_RETURN_IF_ERROR(dst->Append(got));
+      offset += chunk;
+      length -= chunk;
+    }
   }
   return dst->Flush();
+}
+
+Status ZeroCopyTransfer(const std::string& src_path, uint64_t src_offset, uint64_t length,
+                        AppendFile* dst, IoStats* stats) {
+  return ZeroCopyTransfer(src_path, {ByteRange{src_offset, length}}, dst, stats);
 }
 
 Status CopyFile(const std::string& src, const std::string& dst, IoStats* stats) {

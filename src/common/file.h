@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/relaxed_counter.h"
 #include "src/common/slice.h"
@@ -129,9 +130,21 @@ class SequentialFile {
   IoStats* stats_;
 };
 
-// Moves `length` bytes from src_path@src_offset to the end of `dst`, staying
-// in kernel space where the platform allows (copy_file_range), falling back
-// to a read/append loop. Returns bytes moved through `dst`.
+// A byte range [offset, offset + length) of a file.
+struct ByteRange {
+  uint64_t offset;
+  uint64_t length;
+};
+
+// Appends the `ranges` of `src_path`, in list order, to the end of `dst`,
+// staying in kernel space where the platform allows (copy_file_range) and
+// falling back to a read/append loop. Each file is opened once per call.
+// Every range is checked against the source's size before any byte moves, so
+// a range past EOF fails with `dst` unchanged. An empty list is a no-op.
+Status ZeroCopyTransfer(const std::string& src_path, const std::vector<ByteRange>& ranges,
+                        AppendFile* dst, IoStats* stats = nullptr);
+
+// Single-range form of the above.
 Status ZeroCopyTransfer(const std::string& src_path, uint64_t src_offset, uint64_t length,
                         AppendFile* dst, IoStats* stats = nullptr);
 

@@ -44,7 +44,7 @@ Status AurStore::CheckpointTo(const std::string& checkpoint_dir) {
   CheckpointWriter writer(checkpoint_dir);
   FLOWKV_RETURN_IF_ERROR(writer.Init());
   // Flush in-memory tuples, then compact so the snapshot is exactly the live
-  // segments (dead_segments_ empty afterwards).
+  // segments.
   FLOWKV_RETURN_IF_ERROR(FlushBuffer());
   FLOWKV_RETURN_IF_ERROR(Compact());
   FLOWKV_RETURN_IF_ERROR(data_log_->Flush());
@@ -58,10 +58,12 @@ Status AurStore::CheckpointTo(const std::string& checkpoint_dir) {
     PutVarsigned64(&meta, stat.ett);
     PutVarsigned64(&meta, stat.max_timestamp);
   }
-  PutVarint64(&meta, disk_bytes_.size());
-  for (const auto& [sk, bytes] : disk_bytes_) {
+  // Live on-disk bytes per state key; RestoreFrom checks the rebuilt index
+  // against them.
+  PutVarint64(&meta, index_.size());
+  for (const auto& [sk, segments] : index_) {
     PutLengthPrefixed(&meta, sk);
-    PutVarint64(&meta, bytes);
+    PutVarint64(&meta, SegmentBytes(segments));
   }
   FLOWKV_RETURN_IF_ERROR(writer.AddBlob("aur_meta.ckpt", meta));
   return writer.Commit();
@@ -78,6 +80,7 @@ Status AurStore::RestoreFrom(const std::string& checkpoint_dir, const std::strin
   FLOWKV_RETURN_IF_ERROR(reader.CopyOut("aur_data.ckpt", store->DataLogName(0)));
   FLOWKV_RETURN_IF_ERROR(reader.CopyOut("aur_index.ckpt", store->IndexLogName(0)));
   FLOWKV_RETURN_IF_ERROR(store->OpenLogs(/*reopen=*/true));
+  FLOWKV_RETURN_IF_ERROR(store->ScanIndexLog(store->IndexLogName(0)));
   std::string meta;
   FLOWKV_RETURN_IF_ERROR(reader.ReadEntry("aur_meta.ckpt", &meta));
   Slice input(meta);
@@ -97,14 +100,19 @@ Status AurStore::RestoreFrom(const std::string& checkpoint_dir, const std::strin
   if (!GetVarint64(&input, &count)) {
     return Status::Corruption("malformed AUR checkpoint metadata");
   }
+  if (count != store->index_.size()) {
+    return Status::Corruption("AUR checkpoint index disagrees with its metadata");
+  }
   for (uint64_t i = 0; i < count; ++i) {
     Slice sk;
     uint64_t bytes;
     if (!GetLengthPrefixed(&input, &sk) || !GetVarint64(&input, &bytes)) {
       return Status::Corruption("malformed AUR checkpoint metadata");
     }
-    store->disk_bytes_[sk.ToString()] = bytes;
-    ++store->live_disk_entries_;
+    auto it = store->index_.find(sk.ToString());
+    if (it == store->index_.end() || SegmentBytes(it->second) != bytes) {
+      return Status::Corruption("AUR checkpoint index disagrees with its metadata");
+    }
   }
   *out = std::move(store);
   return Status::Ok();
@@ -117,12 +125,21 @@ std::string AurStore::StateKey(const Slice& key, const Window& w) {
   return sk;
 }
 
-void AurStore::SplitStateKey(const Slice& state_key, std::string* key, Window* w) {
-  Slice input = state_key;
-  Slice k;
-  GetLengthPrefixed(&input, &k);
-  *key = k.ToString();
-  DecodeWindow(&input, w);
+uint64_t AurStore::SegmentBytes(const std::vector<Segment>& segments) {
+  uint64_t bytes = 0;
+  for (const Segment& seg : segments) {
+    bytes += seg.length;
+  }
+  return bytes;
+}
+
+void AurStore::AppendIndexEntry(std::string* dst, const std::string& state_key,
+                                const Segment& segment) {
+  PutLengthPrefixed(dst, state_key);
+  PutFixed64(dst, segment.offset);
+  PutFixed64(dst, segment.length);
+  PutVarint64(dst, segment.count);
+  PutVarsigned64(dst, segment.max_timestamp);
 }
 
 Status AurStore::Append(const Slice& key, const Slice& value, const Window& w,
@@ -175,22 +192,13 @@ Status AurStore::FlushBuffer() {
       PutLengthPrefixed(&segment, value);
       PutVarsigned64(&segment, ts);
     }
-    const uint64_t offset = data_log_->size();
+    const Segment seg{data_log_->size(), segment.size(), entry.values.size(),
+                      stat_[sk].max_timestamp};
     FLOWKV_RETURN_IF_ERROR(data_log_->Append(segment));
-
     index_entry.clear();
-    PutLengthPrefixed(&index_entry, sk);
-    PutFixed64(&index_entry, offset);
-    PutFixed64(&index_entry, segment.size());
-    PutVarint64(&index_entry, entry.values.size());
-    PutVarsigned64(&index_entry, stat_[sk].max_timestamp);
+    AppendIndexEntry(&index_entry, sk, seg);
     FLOWKV_RETURN_IF_ERROR(index_log_->Append(index_entry));
-
-    auto [it, inserted] = disk_bytes_.try_emplace(sk, 0);
-    if (inserted) {
-      ++live_disk_entries_;
-    }
-    it->second += segment.size();
+    index_[sk].push_back(seg);
   }
   buffer_.clear();
   buffered_bytes_ = 0;
@@ -202,44 +210,22 @@ Status AurStore::FlushBuffer() {
   return index_log_->Flush();
 }
 
-Status AurStore::ScanIndexLog(const std::string& path,
-                              const std::function<Status(const IndexEntry&)>& fn) const {
-  std::unique_ptr<SequentialFile> file;
-  FLOWKV_RETURN_IF_ERROR(SequentialFile::Open(path, &file, const_cast<IoStats*>(&stats_.io)));
-  std::string carry;
-  std::string scratch;
-  scratch.resize(256 * 1024);
-  while (true) {
-    Slice got;
-    FLOWKV_RETURN_IF_ERROR(file->Read(scratch.size(), &got, scratch.data()));
-    if (got.empty()) {
-      break;
+Status AurStore::ScanIndexLog(const std::string& path) {
+  std::string contents;
+  FLOWKV_RETURN_IF_ERROR(ReadFileToString(path, &contents));
+  Slice input(contents);
+  while (!input.empty()) {
+    Slice sk;
+    Segment seg;
+    if (!GetLengthPrefixed(&input, &sk) || !GetFixed64(&input, &seg.offset) ||
+        !GetFixed64(&input, &seg.length) || !GetVarint64(&input, &seg.count) ||
+        !GetVarsigned64(&input, &seg.max_timestamp)) {
+      return Status::Corruption("trailing partial index entry in " + path);
     }
-    carry.append(got.data(), got.size());
-    Slice input(carry);
-    size_t consumed = 0;
-    while (true) {
-      Slice probe = input;
-      IndexEntry e;
-      Slice sk;
-      uint64_t count;
-      int64_t max_ts;
-      if (!GetLengthPrefixed(&probe, &sk) || !GetFixed64(&probe, &e.offset) ||
-          !GetFixed64(&probe, &e.length) || !GetVarint64(&probe, &count) ||
-          !GetVarsigned64(&probe, &max_ts)) {
-        break;
-      }
-      e.state_key = sk.ToString();
-      e.count = count;
-      e.max_timestamp = max_ts;
-      FLOWKV_RETURN_IF_ERROR(fn(e));
-      consumed += input.size() - probe.size();
-      input = probe;
+    if (seg.length > DataLogBytes() || seg.offset > DataLogBytes() - seg.length) {
+      return Status::Corruption("index entry beyond the data log in " + path);
     }
-    carry.erase(0, consumed);
-  }
-  if (!carry.empty()) {
-    return Status::Corruption("trailing partial index entry in " + path);
+    index_[sk.ToString()].push_back(seg);
   }
   return Status::Ok();
 }
@@ -254,9 +240,8 @@ double AurStore::SpaceAmplification() const {
   return static_cast<double>(total) / static_cast<double>(total - dead_bytes_);
 }
 
-Status AurStore::LoadSegments(
-    const std::unordered_map<std::string, std::vector<IndexEntry>>& segments) {
-  if (segments.empty()) {
+Status AurStore::LoadSegments(const std::vector<const SegmentIndex::value_type*>& entries) {
+  if (entries.empty()) {
     return Status::Ok();
   }
   FLOWKV_RETURN_IF_ERROR(data_log_->Flush());
@@ -264,22 +249,21 @@ Status AurStore::LoadSegments(
   FLOWKV_RETURN_IF_ERROR(RandomAccessFile::Open(DataLogName(generation_), &reader, &stats_.io));
 
   // Flatten and sort by offset: one forward pass over the data log.
-  std::vector<const IndexEntry*> flat;
-  for (const auto& [sk, entries] : segments) {
-    for (const auto& e : entries) {
-      flat.push_back(&e);
+  std::vector<std::pair<const std::string*, const Segment*>> flat;
+  for (const auto* entry : entries) {
+    for (const Segment& seg : entry->second) {
+      flat.emplace_back(&entry->first, &seg);
     }
   }
   std::sort(flat.begin(), flat.end(),
-            [](const IndexEntry* a, const IndexEntry* b) { return a->offset < b->offset; });
+            [](const auto& a, const auto& b) { return a.second->offset < b.second->offset; });
 
   std::string buf;
-  for (const IndexEntry* e : flat) {
-    buf.resize(e->length);
+  for (const auto& [sk, seg] : flat) {
+    buf.resize(seg->length);
     Slice got;
-    FLOWKV_RETURN_IF_ERROR(reader->Read(e->offset, e->length, &got, buf.data()));
-    PrefetchedEntry& dst = prefetch_[e->state_key];
-    dst.segment_tags.push_back(SegmentTag(e->offset));
+    FLOWKV_RETURN_IF_ERROR(reader->Read(seg->offset, seg->length, &got, buf.data()));
+    Tuples& dst = prefetch_[*sk];
     Slice input = got;
     while (!input.empty()) {
       Slice value;
@@ -287,102 +271,94 @@ Status AurStore::LoadSegments(
       if (!GetLengthPrefixed(&input, &value) || !GetVarsigned64(&input, &ts)) {
         return Status::Corruption("malformed data segment in " + DataLogName(generation_));
       }
-      dst.values.emplace_back(value.ToString(), ts);
+      dst.emplace_back(value.ToString(), ts);
     }
-    stats_.tuples_read_from_disk += static_cast<int64_t>(e->count);
+    stats_.tuples_read_from_disk += static_cast<int64_t>(seg->count);
   }
   return Status::Ok();
 }
 
-Status AurStore::CompactWith(std::unordered_map<std::string, std::vector<IndexEntry>> live) {
+Status AurStore::Compact() {
   ScopedTimer t(&stats_.compaction_nanos);
   obs::TraceSpan span("compaction", "compaction");
-  span.AddArg("live_entries", static_cast<int64_t>(live.size()));
+  span.AddArg("live_entries", static_cast<int64_t>(index_.size()));
   span.AddArg("dead_bytes", static_cast<int64_t>(dead_bytes_));
   ++stats_.compactions;
 
+  // Live segments in old-offset order (sequential source access); adjacent
+  // ones coalesce into a single byte run.
+  std::vector<std::pair<const std::string*, Segment*>> flat;
+  for (auto& [sk, segments] : index_) {
+    for (Segment& seg : segments) {
+      flat.emplace_back(&sk, &seg);
+    }
+  }
+  std::sort(flat.begin(), flat.end(),
+            [](const auto& a, const auto& b) { return a.second->offset < b.second->offset; });
+  std::vector<ByteRange> runs;
+  for (const auto& [sk, seg] : flat) {
+    if (!runs.empty() && runs.back().offset + runs.back().length == seg->offset) {
+      runs.back().length += seg->length;
+    } else {
+      runs.push_back({seg->offset, seg->length});
+    }
+  }
+
+  // Move the runs into generation+1 logs with one zero-copy transfer (§5).
   FLOWKV_RETURN_IF_ERROR(data_log_->Flush());
-  const std::string old_data = DataLogName(generation_);
-  const std::string old_index = IndexLogName(generation_);
-  ++generation_;
+  const uint64_t next = generation_ + 1;
   std::unique_ptr<AppendFile> new_data;
   std::unique_ptr<AppendFile> new_index;
   FLOWKV_RETURN_IF_ERROR(
-      AppendFile::Open(DataLogName(generation_), /*reopen=*/false, &new_data, &stats_.io));
+      AppendFile::Open(DataLogName(next), /*reopen=*/false, &new_data, &stats_.io));
   FLOWKV_RETURN_IF_ERROR(
-      AppendFile::Open(IndexLogName(generation_), /*reopen=*/false, &new_index, &stats_.io));
+      AppendFile::Open(IndexLogName(next), /*reopen=*/false, &new_index, &stats_.io));
+  FLOWKV_RETURN_IF_ERROR(
+      ZeroCopyTransfer(DataLogName(generation_), runs, new_data.get(), &stats_.io));
 
-  // Move live segments in old-offset order (sequential source access) using
-  // zero-copy transfer (§5), rewriting their index entries as we go.
-  std::vector<std::pair<std::string, IndexEntry*>> flat;
-  for (auto& [sk, entries] : live) {
-    for (auto& e : entries) {
-      flat.emplace_back(sk, &e);
-    }
+  // The runs land back to back, so each segment's new offset is the running
+  // total of the lengths before it. `index_` changes only once the new logs
+  // are complete.
+  std::string index_entries;
+  uint64_t offset = 0;
+  for (const auto& [sk, seg] : flat) {
+    AppendIndexEntry(&index_entries, *sk, {offset, seg->length, seg->count, seg->max_timestamp});
+    offset += seg->length;
   }
-  std::sort(flat.begin(), flat.end(), [](const auto& a, const auto& b) {
-    return a.second->offset < b.second->offset;
-  });
-  std::string index_entry;
-  for (auto& [sk, e] : flat) {
-    const uint64_t new_offset = new_data->size();
-    FLOWKV_RETURN_IF_ERROR(
-        ZeroCopyTransfer(old_data, e->offset, e->length, new_data.get(), &stats_.io));
-    e->offset = new_offset;
-    index_entry.clear();
-    PutLengthPrefixed(&index_entry, sk);
-    PutFixed64(&index_entry, e->offset);
-    PutFixed64(&index_entry, e->length);
-    PutVarint64(&index_entry, e->count);
-    PutVarsigned64(&index_entry, e->max_timestamp);
-    FLOWKV_RETURN_IF_ERROR(new_index->Append(index_entry));
-  }
-  FLOWKV_RETURN_IF_ERROR(new_data->Flush());
+  FLOWKV_RETURN_IF_ERROR(new_index->Append(index_entries));
   FLOWKV_RETURN_IF_ERROR(new_index->Flush());
+  offset = 0;
+  for (const auto& [sk, seg] : flat) {
+    seg->offset = offset;
+    offset += seg->length;
+  }
 
+  const std::string old_data = DataLogName(generation_);
+  const std::string old_index = IndexLogName(generation_);
   data_log_ = std::move(new_data);
   index_log_ = std::move(new_index);
+  generation_ = next;
   FLOWKV_RETURN_IF_ERROR(RemoveFile(old_data));
   FLOWKV_RETURN_IF_ERROR(RemoveFile(old_index));
   dead_bytes_ = 0;
-  dead_segments_.clear();
-  FLOWKV_LOG(kDebug) << "aur compaction: " << flat.size() << " live segments -> gen "
-                     << generation_;
+  FLOWKV_LOG(kDebug) << "aur compaction: " << flat.size() << " live segments in " << runs.size()
+                     << " runs -> gen " << generation_;
   return Status::Ok();
 }
 
 Status AurStore::PredictiveBatchRead(const std::string& requested) {
   obs::TraceSpan span("predictive_batch_read", "prefetch");
-  // One index-log scan serves both the batch-read selection and the
-  // compaction liveness analysis (integrated compaction, §4.2).
-  std::unordered_map<std::string, std::vector<IndexEntry>> live;
-  FLOWKV_RETURN_IF_ERROR(index_log_->Flush());
-  FLOWKV_RETURN_IF_ERROR(
-      ScanIndexLog(IndexLogName(generation_), [&](const IndexEntry& e) {
-        if (!dead_segments_.contains(SegmentTag(e.offset))) {
-          live[e.state_key].push_back(e);
-        }
-        return Status::Ok();
-      }));
-
   if (SpaceAmplification() > options_.max_space_amplification) {
-    FLOWKV_RETURN_IF_ERROR(CompactWith(live));
-    // CompactWith updated offsets in its copy; rebuild from the new index.
-    live.clear();
-    FLOWKV_RETURN_IF_ERROR(
-        ScanIndexLog(IndexLogName(generation_), [&](const IndexEntry& e) {
-          live[e.state_key].push_back(e);
-          return Status::Ok();
-        }));
-    RefreshPrefetchTags(live);
+    FLOWKV_RETURN_IF_ERROR(Compact());
   }
 
   // Select the requested entry plus the N live entries closest to their
   // estimated trigger time. N = read_batch_ratio x live entries; entries
   // without a usable ETT (unpredictable window functions) never prefetch.
-  std::vector<std::pair<int64_t, const std::string*>> candidates;
-  candidates.reserve(live.size());
-  for (const auto& [sk, entries] : live) {
+  std::vector<std::pair<int64_t, const SegmentIndex::value_type*>> candidates;
+  candidates.reserve(index_.size());
+  for (const auto& entry : index_) {
+    const std::string& sk = entry.first;
     if (sk == requested || prefetch_.contains(sk)) {
       continue;
     }
@@ -390,72 +366,48 @@ Status AurStore::PredictiveBatchRead(const std::string& requested) {
     const int64_t ett =
         stat_it == stat_.end() ? EttPredictor::kUnknown : stat_it->second.ett;
     if (ett != EttPredictor::kUnknown) {
-      candidates.emplace_back(ett, &sk);
+      candidates.emplace_back(ett, &entry);
     }
   }
-  size_t n = static_cast<size_t>(options_.read_batch_ratio * static_cast<double>(live.size()));
+  size_t n = static_cast<size_t>(options_.read_batch_ratio * static_cast<double>(index_.size()));
   n = std::min(n, candidates.size());
   std::partial_sort(candidates.begin(), candidates.begin() + n, candidates.end());
-  span.AddArg("live_entries", static_cast<int64_t>(live.size()));
+  span.AddArg("live_entries", static_cast<int64_t>(index_.size()));
   span.AddArg("batch_n", static_cast<int64_t>(n));
 
-  std::unordered_map<std::string, std::vector<IndexEntry>> to_load;
-  auto requested_it = live.find(requested);
-  if (requested_it != live.end()) {
-    to_load.emplace(requested, requested_it->second);
+  std::vector<const SegmentIndex::value_type*> to_load;
+  to_load.reserve(n + 1);
+  auto requested_it = index_.find(requested);
+  if (requested_it != index_.end()) {
+    to_load.push_back(&*requested_it);
   }
   for (size_t i = 0; i < n; ++i) {
-    const std::string& sk = *candidates[i].second;
-    const auto& segments = live[sk];
-    for (const IndexEntry& e : segments) {
+    for (const Segment& seg : candidates[i].second->second) {
       // Speculative loads only; the requested entry and targeted reads are
       // demand reads, not prefetches.
-      stats_.prefetched_entries += static_cast<int64_t>(e.count);
+      stats_.prefetched_entries += static_cast<int64_t>(seg.count);
     }
-    to_load.emplace(sk, segments);
+    to_load.push_back(candidates[i].second);
   }
   return LoadSegments(to_load);
 }
 
-Status AurStore::Collect(const std::string& state_key,
-                         std::vector<std::pair<std::string, int64_t>>* values,
-                         bool use_prefetch) {
+Status AurStore::Collect(const std::string& state_key, Tuples* values) {
   values->clear();
-  // Disk-resident (oldest) data first.
-  auto disk_it = disk_bytes_.find(state_key);
-  if (disk_it != disk_bytes_.end()) {
-    auto prefetch_it = use_prefetch ? prefetch_.find(state_key) : prefetch_.end();
-    if (prefetch_it != prefetch_.end()) {
-      for (uint64_t tag : prefetch_it->second.segment_tags) {
-        dead_segments_.insert(tag);
-      }
-      *values = std::move(prefetch_it->second.values);
-      prefetch_.erase(prefetch_it);
-    } else {
-      // Targeted read: pull only this entry's segments off the index log.
-      std::unordered_map<std::string, std::vector<IndexEntry>> segments;
-      FLOWKV_RETURN_IF_ERROR(index_log_->Flush());
-      FLOWKV_RETURN_IF_ERROR(
-          ScanIndexLog(IndexLogName(generation_), [&](const IndexEntry& e) {
-            if (e.state_key == state_key && !dead_segments_.contains(SegmentTag(e.offset))) {
-              segments[e.state_key].push_back(e);
-            }
-            return Status::Ok();
-          }));
-      FLOWKV_RETURN_IF_ERROR(LoadSegments(segments));
-      auto loaded = prefetch_.find(state_key);
-      if (loaded != prefetch_.end()) {
-        for (uint64_t tag : loaded->second.segment_tags) {
-          dead_segments_.insert(tag);
-        }
-        *values = std::move(loaded->second.values);
-        prefetch_.erase(loaded);
-      }
+  // Disk-resident (oldest) data first: from the prefetch buffer, or else a
+  // targeted read of this entry's segments.
+  auto index_it = index_.find(state_key);
+  if (index_it != index_.end()) {
+    auto prefetch_it = prefetch_.find(state_key);
+    if (prefetch_it == prefetch_.end()) {
+      FLOWKV_RETURN_IF_ERROR(LoadSegments({&*index_it}));
+      prefetch_it = prefetch_.find(state_key);
     }
+    *values = std::move(prefetch_it->second);
+    prefetch_.erase(prefetch_it);
     stats_.tuples_consumed += static_cast<int64_t>(values->size());
-    dead_bytes_ += disk_it->second;
-    disk_bytes_.erase(disk_it);
-    --live_disk_entries_;
+    dead_bytes_ += SegmentBytes(index_it->second);
+    index_.erase(index_it);
   }
   // Then anything still buffered in memory (newest).
   auto buffer_it = buffer_.find(state_key);
@@ -488,7 +440,7 @@ Status AurStore::Get(const Slice& key, const Window& w, std::vector<std::string>
     RecordEttOutcome(stat_it->second.ett, clock_, &stats_);
   }
 
-  if (disk_bytes_.contains(sk)) {
+  if (index_.contains(sk)) {
     if (prefetch_.contains(sk)) {
       ++stats_.prefetch_hits;
       obs::TraceInstant("prefetch_hit", "prefetch");
@@ -498,8 +450,8 @@ Status AurStore::Get(const Slice& key, const Window& w, std::vector<std::string>
       FLOWKV_RETURN_IF_ERROR(PredictiveBatchRead(sk));
     }
   }
-  std::vector<std::pair<std::string, int64_t>> vts;
-  FLOWKV_RETURN_IF_ERROR(Collect(sk, &vts, /*use_prefetch=*/true));
+  Tuples vts;
+  FLOWKV_RETURN_IF_ERROR(Collect(sk, &vts));
   if (vts.empty()) {
     return Status::NotFound();
   }
@@ -516,8 +468,8 @@ Status AurStore::MergeWindows(const Slice& key, const std::vector<Window>& sourc
   ScopedTimer t(&stats_.write_nanos);
   for (const Window& src : sources) {
     const std::string src_sk = StateKey(key, src);
-    std::vector<std::pair<std::string, int64_t>> vts;
-    FLOWKV_RETURN_IF_ERROR(Collect(src_sk, &vts, /*use_prefetch=*/true));
+    Tuples vts;
+    FLOWKV_RETURN_IF_ERROR(Collect(src_sk, &vts));
     for (auto& [value, ts] : vts) {
       // Re-append under the destination's initial window, preserving the
       // original timestamp so the destination's ETT stays a lower bound.
@@ -540,41 +492,6 @@ Status AurStore::MergeWindows(const Slice& key, const std::vector<Window>& sourc
     return FlushBuffer();
   }
   return Status::Ok();
-}
-
-Status AurStore::Compact() {
-  std::unordered_map<std::string, std::vector<IndexEntry>> live;
-  FLOWKV_RETURN_IF_ERROR(index_log_->Flush());
-  FLOWKV_RETURN_IF_ERROR(ScanIndexLog(IndexLogName(generation_), [&](const IndexEntry& e) {
-    if (!dead_segments_.contains(SegmentTag(e.offset))) {
-      live[e.state_key].push_back(e);
-    }
-    return Status::Ok();
-  }));
-  FLOWKV_RETURN_IF_ERROR(CompactWith(live));
-  live.clear();
-  FLOWKV_RETURN_IF_ERROR(ScanIndexLog(IndexLogName(generation_), [&](const IndexEntry& e) {
-    live[e.state_key].push_back(e);
-    return Status::Ok();
-  }));
-  RefreshPrefetchTags(live);
-  return Status::Ok();
-}
-
-// After a compaction rewrote live segments to new offsets, prefetch-buffer
-// entries must point at the new segments so their consumption marks the
-// right bytes dead.
-void AurStore::RefreshPrefetchTags(
-    const std::unordered_map<std::string, std::vector<IndexEntry>>& live) {
-  for (auto& [sk, entry] : prefetch_) {
-    entry.segment_tags.clear();
-    auto it = live.find(sk);
-    if (it != live.end()) {
-      for (const IndexEntry& e : it->second) {
-        entry.segment_tags.push_back(SegmentTag(e.offset));
-      }
-    }
-  }
 }
 
 }  // namespace flowkv

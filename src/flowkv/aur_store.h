@@ -6,28 +6,31 @@
 //    (per-window files would explode in number); an index entry records
 //    (key, window, offset, length, count, max_timestamp) for each flushed
 //    segment — many tuples amortize into one entry via the write buffer,
+//  - mirrors the live index-log entries in memory (`index_`: state key ->
+//    its segments), so steady-state reads and compactions never read the
+//    index log back; it is read only by RestoreFrom, to rebuild the mirror.
+//    The mirror costs ~32 B per live segment on top of the Stat table,
 //  - maintains an in-memory Stat table of estimated trigger times (ETTs),
 //    updated on every Append from the tuple timestamp and the window
 //    function's predictor,
-//  - on a prefetch-buffer miss, performs a *predictive batch read*: one
-//    sequential scan of the index log selects the N live (key, window)
-//    entries closest to triggering (N = read_batch_ratio x live entries) and
-//    loads their segments into the prefetch buffer,
+//  - on a prefetch-buffer miss, performs a *predictive batch read*: it
+//    selects from `index_` the N live (key, window) entries closest to
+//    triggering (N = read_batch_ratio x live entries) and loads their
+//    segments into the prefetch buffer in one forward pass over the data log,
 //  - evicts prefetched state whose ETT proved wrong (a new tuple arrived,
 //    e.g. a session extension) — those tuples are re-read later, which is
 //    the 1/hit-ratio read amplification of Eq. 1,
-//  - integrates compaction with the same index scan: when space
-//    amplification exceeds the MSA threshold, live segments move to fresh
-//    logs with zero-copy byte transfer and dead ones vanish.
+//  - integrates compaction with the batch read: when space amplification
+//    exceeds the MSA threshold, adjacent live segments coalesce into byte
+//    runs that move to fresh logs in one zero-copy transfer, dead ones
+//    vanish, and `index_` offsets are rewritten in place.
 #ifndef SRC_FLOWKV_AUR_STORE_H_
 #define SRC_FLOWKV_AUR_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/file.h"
@@ -63,7 +66,9 @@ class AurStore {
   // per-tuple timestamps (session merges).
   Status MergeWindows(const Slice& key, const std::vector<Window>& sources, const Window& dst);
 
-  // Forces a compaction regardless of the MSA trigger (testing).
+  // Moves the live segments to fresh logs and drops the dead ones. The MSA
+  // trigger runs it inside a batch read; CheckpointTo and tests call it
+  // directly.
   Status Compact();
 
   // Snapshots the store (buffer flushed, dead segments compacted away, logs
@@ -80,23 +85,27 @@ class AurStore {
   uint64_t DeadBytes() const { return dead_bytes_; }
   double SpaceAmplification() const;
   size_t PrefetchBufferEntries() const { return prefetch_.size(); }
-  // Live (key, window) entries with disk-resident segments.
-  uint64_t LiveDiskEntries() const { return live_disk_entries_; }
   const StoreStats& stats() const { return stats_; }
   StoreStats* mutable_stats() { return &stats_; }
 
  private:
+  // (value, timestamp) pairs in append order.
+  using Tuples = std::vector<std::pair<std::string, int64_t>>;
+
   struct BufferedEntry {
-    std::vector<std::pair<std::string, int64_t>> values;  // (value, timestamp)
+    Tuples values;
     uint64_t bytes = 0;
   };
 
-  struct PrefetchedEntry {
-    std::vector<std::pair<std::string, int64_t>> values;
-    // Generation-tagged offsets of the data-log segments this entry was read
-    // from; marked dead when the entry is consumed.
-    std::vector<uint64_t> segment_tags;
+  // One live data-log segment: the in-memory copy of its index-log entry.
+  struct Segment {
+    uint64_t offset;
+    uint64_t length;
+    uint64_t count;
+    int64_t max_timestamp;
   };
+  // State key -> its live segments, in data-log order.
+  using SegmentIndex = std::unordered_map<std::string, std::vector<Segment>>;
 
   AurStore(std::string dir, const FlowKvOptions& options,
            std::unique_ptr<EttPredictor> predictor);
@@ -106,43 +115,28 @@ class AurStore {
   std::string IndexLogName(uint64_t generation) const;
 
   static std::string StateKey(const Slice& key, const Window& w);
-  static void SplitStateKey(const Slice& state_key, std::string* key, Window* w);
+  static uint64_t SegmentBytes(const std::vector<Segment>& segments);
+  static void AppendIndexEntry(std::string* dst, const std::string& state_key,
+                               const Segment& segment);
 
   // Flushes every write-buffer bucket: segments to the data log, one index
-  // entry per bucket to the index log.
+  // entry per bucket to the index log and to `index_`.
   Status FlushBuffer();
 
-  // One parsed index-log entry.
-  struct IndexEntry {
-    std::string state_key;  // key + window encoding
-    uint64_t offset;
-    uint64_t length;
-    uint64_t count;
-    int64_t max_timestamp;
-  };
+  // Rebuilds `index_` from the index log at `path` (restore only).
+  Status ScanIndexLog(const std::string& path);
 
-  // Sequentially scans the index log, invoking fn per entry.
-  Status ScanIndexLog(const std::string& path,
-                      const std::function<Status(const IndexEntry&)>& fn) const;
-
-  // The combined predictive-batch-read + integrated-compaction index scan,
-  // triggered by a prefetch miss on `requested`.
+  // Predictive batch read (plus the MSA-triggered compaction), triggered by
+  // a prefetch miss on `requested`.
   Status PredictiveBatchRead(const std::string& requested);
 
-  // Loads the given segments into the prefetch buffer.
-  Status LoadSegments(const std::unordered_map<std::string, std::vector<IndexEntry>>& segments);
-
-  // Rewrites live segments into generation+1 logs (zero-copy) and unlinks the
-  // old generation. `live` maps state keys to their segments (old offsets).
-  Status CompactWith(std::unordered_map<std::string, std::vector<IndexEntry>> live);
-
-  // Re-tags prefetch-buffer entries after a compaction moved their segments.
-  void RefreshPrefetchTags(const std::unordered_map<std::string, std::vector<IndexEntry>>& live);
+  // Loads every segment of the given `index_` entries into the prefetch
+  // buffer, in one forward pass over the data log.
+  Status LoadSegments(const std::vector<const SegmentIndex::value_type*>& entries);
 
   // Drains all state for `state_key` from buffer + prefetch + disk into
   // `values`, marking disk segments dead. Core of Get and MergeWindows.
-  Status Collect(const std::string& state_key,
-                 std::vector<std::pair<std::string, int64_t>>* values, bool use_prefetch);
+  Status Collect(const std::string& state_key, Tuples* values);
 
   std::string dir_;
   FlowKvOptions options_;
@@ -159,19 +153,14 @@ class AurStore {
   };
   std::unordered_map<std::string, Stat> stat_;
 
-  // Prefetch buffer populated by predictive batch reads.
-  std::unordered_map<std::string, PrefetchedEntry> prefetch_;
+  // Live on-disk segments. A consumed entry leaves the map and its bytes
+  // count as dead until the next compaction drops them from the data log.
+  SegmentIndex index_;
 
-  // Dead data-log segments (fetched-and-removed or moved by MergeWindows),
-  // identified by generation-tagged offset; their index entries are garbage
-  // until compaction. Per-segment (not per-(key,window)) so that a window
-  // that is re-created after consumption is never shadowed by its past.
-  std::unordered_set<uint64_t> dead_segments_;
-
-  uint64_t SegmentTag(uint64_t offset) const { return (generation_ << 48) | offset; }
-
-  // Live on-disk bytes per state key (for space-amplification accounting).
-  std::unordered_map<std::string, uint64_t> disk_bytes_;
+  // Prefetch buffer populated by predictive batch reads. An entry holds the
+  // tuples of *all* of its key's live segments: a flush or append to the key
+  // drops it.
+  std::unordered_map<std::string, Tuples> prefetch_;
 
   // Event-time clock: the largest tuple timestamp appended so far; used to
   // measure actual trigger delays for adaptive predictors.
@@ -181,7 +170,6 @@ class AurStore {
   std::unique_ptr<AppendFile> index_log_;
   uint64_t generation_ = 0;
   uint64_t dead_bytes_ = 0;
-  uint64_t live_disk_entries_ = 0;  // live (key,window) entries with disk data
 
   StoreStats stats_;
   // Samples stats_ live under the registering thread's (worker, partition)

@@ -12,6 +12,7 @@
 #include "src/common/coding.h"
 #include "src/common/env.h"
 #include "src/common/file.h"
+#include "src/common/fs_hooks.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
@@ -325,6 +326,85 @@ TEST(FileTest, ZeroCopyTransferRejectsBeyondEof) {
   ASSERT_TRUE(AppendFile::Open(JoinPath(dir, "dst"), false, &dst).ok());
   EXPECT_FALSE(ZeroCopyTransfer(src, 2, 100, dst.get()).ok());
   RemoveDirRecursively(dir).IgnoreError();
+}
+
+// Appends `ranges` of "0123456789abcdef" to a file holding "HEAD:" and
+// returns the file's contents; `status` gets the transfer's result and
+// `dst_size` the writer's logical size afterwards.
+std::string TransferRanges(const std::vector<ByteRange>& ranges, Status* status,
+                           uint64_t* dst_size) {
+  std::string dir = MakeTempDir("file_test");
+  std::string src = JoinPath(dir, "src");
+  std::string dst_path = JoinPath(dir, "dst");
+  EXPECT_TRUE(WriteStringToFile(src, "0123456789abcdef").ok());
+  std::unique_ptr<AppendFile> dst;
+  EXPECT_TRUE(AppendFile::Open(dst_path, false, &dst).ok());
+  EXPECT_TRUE(dst->Append("HEAD:").ok());
+  *status = ZeroCopyTransfer(src, ranges, dst.get());
+  *dst_size = dst->size();
+  EXPECT_TRUE(dst->Close().ok());
+  std::string contents;
+  EXPECT_TRUE(ReadFileToString(dst_path, &contents).ok());
+  RemoveDirRecursively(dir).IgnoreError();
+  return contents;
+}
+
+TEST(FileTest, ZeroCopyTransferRangeListLandsInOrder) {
+  Status s;
+  uint64_t size = 0;
+  // Non-adjacent, and not in source order: list order wins.
+  EXPECT_EQ(TransferRanges({{10, 3}, {1, 2}, {14, 2}}, &s, &size), "HEAD:abc12ef");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(size, 12u);
+  // Adjacent ranges read as one contiguous run.
+  EXPECT_EQ(TransferRanges({{0, 4}, {4, 4}, {8, 0}, {8, 2}}, &s, &size), "HEAD:0123456789");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(size, 15u);
+}
+
+TEST(FileTest, ZeroCopyTransferEmptyRangeListIsNoOp) {
+  Status s;
+  uint64_t size = 0;
+  EXPECT_EQ(TransferRanges({}, &s, &size), "HEAD:");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(size, 5u);
+}
+
+TEST(FileTest, ZeroCopyTransferRangePastEofMovesNothing) {
+  Status s;
+  uint64_t size = 0;
+  // The bad range comes last: nothing before it may move either.
+  EXPECT_EQ(TransferRanges({{0, 4}, {8, 4}, {12, 5}}, &s, &size), "HEAD:");
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(size, 5u);
+}
+
+// Refuses the second write to a path ending in "dst". In TransferRanges the
+// first is the flush of "HEAD:" and the second the kernel path's reservation,
+// so the user-space loop has to move every range.
+class RefuseKernelPathWrite : public FsHooks {
+ public:
+  Status PreWrite(const std::string& path, size_t n) override {
+    if (path.size() < 3 || path.compare(path.size() - 3, 3, "dst") != 0 || ++writes_ != 2) {
+      return Status::Ok();
+    }
+    return Status::IOError("refused");
+  }
+
+ private:
+  int writes_ = 0;
+};
+
+TEST(FileTest, ZeroCopyTransferUserSpaceFallbackMovesEveryRange) {
+  RefuseKernelPathWrite hooks;
+  InstallFsHooks(&hooks);
+  Status s;
+  uint64_t size = 0;
+  const std::string contents = TransferRanges({{10, 3}, {1, 2}, {14, 2}}, &s, &size);
+  InstallFsHooks(nullptr);
+  EXPECT_EQ(contents, "HEAD:abc12ef");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(size, 12u);
 }
 
 TEST(HistogramTest, PercentilesOrdered) {

@@ -1,15 +1,20 @@
 // AUR store tests (paper §4.2): write buffer hashed by (key, initial
 // window), index + data log files, ETT maintenance, predictive batch read
 // (hits, misses, wrong-ETT eviction, read amplification), session merges,
-// and MSA-driven integrated compaction.
+// MSA-driven integrated compaction, and the syscall shape of reads and
+// compactions (the index log is read only at restore).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/checkpoint.h"
 #include "src/common/env.h"
 #include "src/common/file.h"
+#include "src/common/fs_hooks.h"
 #include "src/flowkv/aur_store.h"
 
 namespace flowkv {
@@ -295,19 +300,137 @@ TEST_F(AurStoreTest, AdaptivePredictorEnablesPrefetchForCustomWindows) {
   EXPECT_GT(store->stats().prefetched_entries, prefetched_before);
 }
 
+// A running store never reads its index log back (it keeps the live entries
+// in memory); RestoreFrom is the one reader, so corruption surfaces there.
 TEST_F(AurStoreTest, CorruptIndexLogSurfacesCorruption) {
+  // Checkpoints `value` under k0 and k1 into `ckpt` from a store at `dir`.
+  auto checkpoint = [&](const std::string& value, const std::string& dir,
+                        const std::string& ckpt) {
+    FlowKvOptions options;
+    options.write_buffer_bytes = 1;
+    std::unique_ptr<AurStore> store;
+    ASSERT_TRUE(
+        AurStore::Open(dir, options, std::make_unique<SessionEttPredictor>(100), &store).ok());
+    ASSERT_TRUE(store->Append("k0", value, Window(0, 100), 10).ok());
+    ASSERT_TRUE(store->Append("k1", value, Window(0, 100), 20).ok());
+    ASSERT_TRUE(store->CheckpointTo(ckpt).ok());
+  };
+  const std::string good = JoinPath(dir_, "ckpt");
+  const std::string longer = JoinPath(dir_, "ckpt_longer");
+  checkpoint("v", JoinPath(dir_, "live"), good);
+  checkpoint("vv", JoinPath(dir_, "live_longer"), longer);
+  std::string data, index, meta, longer_meta;
+  ASSERT_TRUE(ReadFileToString(JoinPath(good, "aur_data.ckpt"), &data).ok());
+  ASSERT_TRUE(ReadFileToString(JoinPath(good, "aur_index.ckpt"), &index).ok());
+  ASSERT_TRUE(ReadFileToString(JoinPath(good, "aur_meta.ckpt"), &meta).ok());
+  ASSERT_TRUE(ReadFileToString(JoinPath(longer, "aur_meta.ckpt"), &longer_meta).ok());
+  ASSERT_GT(index.size(), 4u);
+
+  // Commits a checkpoint from the given payloads and restores it.
+  int forged = 0;
+  auto restore = [&](const std::string& index_payload, const std::string& meta_payload) {
+    const std::string ckpt = JoinPath(dir_, "forged" + std::to_string(forged++));
+    CheckpointWriter writer(ckpt);
+    EXPECT_TRUE(writer.Init().ok());
+    EXPECT_TRUE(writer.AddBlob("aur_data.ckpt", data).ok());
+    EXPECT_TRUE(writer.AddBlob("aur_index.ckpt", index_payload).ok());
+    EXPECT_TRUE(writer.AddBlob("aur_meta.ckpt", meta_payload).ok());
+    EXPECT_TRUE(writer.Commit().ok());
+    std::unique_ptr<AurStore> restored;
+    return AurStore::RestoreFrom(ckpt, JoinPath(dir_, "restored" + std::to_string(forged)),
+                                 FlowKvOptions{}, std::make_unique<SessionEttPredictor>(100),
+                                 &restored);
+  };
+  // The untouched payloads restore.
+  Status s = restore(index, meta);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  // An index that ends mid-entry, even under a manifest that vouches for it.
+  EXPECT_TRUE(restore(index.substr(0, index.size() - 3), meta).IsCorruption());
+  // A well-formed index that disagrees with the per-key byte totals.
+  EXPECT_TRUE(restore(index, longer_meta).IsCorruption());
+  // In place, a truncated index fails the manifest's size check.
+  ASSERT_TRUE(
+      WriteStringToFile(JoinPath(good, "aur_index.ckpt"), index.substr(0, index.size() - 3))
+          .ok());
+  std::unique_ptr<AurStore> restored;
+  EXPECT_TRUE(AurStore::RestoreFrom(good, JoinPath(dir_, "restored"), FlowKvOptions{},
+                                    std::make_unique<SessionEttPredictor>(100), &restored)
+                  .IsCorruption());
+}
+
+// Counts read-opens per path while installed.
+class ReadOpenCounter : public FsHooks {
+ public:
+  ReadOpenCounter() { InstallFsHooks(this); }
+  ~ReadOpenCounter() override { InstallFsHooks(nullptr); }
+
+  Status PreOpenRead(const std::string& path) override {
+    paths_.push_back(path);
+    return Status::Ok();
+  }
+
+  int Count(const std::function<bool(const std::string&)>& match) const {
+    return static_cast<int>(std::count_if(paths_.begin(), paths_.end(), match));
+  }
+
+ private:
+  std::vector<std::string> paths_;
+};
+
+TEST_F(AurStoreTest, CompactionOpensTheOldDataLogOnce) {
+  FlowKvOptions options;
+  options.write_buffer_bytes = 1;  // one segment per append
+  options.max_space_amplification = 1e9;
+  auto store = OpenStore(options);
+  auto window = [](int i) { return Window(i * 10, i * 10 + 10); };
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_TRUE(store->Append("k" + std::to_string(i), "v" + std::to_string(i), window(i),
+                              i * 10).ok());
+  }
+  // Consume every other window: live and dead segments interleave.
+  std::vector<std::string> values;
+  for (int i = 0; i < 120; i += 2) {
+    ASSERT_TRUE(store->Get("k" + std::to_string(i), window(i), &values).ok());
+  }
+  const std::string old_data = JoinPath(dir_, "aur_data_0.log");
+  {
+    ReadOpenCounter counter;
+    ASSERT_TRUE(store->Compact().ok());
+    EXPECT_EQ(counter.Count([&](const std::string& p) { return p == old_data; }), 1);
+  }
+  for (int i = 1; i < 120; i += 2) {
+    ASSERT_TRUE(store->Get("k" + std::to_string(i), window(i), &values).ok());
+    EXPECT_EQ(values, (std::vector<std::string>{"v" + std::to_string(i)}));
+  }
+}
+
+TEST_F(AurStoreTest, PrefetchMissesNeverReadTheIndexLog) {
   FlowKvOptions options;
   options.write_buffer_bytes = 1;
+  options.read_batch_ratio = 0.1;
+  options.max_space_amplification = 1.5;  // compactions run inside misses too
   auto store = OpenStore(options);
-  ASSERT_TRUE(store->Append("k", "v", Window(0, 100), 10).ok());
-  // Truncate the index log mid-entry.
-  const std::string index_path = JoinPath(dir_, "aur_index_0.log");
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(index_path, &contents).ok());
-  ASSERT_GT(contents.size(), 4u);
-  ASSERT_TRUE(WriteStringToFile(index_path, contents.substr(0, contents.size() - 3)).ok());
+  ReadOpenCounter counter;
   std::vector<std::string> values;
-  EXPECT_TRUE(store->Get("k", Window(0, 100), &values).IsCorruption());
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      const int w = round * 50 + i;
+      ASSERT_TRUE(store->Append("k" + std::to_string(i), "v", Window(w * 10, w * 10 + 10),
+                                w * 10).ok());
+    }
+    // Against ETT order: most reads miss the prefetch buffer.
+    for (int i = 49; i >= 0; --i) {
+      const int w = round * 50 + i;
+      ASSERT_TRUE(store->Get("k" + std::to_string(i), Window(w * 10, w * 10 + 10), &values)
+                      .ok());
+    }
+  }
+  EXPECT_GT(store->stats().prefetch_misses, 20);
+  EXPECT_GT(store->stats().compactions, 0);
+  EXPECT_EQ(counter.Count([](const std::string& p) {
+              return p.find("aur_index_") != std::string::npos;
+            }),
+            0);
 }
 
 TEST_F(AurStoreTest, GetMissingIsNotFound) {

@@ -1,7 +1,8 @@
 // Property-style sweeps (TEST_P) over FlowKV's configuration space and
 // randomized workloads, checking store invariants that must hold for every
 // parameter combination:
-//  - no lost or duplicated tuples (AUR under random session streams),
+//  - no lost or duplicated tuples (AUR under random session streams with
+//    merges, compactions and checkpoint/restore swaps),
 //  - fetch-and-remove semantics,
 //  - space amplification bounded near MSA after compactions,
 //  - session ETT is a lower bound (prefetched session state is never wrong
@@ -48,6 +49,9 @@ class AurPropertyTest : public ::testing::TestWithParam<AurParams> {
   std::string dir_;
 };
 
+// Appends, fetch-and-remove reads, session merges and explicit compactions
+// against a reference model, with the store swapped twice for a copy
+// restored from its own checkpoint.
 TEST_P(AurPropertyTest, NoTupleLostUnderRandomSessionWorkload) {
   const AurParams& p = GetParam();
   FlowKvOptions options;
@@ -55,41 +59,82 @@ TEST_P(AurPropertyTest, NoTupleLostUnderRandomSessionWorkload) {
   options.read_batch_ratio = p.read_batch_ratio;
   options.max_space_amplification = p.msa;
   std::unique_ptr<AurStore> store;
-  ASSERT_TRUE(
-      AurStore::Open(dir_, options, std::make_unique<SessionEttPredictor>(100), &store).ok());
+  ASSERT_TRUE(AurStore::Open(JoinPath(dir_, "store0"), options,
+                             std::make_unique<SessionEttPredictor>(100), &store)
+                  .ok());
 
   Random rng(p.write_buffer_bytes + static_cast<uint64_t>(p.read_batch_ratio * 1000));
   std::map<std::string, std::vector<std::string>> live;  // refkey -> values
+  auto refkey = [](const std::string& key, int64_t start) {
+    return key + "|" + std::to_string(start);
+  };
   int64_t ts = 0;
   int64_t appended = 0, retrieved = 0;
+  int compactions = 0, merges = 0, restores = 0;
   for (int step = 0; step < 4000; ++step) {
+    if (step == 1500 || step == 3000) {
+      ++restores;
+      const std::string ckpt = JoinPath(dir_, "ckpt" + std::to_string(restores));
+      ASSERT_TRUE(store->CheckpointTo(ckpt).ok());
+      store.reset();
+      ASSERT_TRUE(AurStore::RestoreFrom(ckpt, JoinPath(dir_, "store" + std::to_string(restores)),
+                                        options, std::make_unique<SessionEttPredictor>(100),
+                                        &store)
+                      .ok());
+    }
     const std::string key = "k" + std::to_string(rng.Uniform(25));
     const int64_t start = static_cast<int64_t>(rng.Uniform(10)) * 50;
     const Window w(start, start + 50);
-    const std::string refkey = key + "|" + std::to_string(start);
-    if (rng.Uniform(10) < 7 || live.find(refkey) == live.end()) {
+    const std::string ref = refkey(key, start);
+    const uint64_t op = rng.Uniform(40);
+    if (op == 0) {
+      ++compactions;
+      ASSERT_TRUE(store->Compact().ok());
+      EXPECT_DOUBLE_EQ(store->SpaceAmplification(), 1.0);
+    } else if (op <= 3) {
+      // Merge up to two other windows of the key into w, oldest source first.
+      ++merges;
+      std::vector<Window> sources;
+      for (int i = 0; i < 2; ++i) {
+        const int64_t src = static_cast<int64_t>(rng.Uniform(10)) * 50;
+        if (src != start && (sources.empty() || sources[0].start != src)) {
+          sources.emplace_back(src, src + 50);
+        }
+      }
+      ASSERT_TRUE(store->MergeWindows(key, sources, w).ok());
+      for (const Window& src : sources) {
+        auto it = live.find(refkey(key, src.start));
+        if (it != live.end()) {
+          auto& dst = live[ref];
+          dst.insert(dst.end(), it->second.begin(), it->second.end());
+          live.erase(refkey(key, src.start));
+        }
+      }
+    } else if (op < 30 || live.find(ref) == live.end()) {
       std::string value = "v" + std::to_string(step);
       ASSERT_TRUE(store->Append(key, value, w, ts++).ok());
-      live[refkey].push_back(value);
+      live[ref].push_back(value);
       ++appended;
     } else {
       std::vector<std::string> values;
       ASSERT_TRUE(store->Get(key, w, &values).ok());
-      EXPECT_EQ(values, live[refkey]) << refkey << " step " << step;
+      EXPECT_EQ(values, live[ref]) << ref << " step " << step;
       retrieved += static_cast<int64_t>(values.size());
-      live.erase(refkey);
+      live.erase(ref);
       // Fetch-and-remove invariant.
       EXPECT_TRUE(store->Get(key, w, &values).IsNotFound());
     }
   }
+  EXPECT_GT(compactions, 0);
+  EXPECT_GT(merges, 0);
   // Drain the rest; nothing may be lost or duplicated.
-  for (auto& [refkey, expected] : live) {
-    const size_t bar = refkey.find('|');
-    const std::string key = refkey.substr(0, bar);
-    const int64_t start = std::stoll(refkey.substr(bar + 1));
+  for (auto& [ref, expected] : live) {
+    const size_t bar = ref.find('|');
+    const std::string key = ref.substr(0, bar);
+    const int64_t start = std::stoll(ref.substr(bar + 1));
     std::vector<std::string> values;
-    ASSERT_TRUE(store->Get(key, Window(start, start + 50), &values).ok()) << refkey;
-    EXPECT_EQ(values, expected) << refkey;
+    ASSERT_TRUE(store->Get(key, Window(start, start + 50), &values).ok()) << ref;
+    EXPECT_EQ(values, expected) << ref;
     retrieved += static_cast<int64_t>(values.size());
   }
   EXPECT_EQ(appended, retrieved);
