@@ -36,10 +36,8 @@
 
 #include "bench/bench_common.h"
 #include "src/common/clock.h"
-#include "src/net/async_client.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
-#include "src/net/store_client.h"
 #include "tools/stat_format.h"
 
 namespace flowkv {
@@ -396,18 +394,8 @@ inline RemotePrefetchRow RunRemotePrefetchPoint(bool prefetch_on, uint64_t windo
   copts.port = server->port();
   copts.unix_socket_path = sopts.unix_socket_path;
   copts.enable_prefetch_push = prefetch_on;
-  std::unique_ptr<net::StoreClient> client;
-  net::AsyncClient* async = nullptr;
-  if (prefetch_on) {
-    std::unique_ptr<net::AsyncClient> ac;
-    s = net::AsyncClient::Connect(copts, &ac);
-    async = ac.get();
-    client = std::move(ac);
-  } else {
-    std::unique_ptr<net::Client> bc;
-    s = net::Client::Connect(copts, &bc);
-    client = std::move(bc);
-  }
+  std::unique_ptr<net::Client> client;
+  s = net::Client::Connect(copts, &client);
 
   uint64_t handle = 0;
   if (s.ok()) {
@@ -454,8 +442,8 @@ inline RemotePrefetchRow RunRemotePrefetchPoint(bool prefetch_on, uint64_t windo
   }
   row.seconds = static_cast<double>(MonotonicNanos() - start_nanos) / 1e9;
 
-  if (async != nullptr) {
-    const net::ReadAheadCounters counters = async->cache_counters();
+  if (client != nullptr) {
+    const net::ReadAheadCounters counters = client->cache_counters();
     row.cache_hits = counters.hits;
     row.cache_misses = counters.misses;
     row.pushes = counters.pushes;

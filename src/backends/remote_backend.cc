@@ -9,16 +9,13 @@
 
 #include "src/common/env.h"
 #include "src/common/hash.h"
-#include "src/net/async_client.h"
-#include "src/net/store_client.h"
+#include "src/net/client.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flowkv {
 
 namespace {
-
-using net::StoreClient;
 
 // A service outage the buffer papers over: the connection is gone (and the
 // client's retries/failover ran dry) or the server shed the batch.
@@ -104,14 +101,14 @@ class AccumulatorCache {
 // backend that owns it (one backend per physical operator).
 class Session {
  public:
-  Session(std::shared_ptr<StoreClient> client, size_t replay_bytes, size_t cache_bytes)
+  Session(std::unique_ptr<net::Client> client, size_t replay_bytes, size_t cache_bytes)
       : client_(std::move(client)), max_bytes_(replay_bytes), accumulators_(cache_bytes) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     m_buffered_ = reg.GetCounter("remote.buffered_writes");
     m_replayed_ = reg.GetCounter("remote.replayed_writes");
   }
 
-  StoreClient* client() const { return client_.get(); }
+  net::Client* client() const { return client_.get(); }
   AccumulatorCache* accumulators() { return &accumulators_; }
 
   // Executes `fast` now, preserving order with anything already buffered; on
@@ -120,14 +117,14 @@ class Session {
   // synchronously. `own` materializes the self-contained replay closure
   // (copying key/value) and is invoked only when the op must actually queue,
   // so the common healthy-path write never copies its arguments.
-  Status Write(const std::function<Status(StoreClient*)>& fast,
-               const std::function<std::function<Status(StoreClient*)>()>& own, size_t bytes) {
+  Status Write(const std::function<Status(net::Client*)>& fast,
+               const std::function<std::function<Status(net::Client*)>()>& own, size_t bytes) {
     return Checked(WriteUnchecked(fast, own, bytes));
   }
 
   // Runs a read after replaying buffered writes, so it never observes state
   // missing one. NotFound is an answer, not a failure.
-  Status Read(const std::function<Status(StoreClient*)>& read) {
+  Status Read(const std::function<Status(net::Client*)>& read) {
     Status s = Drain();
     if (s.ok()) {
       s = read(client_.get());
@@ -155,8 +152,8 @@ class Session {
   }
 
  private:
-  Status WriteUnchecked(const std::function<Status(StoreClient*)>& fast,
-                        const std::function<std::function<Status(StoreClient*)>()>& own,
+  Status WriteUnchecked(const std::function<Status(net::Client*)>& fast,
+                        const std::function<std::function<Status(net::Client*)>()>& own,
                         size_t bytes) {
     if (!ops_.empty()) {
       const Status drained = Drain();
@@ -174,7 +171,7 @@ class Session {
     return s;
   }
 
-  Status Buffer(std::function<Status(StoreClient*)> op, size_t bytes) {
+  Status Buffer(std::function<Status(net::Client*)> op, size_t bytes) {
     if (buffered_bytes_ + bytes > max_bytes_) {
       return Status::ResourceExhausted(
           "remote replay buffer full (" + std::to_string(buffered_bytes_) + " of " +
@@ -196,10 +193,10 @@ class Session {
     return s;
   }
 
-  std::shared_ptr<StoreClient> client_;
+  std::unique_ptr<net::Client> client_;
   const size_t max_bytes_;
   size_t buffered_bytes_ = 0;
-  std::deque<std::pair<std::function<Status(StoreClient*)>, size_t>> ops_;
+  std::deque<std::pair<std::function<Status(net::Client*)>, size_t>> ops_;
   AccumulatorCache accumulators_;
   obs::Counter* m_buffered_ = nullptr;
   obs::Counter* m_replayed_ = nullptr;
@@ -212,11 +209,11 @@ class RemoteAarState : public AppendAlignedState {
 
   Status Append(const Slice& key, const Slice& value, const Window& w) override {
     return session_->Write(
-        [h = handle_, &key, &value, w](StoreClient* c) {
+        [h = handle_, &key, &value, w](net::Client* c) {
           return c->AppendAligned(h, key, value, w);
         },
-        [h = handle_, &key, &value, w]() -> std::function<Status(StoreClient*)> {
-          return [h, k = key.ToString(), v = value.ToString(), w](StoreClient* c) {
+        [h = handle_, &key, &value, w]() -> std::function<Status(net::Client*)> {
+          return [h, k = key.ToString(), v = value.ToString(), w](net::Client* c) {
             return c->AppendAligned(h, k, v, w);
           };
         },
@@ -229,7 +226,7 @@ class RemoteAarState : public AppendAlignedState {
     // span(s) of the round trip, which carry the propagated trace id.
     obs::TraceSpan span("remote_read", "remote");
     return session_->Read(
-        [&](StoreClient* c) { return c->GetWindowChunk(handle_, w, chunk, done); });
+        [&](net::Client* c) { return c->GetWindowChunk(handle_, w, chunk, done); });
   }
 
  private:
@@ -245,11 +242,11 @@ class RemoteAurState : public AppendUnalignedState {
   Status Append(const Slice& key, const Slice& value, const Window& w,
                 int64_t timestamp) override {
     return session_->Write(
-        [h = handle_, &key, &value, w, timestamp](StoreClient* c) {
+        [h = handle_, &key, &value, w, timestamp](net::Client* c) {
           return c->AppendUnaligned(h, key, value, w, timestamp);
         },
-        [h = handle_, &key, &value, w, timestamp]() -> std::function<Status(StoreClient*)> {
-          return [h, k = key.ToString(), v = value.ToString(), w, timestamp](StoreClient* c) {
+        [h = handle_, &key, &value, w, timestamp]() -> std::function<Status(net::Client*)> {
+          return [h, k = key.ToString(), v = value.ToString(), w, timestamp](net::Client* c) {
             return c->AppendUnaligned(h, k, v, w, timestamp);
           };
         },
@@ -259,17 +256,17 @@ class RemoteAurState : public AppendUnalignedState {
   Status Get(const Slice& key, const Window& w, std::vector<std::string>* values) override {
     obs::TraceSpan span("remote_read", "remote");
     return session_->Read(
-        [&](StoreClient* c) { return c->GetUnaligned(handle_, key, w, values); });
+        [&](net::Client* c) { return c->GetUnaligned(handle_, key, w, values); });
   }
 
   Status MergeWindows(const Slice& key, const std::vector<Window>& sources,
                       const Window& dst) override {
     return session_->Write(
-        [h = handle_, &key, &sources, dst](StoreClient* c) {
+        [h = handle_, &key, &sources, dst](net::Client* c) {
           return c->MergeWindows(h, key, sources, dst);
         },
-        [h = handle_, &key, &sources, dst]() -> std::function<Status(StoreClient*)> {
-          return [h, k = key.ToString(), sources, dst](StoreClient* c) {
+        [h = handle_, &key, &sources, dst]() -> std::function<Status(net::Client*)> {
+          return [h, k = key.ToString(), sources, dst](net::Client* c) {
             return c->MergeWindows(h, k, sources, dst);
           };
         },
@@ -292,16 +289,16 @@ class RemoteRmwState : public RmwState {
     }
     obs::TraceSpan span("remote_read", "remote");
     return session_->Read(
-        [&](StoreClient* c) { return c->RmwGet(handle_, key, w, accumulator); });
+        [&](net::Client* c) { return c->RmwGet(handle_, key, w, accumulator); });
   }
 
   Status Put(const Slice& key, const Window& w, const Slice& accumulator) override {
     FLOWKV_RETURN_IF_ERROR(session_->Write(
-        [h = handle_, &key, &accumulator, w](StoreClient* c) {
+        [h = handle_, &key, &accumulator, w](net::Client* c) {
           return c->RmwPut(h, key, w, accumulator);
         },
-        [h = handle_, &key, &accumulator, w]() -> std::function<Status(StoreClient*)> {
-          return [h, k = key.ToString(), v = accumulator.ToString(), w](StoreClient* c) {
+        [h = handle_, &key, &accumulator, w]() -> std::function<Status(net::Client*)> {
+          return [h, k = key.ToString(), v = accumulator.ToString(), w](net::Client* c) {
             return c->RmwPut(h, k, w, v);
           };
         },
@@ -312,9 +309,9 @@ class RemoteRmwState : public RmwState {
 
   Status Remove(const Slice& key, const Window& w) override {
     FLOWKV_RETURN_IF_ERROR(session_->Write(
-        [h = handle_, &key, w](StoreClient* c) { return c->RmwRemove(h, key, w); },
-        [h = handle_, &key, w]() -> std::function<Status(StoreClient*)> {
-          return [h, k = key.ToString(), w](StoreClient* c) { return c->RmwRemove(h, k, w); };
+        [h = handle_, &key, w](net::Client* c) { return c->RmwRemove(h, key, w); },
+        [h = handle_, &key, w]() -> std::function<Status(net::Client*)> {
+          return [h, k = key.ToString(), w](net::Client* c) { return c->RmwRemove(h, k, w); };
         },
         OpCost(key, Slice())));
     session_->accumulators()->Remove(handle_, key, w);
@@ -328,7 +325,7 @@ class RemoteRmwState : public RmwState {
 
 class RemoteBackend : public StateBackend {
  public:
-  RemoteBackend(std::shared_ptr<StoreClient> client, std::string ns_prefix,
+  RemoteBackend(std::unique_ptr<net::Client> client, std::string ns_prefix,
                 size_t replay_buffer_bytes, size_t cache_bytes)
       : session_(std::make_shared<Session>(std::move(client), replay_buffer_bytes,
                                            cache_bytes)),
@@ -423,19 +420,8 @@ RemoteBackendFactory::RemoteBackendFactory(const std::string& host, int port) {
 
 Status RemoteBackendFactory::CreateBackend(int worker, const std::string& operator_name,
                                            std::unique_ptr<StateBackend>* out) {
-  // Transport choice: the prefetch push path needs a reader thread to demux
-  // unsolicited kPushChunk frames, so it rides the AsyncClient; without it
-  // the simpler blocking client is strictly less machinery per operator.
-  std::shared_ptr<net::StoreClient> client;
-  if (options_.enable_prefetch_push) {
-    std::unique_ptr<net::AsyncClient> async;
-    FLOWKV_RETURN_IF_ERROR(net::AsyncClient::Connect(options_, &async));
-    client = std::move(async);
-  } else {
-    std::unique_ptr<net::Client> blocking;
-    FLOWKV_RETURN_IF_ERROR(net::Client::Connect(options_, &blocking));
-    client = std::move(blocking);
-  }
+  std::unique_ptr<net::Client> client;
+  FLOWKV_RETURN_IF_ERROR(net::Client::Connect(options_, &client));
   const std::string ns_prefix = "w" + std::to_string(worker) + "." + operator_name;
   *out = std::make_unique<RemoteBackend>(std::move(client), ns_prefix, replay_buffer_bytes_,
                                          options_.read_ahead_cache_bytes);

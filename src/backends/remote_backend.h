@@ -3,12 +3,12 @@
 // pipelines, queries, and benches run unmodified against a remote FlowKV
 // state service.
 //
-// Each CreateBackend() call opens its own client connection (one caller
+// Each CreateBackend() call opens its own net::Client connection (one caller
 // thread per client, matching the one-backend-per-physical-operator
-// contract). When ClientOptions::enable_prefetch_push is set the connection
-// is an AsyncClient — a reader thread demuxes server pushes of closed AAR
-// windows into a read-ahead cache, so window reads can be served from client
-// memory (src/net/prefetch.h); otherwise it is the plain blocking Client.
+// contract). When ClientOptions::enable_prefetch_push is set the client also
+// subscribes its AAR stores to server pushes of closed windows and reads
+// them inline into a read-ahead cache, so window reads can be served from
+// client memory (src/net/prefetch.h).
 // Stores are namespaced "w<worker>.<operator>.h<n>" so every physical
 // operator's stores are distinct server-side.
 //

@@ -61,7 +61,8 @@ Client::Client(ClientOptions options)
       backoff_rng_(options_.jitter_seed != 0
                        ? options_.jitter_seed
                        : static_cast<uint64_t>(MonotonicNanos()) ^
-                             reinterpret_cast<uintptr_t>(this)) {
+                             reinterpret_cast<uintptr_t>(this)),
+      cache_(options_.read_ahead_cache_bytes) {
   primary_ = {options_.host, options_.port};
 }
 
@@ -88,8 +89,20 @@ void Client::CloseSocket() {
     fd_ = -1;
   }
   inbuf_.clear();
+  // Reconnect coherence rule (prefetch.h): a promoted standby must never be
+  // fronted by the dead primary's pushes. Local append counts survive — any
+  // partial re-push against them fails the count equality, a safe miss.
+  // served_hits_ also survives: those windows were already handed to the
+  // caller, and their buffered kDropWindow replays at-least-once.
+  cache_.Clear();
 }
 
+namespace {
+
+// Opens a non-blocking SOCK_STREAM connection to `ep` — or to
+// `options.unix_socket_path` when `use_unix` — applying
+// options.connect_timeout_ms and the net-hooks fault points. On success the
+// connected fd (TCP_NODELAY set for TCP) is stored in `*fd_out`.
 Status ConnectStreamSocket(const ClientOptions& options, const Endpoint& ep, bool use_unix,
                            int* fd_out) {
   if (NetHooks* hooks = GetNetHooks()) {
@@ -182,6 +195,8 @@ Status ConnectStreamSocket(const ClientOptions& options, const Endpoint& ep, boo
   return Status::Ok();
 }
 
+}  // namespace
+
 Status Client::ConnectSocket() {
   CloseSocket();
   const Endpoint& ep = CurrentEndpoint();
@@ -195,6 +210,7 @@ Status Client::ConnectSocket() {
   // failover standby — so the capabilities must be re-learned.
   trace_cap_ = CapState::kUnknown;
   cluster_cap_ = CapState::kUnknown;
+  push_cap_ = CapState::kUnknown;
   return Status::Ok();
 }
 
@@ -252,6 +268,9 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
       }
       last = ReopenStores(deadline_nanos);
       if (last.ok()) {
+        last = RegisterPushStores(deadline_nanos);
+      }
+      if (last.ok()) {
         return Status::Ok();
       }
       CloseSocket();
@@ -266,7 +285,8 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
 }
 
 void Client::ProbeCaps(int64_t deadline_nanos) {
-  if (trace_cap_ != CapState::kUnknown && cluster_cap_ != CapState::kUnknown) {
+  if (trace_cap_ != CapState::kUnknown && cluster_cap_ != CapState::kUnknown &&
+      push_cap_ != CapState::kUnknown) {
     return;
   }
   std::vector<OpRequest> ops(1);
@@ -281,13 +301,17 @@ void Client::ProbeCaps(int64_t deadline_nanos) {
     return;
   }
   // An OK probe answer means the server understands the extension block; a
-  // per-op error is a legacy server (both features stay off).
+  // per-op error is a legacy server (every feature stays off).
   trace_cap_ = results[0].status.ok() ? CapState::kYes : CapState::kNo;
   cluster_cap_ = CapState::kNo;
+  push_cap_ = CapState::kNo;
   if (results[0].status.ok()) {
     for (const auto& field : results[0].stat_fields) {
       if (field.first == kCapClusterEpoch && field.second != 0) {
         cluster_cap_ = CapState::kYes;
+      } else if (field.first == kCapPrefetchPush && field.second != 0 &&
+                 options_.enable_prefetch_push) {
+        push_cap_ = CapState::kYes;
       } else if (field.first == kStatClusterEpoch) {
         // Epochs are cluster-wide monotonic; keep the max we have ever seen
         // so a write routed to a stale former primary fences instead of
@@ -367,7 +391,37 @@ Status Client::ReopenStores(int64_t deadline_nanos) {
     }
     reg.server_id = results[0].store_id;
   }
+  RebuildPushRoutes();
   return Status::Ok();
+}
+
+Status Client::RegisterPushStores(int64_t deadline_nanos) {
+  if (push_cap_ != CapState::kYes) {
+    return Status::Ok();
+  }
+  // Server ids are already fresh (ReopenStores ran on this connection), so
+  // no handle translation.
+  std::vector<OpRequest> regs;
+  for (const StoreReg& reg : stores_) {
+    if (reg.pattern == StorePattern::kAppendAligned) {
+      OpRequest op;
+      op.type = OpType::kEttRegister;
+      op.store_id = reg.server_id;
+      regs.push_back(std::move(op));
+    }
+  }
+  if (regs.empty()) {
+    return Status::Ok();
+  }
+  std::vector<OpResult> results;
+  return TryRequest(regs, &results, deadline_nanos);
+}
+
+void Client::RebuildPushRoutes() {
+  push_routes_.clear();
+  for (uint64_t h = 0; h < stores_.size(); ++h) {
+    push_routes_[stores_[h].server_id] = h;
+  }
 }
 
 Status Client::WriteAll(const Slice& data, int64_t deadline_nanos) {
@@ -427,7 +481,13 @@ Status Client::ReadResponse(int64_t deadline_nanos, ResponseMessage* response) {
       if (!s.ok()) {
         return Status::ConnectionReset("corrupt response body: " + s.ToString());
       }
-      return s;
+      if (response->request_id != kPushRequestId) {
+        return s;
+      }
+      // An unsolicited push queued ahead of our response: bank it and keep
+      // reading.
+      FLOWKV_RETURN_IF_ERROR(AcceptPush(std::move(*response)));
+      continue;
     }
 
     // A partially-buffered frame is subject to the mid-frame stall bound:
@@ -482,6 +542,22 @@ Status Client::ReadResponse(int64_t deadline_nanos, ResponseMessage* response) {
     }
     return Status::ConnectionReset("recv: " + std::string(std::strerror(errno)));
   }
+}
+
+Status Client::AcceptPush(ResponseMessage push) {
+  if (push.results.size() != 1 || push.results[0].type != OpType::kPushChunk) {
+    // Protocol violation: the stream cannot be trusted any more.
+    return Status::ConnectionReset("malformed push frame");
+  }
+  OpResult& chunk = push.results[0];
+  const auto route = push_routes_.find(chunk.store_id);
+  if (route == push_routes_.end()) {
+    // A store this client never mapped. Dropping the push is always safe:
+    // the read degrades to a remote miss.
+    return Status::Ok();
+  }
+  cache_.OnPush(route->second, chunk.window, chunk.push_seq, std::move(chunk.chunk));
+  return Status::Ok();
 }
 
 Status Client::TryRequest(const std::vector<OpRequest>& ops,
@@ -675,7 +751,20 @@ Status Client::OpenStore(const std::string& ns, const OperatorStateSpec& spec,
   if (pattern != nullptr) {
     *pattern = reg.pattern;
   }
+  const bool subscribe =
+      push_cap_ == CapState::kYes && reg.pattern == StorePattern::kAppendAligned;
   stores_.push_back(std::move(reg));
+  RebuildPushRoutes();
+  if (subscribe) {
+    // Best-effort: a failure degrades to plain remote reads, and a reconnect
+    // mid-send re-registers every store anyway. Sent with handle translation
+    // so a retry after failover targets the fresh server id.
+    std::vector<OpRequest> reg_ops(1);
+    reg_ops[0].type = OpType::kEttRegister;
+    reg_ops[0].store_id = *handle;
+    std::vector<OpResult> reg_results;
+    SendRequest(reg_ops, &reg_results).IgnoreError();
+  }
   return Status::Ok();
 }
 
@@ -740,6 +829,12 @@ Status Client::SendBatch(OpRequest* read, OpResult* result) {
 
 Status Client::AppendAligned(uint64_t handle, const Slice& key, const Slice& value,
                              const Window& w) {
+  if (options_.enable_prefetch_push) {
+    // Record BEFORE buffering the write: if the at-least-once retry path
+    // replays this append, only the server-side (pushed) count can inflate,
+    // which breaks the hit equality in the safe (miss) direction.
+    cache_.OnLocalAppend(handle, w);
+  }
   OpRequest op;
   op.type = OpType::kAppendAligned;
   op.store_id = handle;
@@ -794,6 +889,36 @@ Status Client::RmwRemove(uint64_t handle, const Slice& key, const Window& w) {
 
 Status Client::GetWindowChunk(uint64_t handle, const Window& w,
                               std::vector<WindowChunkEntry>* chunk, bool* done) {
+  chunk->clear();
+  if (options_.enable_prefetch_push) {
+    const auto key = std::make_pair(handle, w);
+    const auto hit_it = served_hits_.find(key);
+    if (hit_it != served_hits_.end()) {
+      // Second call of the caller's drain loop for a window served whole
+      // from the cache: report end-of-stream.
+      served_hits_.erase(hit_it);
+      *done = true;
+      return Status::Ok();
+    }
+    // Flush first: the server queues a fired push on this connection BEFORE
+    // acking the append that closed the window, so once the flush has been
+    // acked ReadResponse has banked any push this batch triggered — the
+    // cache probe below is deterministic, not a race.
+    FLOWKV_RETURN_IF_ERROR(Flush());
+    if (cache_.TryServe(handle, w, chunk)) {
+      // Consume the server-side copy. Buffered like any write so ordering
+      // with later ops holds; kDropWindow is idempotent, so the
+      // at-least-once replay after a reset is harmless.
+      OpRequest drop;
+      drop.type = OpType::kDropWindow;
+      drop.store_id = handle;
+      drop.window = w;
+      FLOWKV_RETURN_IF_ERROR(BufferWrite(std::move(drop)));
+      served_hits_.insert(key);
+      *done = false;
+      return Status::Ok();
+    }
+  }
   OpRequest op;
   op.type = OpType::kGetWindowChunk;
   op.store_id = handle;
@@ -803,6 +928,11 @@ Status Client::GetWindowChunk(uint64_t handle, const Window& w,
   FLOWKV_RETURN_IF_ERROR(result.status);
   *chunk = std::move(result.chunk);
   *done = result.done;
+  if (options_.enable_prefetch_push) {
+    // From the first remote chunk on, this window drains remotely: a push
+    // completing mid-drain must not serve slices already read.
+    cache_.OnRemoteRead(handle, w);
+  }
   return Status::Ok();
 }
 

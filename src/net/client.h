@@ -1,12 +1,12 @@
-// Blocking client for the FlowKV state server. One socket, one outstanding
-// request at a time; writes (appends, puts, merges, removes) are buffered
-// into a batch that is sent when it fills, when Flush() is called, or with
-// the next read. A read carries the pending writes in its own frame — writes
-// first, the read last — so it costs one round trip, not a flush plus a
-// read. Per-key op order is preserved end to end: a key always maps to the
-// same server shard, and a batch executes in op order per shard, so the read
-// observes every write before it. A failed write in that frame surfaces as
-// the read's status.
+// The client for the FlowKV state server. One socket, one outstanding
+// request at a time, one caller thread; writes (appends, puts, merges,
+// removes) are buffered into a batch that is sent when it fills, when
+// Flush() is called, or with the next read. A read carries the pending writes
+// in its own frame — writes first, the read last — so it costs one round
+// trip, not a flush plus a read. Per-key op order is preserved end to end: a
+// key always maps to the same server shard, and a batch executes in op order
+// per shard, so the read observes every write before it. A failed write in
+// that frame surfaces as the read's status.
 //
 // Buffered writes are never dropped on a transport failure: when a batch
 // (or a read carrying one) gets no answer — kConnectionReset, kTimedOut, or
@@ -19,6 +19,24 @@
 // to ClientOptions::max_reconnect_attempts — it re-opens them and re-maps
 // handles to the server's (possibly new) store ids, so a server drain +
 // restart is transparent to callers.
+//
+// Prefetch push (ClientOptions::enable_prefetch_push, src/net/prefetch.h,
+// docs/NETWORK.md): when the capability probe confirms caps.prefetch_push,
+// every open AAR store is subscribed with kEttRegister (again after each
+// reconnect), and the server pushes each closed window's chunk ahead of the
+// trigger read as an unsolicited kPushChunk frame (request_id
+// kPushRequestId). Pushes are read inline on the caller thread:
+// ReadResponse banks each one in the ReadAheadCache and keeps reading until
+// the caller's own response arrives. The server queues a push on the subscriber's
+// connection BEFORE it acks the append that closed the window, so once
+// Flush() returns every push that flush triggered is already banked and the
+// cache hit is deterministic. GetWindowChunk() serves from the cache when the
+// pushed value count equals the locally recorded append count, and consumes
+// the server-side copy with a buffered kDropWindow; any mismatch is a plain
+// remote read. Pushes triggered by other connections wait in the socket
+// until this client's next call (the server sheds them rather than grow the
+// outbox past its bound). Every reconnect clears the cache — a promoted
+// standby must never be fronted by the dead primary's pushes.
 //
 // Retry policy: a request that fails with kConnectionReset is retried after
 // reconnecting (the server may have restarted), and a batch the server shed
@@ -55,15 +73,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/slice.h"
 #include "src/common/status.h"
+#include "src/net/prefetch.h"
 #include "src/net/protocol.h"
-#include "src/net/store_client.h"
 
 namespace flowkv {
 namespace net {
@@ -126,7 +146,7 @@ struct ClientOptions {
   size_t max_batch_ops = 256;
   size_t max_batch_bytes = 1u << 20;
 
-  // ----- prefetch push (AsyncClient only; the blocking Client ignores both) -----
+  // ----- prefetch push -----
 
   // Subscribe to server pushes of closed AAR windows (kEttRegister /
   // kPushChunk, docs/NETWORK.md) and serve window reads from the client-side
@@ -134,11 +154,10 @@ struct ClientOptions {
   // Only takes effect after the capability probe confirms the connected
   // server answers caps.prefetch_push, so legacy servers degrade silently.
   bool enable_prefetch_push = false;
-  // Client-side cache budget. Bounds the AsyncClient read-ahead cache (LRU
-  // eviction past it) and, per RemoteBackend, the write-through RMW
-  // accumulator cache (remote_backend.h), which applies to both clients: a
-  // put that would exceed it is not cached, so a later get goes to the
-  // server.
+  // Client-side cache budget. Bounds the read-ahead cache of pushed windows
+  // (LRU eviction past it) and, per RemoteBackend, the write-through RMW
+  // accumulator cache (remote_backend.h): a put that would exceed it is not
+  // cached, so a later get goes to the server.
   size_t read_ahead_cache_bytes = 16u << 20;
 
   // Marks every request as the replication apply stream (protocol.h,
@@ -156,65 +175,57 @@ inline bool MayBeUndelivered(const Status& s) {
   return s.IsConnectionReset() || s.IsTimedOut() || s.IsOverloaded() || s.IsFencedOff();
 }
 
-// Opens a non-blocking SOCK_STREAM connection to `ep` — or to
-// `options.unix_socket_path` when `use_unix` — applying
-// options.connect_timeout_ms and the net-hooks fault points. On success the
-// connected fd (TCP_NODELAY set for TCP) is stored in `*fd_out`. Shared by
-// Client and AsyncClient.
-Status ConnectStreamSocket(const ClientOptions& options, const Endpoint& ep, bool use_unix,
-                           int* fd_out);
-
-class Client : public StoreClient {
+class Client {
  public:
   // Connects (with timeout) and returns a ready client.
   static Status Connect(const ClientOptions& options, std::unique_ptr<Client>* out);
 
-  ~Client() override;
+  ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
   // Round-trip no-op, for tests and liveness checks.
-  Status Ping() override;
+  Status Ping();
 
   // Opens (or re-attaches to) the server-side store for `ns` and returns a
   // client handle plus the server-classified pattern.
   Status OpenStore(const std::string& ns, const OperatorStateSpec& spec,
-                   uint64_t* handle, StorePattern* pattern) override;
+                   uint64_t* handle, StorePattern* pattern);
 
   // ----- buffered writes (sent on batch-full / Flush() / with any read) -----
   Status AppendAligned(uint64_t handle, const Slice& key, const Slice& value,
-                       const Window& w) override;
+                       const Window& w);
   Status AppendUnaligned(uint64_t handle, const Slice& key, const Slice& value,
-                         const Window& w, int64_t timestamp) override;
+                         const Window& w, int64_t timestamp);
   Status MergeWindows(uint64_t handle, const Slice& key,
-                      const std::vector<Window>& sources, const Window& dst) override;
+                      const std::vector<Window>& sources, const Window& dst);
   Status RmwPut(uint64_t handle, const Slice& key, const Window& w,
-                const Slice& accumulator) override;
-  Status RmwRemove(uint64_t handle, const Slice& key, const Window& w) override;
+                const Slice& accumulator);
+  Status RmwRemove(uint64_t handle, const Slice& key, const Window& w);
 
   // Sends any buffered writes and waits for their acks.
-  Status Flush() override;
+  Status Flush();
 
   // ----- reads (carry the pending writes in the same frame) -----
   Status GetWindowChunk(uint64_t handle, const Window& w,
-                        std::vector<WindowChunkEntry>* chunk, bool* done) override;
+                        std::vector<WindowChunkEntry>* chunk, bool* done);
   Status GetUnaligned(uint64_t handle, const Slice& key, const Window& w,
-                      std::vector<std::string>* values) override;
+                      std::vector<std::string>* values);
   Status RmwGet(uint64_t handle, const Slice& key, const Window& w,
-                std::string* accumulator) override;
+                std::string* accumulator);
 
   // ----- store management (carry the pending writes, like reads) -----
-  Status Checkpoint(uint64_t handle, const std::string& server_dir) override;
+  Status Checkpoint(uint64_t handle, const std::string& server_dir);
   Status GatherStats(uint64_t handle,
-                     std::vector<std::pair<std::string, int64_t>>* fields) override;
+                     std::vector<std::pair<std::string, int64_t>>* fields);
 
   // Fetches the server's live introspection snapshot (kStats) as one JSON
   // document: per-shard req/s, queue depth, op latency percentiles,
   // replication lag, connection table, and the slow-request log. Servers
   // that predate the op drop the connection (unknown op type), surfacing
   // here as kConnectionReset after the retry budget.
-  Status Stats(std::string* json) override;
+  Status Stats(std::string* json);
 
   // Sends `ops` as-is — store_id fields are SERVER ids, not client handles,
   // and no handles are translated or re-opened. Used by the standby's
@@ -239,6 +250,13 @@ class Client : public StoreClient {
 
   // The endpoint the current/most recent connection used (index 0 = primary).
   size_t endpoint_index() const { return endpoint_index_; }
+
+  // Read-ahead cache introspection (tests, bench reporting). All zero when
+  // prefetch push is off.
+  ReadAheadCounters cache_counters() const { return cache_.counters(); }
+  size_t cache_bytes() const { return cache_.bytes(); }
+  // Whether the CURRENT connection negotiated push support.
+  bool push_negotiated() const { return push_cap_ == CapState::kYes; }
 
  private:
   struct StoreReg {
@@ -278,11 +296,11 @@ class Client : public StoreClient {
   Status ConnectSocket();
   // One-shot per connection: sends the kGatherStats capability probe
   // (protocol.h) to learn whether this server understands the trace-context
-  // extension and the cluster-epoch protocol, and adopts the server's
-  // cluster epoch when it advertises one. Old servers answer the probe with
-  // a per-op error (harmless), so mixed-version pairs interoperate with both
-  // features silently off. Best-effort: a transport failure leaves the
-  // capabilities unknown (and both features off) for the connection.
+  // extension, the cluster-epoch protocol and prefetch push, and adopts the
+  // server's cluster epoch when it advertises one. Old servers answer the
+  // probe with a per-op error (harmless), so mixed-version pairs interoperate
+  // with every feature silently off. Best-effort: a transport failure leaves
+  // the capabilities unknown (and the features off) for the connection.
   void ProbeCaps(int64_t deadline_nanos);
   // Fenced-batch recovery: polls kClusterInfo across every endpoint on
   // short-lived connections, adopts the highest epoch any live PRIMARY
@@ -293,6 +311,14 @@ class Client : public StoreClient {
   // Re-opens every registered store on a fresh connection, updating
   // server_id mappings.
   Status ReopenStores(int64_t deadline_nanos);
+  // Subscribes every open AAR store to pushes when the connection negotiated
+  // them. Runs after ReopenStores (it needs the fresh server ids); per-op
+  // refusals are ignored, a transport failure is returned.
+  Status RegisterPushStores(int64_t deadline_nanos);
+  // Rebuilds push_routes_ from stores_.
+  void RebuildPushRoutes();
+  // Closes the socket and clears the read-ahead cache (reconnect coherence
+  // rule, prefetch.h).
   void CloseSocket();
 
   // Decorrelated-jitter sleep; returns false (without sleeping the full
@@ -300,7 +326,11 @@ class Client : public StoreClient {
   bool BackoffSleep(int* prev_sleep_ms, int64_t deadline_nanos);
 
   Status WriteAll(const Slice& data, int64_t deadline_nanos);
+  // Reads frames until one that is not a push arrives and returns it. Push
+  // frames on the way are banked in the read-ahead cache (or dropped when
+  // their store is not mapped); a malformed push is a broken stream.
   Status ReadResponse(int64_t deadline_nanos, ResponseMessage* response);
+  Status AcceptPush(ResponseMessage push);
 
   const Endpoint& CurrentEndpoint() const;
   size_t NumEndpoints() const { return 1 + options_.standbys.size(); }
@@ -308,9 +338,11 @@ class Client : public StoreClient {
   // INVARIANT(single-threaded): a Client is confined to one caller thread —
   // every field below, fd_ included, is read and written without
   // synchronization. Concurrent use of one Client is a caller bug; open one
-  // Client per thread instead. Nothing here carries a GUARDED_BY because
-  // there is no mutex; the clang -Wthread-safety pass cannot check this
-  // contract, reviewers must.
+  // Client per thread instead. Server pushes are read on that same thread,
+  // inside ReadResponse, so there is no second thread to synchronize with.
+  // Nothing here carries a GUARDED_BY because the client has no mutex of its
+  // own; the clang -Wthread-safety pass cannot check this contract,
+  // reviewers must.
   ClientOptions options_;
   int fd_ = -1;
   uint64_t next_request_id_ = 1;
@@ -318,11 +350,13 @@ class Client : public StoreClient {
   Endpoint primary_;
 
   // Whether the connected server understands the trace-context extension /
-  // the cluster-epoch protocol; reset on every fresh connection (a failover
-  // peer may be older).
+  // the cluster-epoch protocol / prefetch push (the last only when
+  // enable_prefetch_push asks for it); reset on every fresh connection (a
+  // failover peer may be older).
   enum class CapState { kUnknown, kYes, kNo };
   CapState trace_cap_ = CapState::kUnknown;
   CapState cluster_cap_ = CapState::kUnknown;
+  CapState push_cap_ = CapState::kUnknown;
   // Newest cluster epoch adopted from any probe / cluster-view refresh;
   // stamped on requests once cluster_cap_ is kYes. Never reset: epochs are
   // cluster-wide monotonic, so keeping the max across reconnects is exactly
@@ -332,6 +366,16 @@ class Client : public StoreClient {
   Random backoff_rng_;
 
   std::vector<StoreReg> stores_;  // handle = index
+  // Server store id -> handle, for routing pushes; rebuilt whenever the
+  // handle mapping changes (open, re-open).
+  std::unordered_map<uint64_t, uint64_t> push_routes_;
+
+  // Pushed window chunks. The cache keeps its own lock, but only this
+  // client's caller thread ever takes it.
+  ReadAheadCache cache_;
+  // Windows served from the cache whose terminating empty+done chunk is
+  // still owed to the caller's drain loop.
+  std::set<std::pair<uint64_t, Window>> served_hits_;
 
   std::vector<OpRequest> batch_;  // pending buffered writes
   size_t batch_bytes_ = 0;

@@ -23,8 +23,8 @@
 //    read path. A write into an already-fired window invalidates the push
 //    (counted; the client's count check turns it into a safe miss).
 //
-//  - ReadAheadCache (client side, shared between the caller thread and the
-//    AsyncClient reader thread that demuxes pushes): entries are keyed by
+//  - ReadAheadCache (client side, confined to the Client's caller thread,
+//    which reads pushes inline ahead of its own responses): entries are keyed by
 //    (store handle, window) and accumulate pushed shard chunks. The caller
 //    records every local append; a read is served from the cache only when
 //    the number of pushed values exactly equals the number of local appends
@@ -167,8 +167,10 @@ struct ReadAheadCounters {
 };
 
 // Capacity-bounded store of pushed window chunks, keyed by (client store
-// handle, window). Two writers — the caller thread (appends, reads) and the
-// AsyncClient reader thread (pushes) — so everything is guarded by mu_.
+// handle, window). Confined to the owning Client's caller thread, which
+// records appends, serves reads and banks the pushes it reads inline. The
+// state stays guarded by mu_ anyway: the lock is uncontended, keeps the
+// class safe on its own, and lets -Wthread-safety check it.
 //
 // Coherence is by counting, not invalidation bits: a hit requires the pushed
 // value count to EQUAL the locally recorded append count, so every failure
@@ -184,20 +186,20 @@ class ReadAheadCache {
   ReadAheadCache(const ReadAheadCache&) = delete;
   ReadAheadCache& operator=(const ReadAheadCache&) = delete;
 
-  // Caller thread: one logical local append to (handle, w).
+  // One logical local append to (handle, w).
   void OnLocalAppend(uint64_t handle, const Window& w) EXCLUDES(mu_);
 
-  // Reader thread: a pushed shard chunk for (handle, w) arrived.
+  // A pushed shard chunk for (handle, w) arrived.
   void OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
               std::vector<WindowChunkEntry> chunk) EXCLUDES(mu_);
 
-  // Caller thread: serve a window read from the cache when the counts match.
+  // Serves a window read from the cache when the counts match.
   // On a hit the full chunk moves to `*chunk` and the entry and count are
   // consumed (the caller then issues kDropWindow to consume server state).
   bool TryServe(uint64_t handle, const Window& w,
                 std::vector<WindowChunkEntry>* chunk) EXCLUDES(mu_);
 
-  // Caller thread: a remote read of (handle, w) returned a chunk, so the
+  // A remote read of (handle, w) returned a chunk, so the
   // window drains remotely from here on — forget the local count and discard
   // (as waste) any entry that never got served. Called on every chunk, not
   // just the last: once one shard's slice has been read remotely, serving
@@ -248,8 +250,8 @@ class ReadAheadCache {
   uint64_t lru_tick_ GUARDED_BY(mu_) = 0;
   ReadAheadCounters counters_ GUARDED_BY(mu_);
 
-  // obs mirrors; all updates happen under mu_, which serializes the two
-  // writer threads, so the single-writer counter contract holds.
+  // obs mirrors; all updates happen under mu_ on the one caller thread, so
+  // the single-writer counter contract holds.
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_waste_;

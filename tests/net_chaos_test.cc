@@ -32,7 +32,6 @@
 #include "src/common/fault_injection_socket.h"
 #include "src/common/fs_hooks.h"
 #include "src/common/net_hooks.h"
-#include "src/net/async_client.h"
 #include "src/net/client.h"
 #include "src/net/replica.h"
 #include "src/net/server.h"
@@ -557,8 +556,8 @@ TEST(PrefetchFailoverChaosTest, PrimaryKilledWithPushesInFlight) {
   copts.reconnect_backoff_max_ms = 200;
   copts.jitter_seed = 11;
   copts.enable_prefetch_push = true;
-  std::unique_ptr<net::AsyncClient> client;
-  ASSERT_TRUE(net::AsyncClient::Connect(copts, &client).ok());
+  std::unique_ptr<net::Client> client;
+  ASSERT_TRUE(net::Client::Connect(copts, &client).ok());
   ASSERT_TRUE(client->push_negotiated());
 
   uint64_t h = 0;

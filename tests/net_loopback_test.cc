@@ -1,9 +1,10 @@
 // Loopback server/client integration: a real flowkv_server::net::Server on
 // 127.0.0.1 exercised through the blocking client across all three store
 // patterns, multi-shard window drains, write batching, reads carrying the
-// pending writes (both clients), server-side metrics,
-// error passthrough, timeouts, oversized-frame protection, and the graceful
-// drain → checkpoint → restart → resume cycle (no acknowledged state lost).
+// pending writes, server-side metrics, error passthrough, timeouts,
+// oversized-frame protection, server pushes read inline ahead of a response
+// (scripted peers), and the graceful drain → checkpoint → restart → resume
+// cycle (no acknowledged state lost).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,7 +24,6 @@
 #include <vector>
 
 #include "src/common/env.h"
-#include "src/net/async_client.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
@@ -200,31 +201,17 @@ TEST_F(NetLoopbackTest, AurAppendGetMerge) {
   EXPECT_EQ(values, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-// A read carries the pending write batch in its own frame. Checked for both
-// clients (param: true = AsyncClient) through the server's kStats counters.
-class NetPiggybackTest : public NetLoopbackTest, public ::testing::WithParamInterface<bool> {
+// A read carries the pending write batch in its own frame, checked through
+// the server's kStats counters.
+class NetPiggybackTest : public NetLoopbackTest {
  protected:
-  std::unique_ptr<StoreClient> MakeStoreClient() {
-    ClientOptions copts;
-    copts.port = server_->port();
-    copts.request_timeout_ms = 20'000;
-    if (GetParam()) {
-      std::unique_ptr<AsyncClient> async;
-      EXPECT_TRUE(AsyncClient::Connect(copts, &async).ok());
-      return async;
-    }
-    std::unique_ptr<Client> blocking;
-    EXPECT_TRUE(Client::Connect(copts, &blocking).ok());
-    return blocking;
-  }
-
   // Server-wide request count and per-shard op counts from kStats. The
   // kStats request itself counts as one request.
   struct Counts {
     int64_t requests = 0;
     std::vector<int64_t> shard_ops;
   };
-  static Counts FetchCounts(StoreClient* client) {
+  static Counts FetchCounts(Client* client) {
     Counts counts;
     std::string json;
     EXPECT_TRUE(client->Stats(&json).ok());
@@ -244,8 +231,8 @@ class NetPiggybackTest : public NetLoopbackTest, public ::testing::WithParamInte
   }
 };
 
-TEST_P(NetPiggybackTest, ReadCarriesBufferedWritesInOneRequest) {
-  auto client = MakeStoreClient();
+TEST_F(NetPiggybackTest, ReadCarriesBufferedWritesInOneRequest) {
+  auto client = MakeClient();
   uint64_t h = 0;
   ASSERT_TRUE(client->OpenStore("t.piggy.h0", RmwSpec("piggy-op"), &h, nullptr).ok());
   const Window w(0, 1000);
@@ -275,8 +262,8 @@ TEST_P(NetPiggybackTest, ReadCarriesBufferedWritesInOneRequest) {
   EXPECT_EQ(FetchCounts(client.get()).requests - after.requests, 24 + 1);
 }
 
-TEST_P(NetPiggybackTest, FailedWriteSurfacesFromTheRead) {
-  auto client = MakeStoreClient();
+TEST_F(NetPiggybackTest, FailedWriteSurfacesFromTheRead) {
+  auto client = MakeClient();
   uint64_t rmw = 0;
   uint64_t aar = 0;
   ASSERT_TRUE(client->OpenStore("t.piggyfail.h0", RmwSpec("piggy-rmw"), &rmw, nullptr).ok());
@@ -296,8 +283,8 @@ TEST_P(NetPiggybackTest, FailedWriteSurfacesFromTheRead) {
   EXPECT_EQ(acc, "g");
 }
 
-TEST_P(NetPiggybackTest, BadReadHandleKeepsPendingWrites) {
-  auto client = MakeStoreClient();
+TEST_F(NetPiggybackTest, BadReadHandleKeepsPendingWrites) {
+  auto client = MakeClient();
   uint64_t h = 0;
   ASSERT_TRUE(client->OpenStore("t.piggybad.h0", RmwSpec("piggy-bad"), &h, nullptr).ok());
   const Window w(0, 1000);
@@ -307,11 +294,6 @@ TEST_P(NetPiggybackTest, BadReadHandleKeepsPendingWrites) {
   ASSERT_TRUE(client->RmwGet(h, "k", w, &acc).ok());
   EXPECT_EQ(acc, "v");
 }
-
-INSTANTIATE_TEST_SUITE_P(BothClients, NetPiggybackTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return std::string(info.param ? "Async" : "Blocking");
-                         });
 
 TEST_F(NetLoopbackTest, ServerMetricsAreLabeled) {
   auto client = MakeClient();
@@ -527,15 +509,19 @@ bool ReadOneRequest(int fd, RequestMessage* request) {
   }
 }
 
-void WriteOkResponse(int fd, const RequestMessage& request) {
-  ResponseMessage response;
-  response.request_id = request.request_id;
-  response.results.resize(request.ops.size());
+void WriteResponse(int fd, const ResponseMessage& response) {
   std::string payload;
   EncodeResponse(response, &payload);
   std::string frame;
   AppendFrame(&frame, payload);
   ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+}
+
+void WriteOkResponse(int fd, const RequestMessage& request) {
+  ResponseMessage response;
+  response.request_id = request.request_id;
+  response.results.resize(request.ops.size());
+  WriteResponse(fd, response);
 }
 
 TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) {
@@ -608,6 +594,176 @@ TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) 
 
   fake.join();
   ::close(listen_fd);
+}
+
+// ----- scripted peers: server pushes read inline ahead of a response -----
+
+// Reads the capability probe and answers it advertising prefetch push.
+bool AnswerProbeWithPush(int fd) {
+  RequestMessage probe;
+  if (!ReadOneRequest(fd, &probe)) {
+    return false;
+  }
+  ResponseMessage response;
+  response.request_id = probe.request_id;
+  response.results.resize(1);
+  response.results[0].type = OpType::kGatherStats;
+  response.results[0].stat_fields = {{kCapPrefetchPush, 1}};
+  WriteResponse(fd, response);
+  return true;
+}
+
+// An unsolicited push frame carrying `results` kPushChunk results.
+ResponseMessage PushFrame(uint64_t store_id, int results) {
+  ResponseMessage push;
+  push.request_id = kPushRequestId;
+  for (int i = 0; i < results; ++i) {
+    OpResult chunk;
+    chunk.type = OpType::kPushChunk;
+    chunk.store_id = store_id;
+    chunk.window = Window(0, 1000);
+    chunk.push_seq = 1;
+    chunk.chunk.push_back(WindowChunkEntry{"k", {"v"}});
+    push.results.push_back(std::move(chunk));
+  }
+  return push;
+}
+
+// A loopback listener whose thread runs `script`, which plays the server.
+// Declare it before the client: the client must close its socket first so a
+// script blocked reading the next request returns, then the destructor joins.
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::function<void(ScriptedPeer*)> script) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 || ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 2) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "cannot listen on loopback";
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread(std::move(script), this);
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+  ~ScriptedPeer() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+    }
+  }
+
+  // Accepts the next connection within 10 s (-1 on timeout), so a client
+  // that never connects fails the test instead of hanging it.
+  int Accept() {
+    pollfd pfd = {listen_fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, 10'000) > 0 ? ::accept(listen_fd_, nullptr, nullptr) : -1;
+  }
+
+  std::unique_ptr<Client> ConnectPushClient() {
+    ClientOptions copts;
+    copts.port = port_;
+    copts.enable_prefetch_push = true;
+    copts.request_timeout_ms = 2000;
+    copts.reconnect_backoff_ms = 1;
+    copts.jitter_seed = 5;
+    std::unique_ptr<Client> client;
+    const Status s = Client::Connect(copts, &client);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return client;
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+TEST(NetClientPushDemuxTest, PushForUnknownStoreAheadOfResponseIsSkipped) {
+  std::atomic<int> answered{0};
+  ScriptedPeer peer([&answered](ScriptedPeer* p) {
+    const int fd = p->Accept();
+    if (fd < 0) return;
+    if (AnswerProbeWithPush(fd)) {
+      for (int i = 0; i < 2; ++i) {
+        RequestMessage ping;
+        if (!ReadOneRequest(fd, &ping)) break;
+        if (i == 0) {
+          WriteResponse(fd, PushFrame(/*store_id=*/77, /*results=*/1));
+        }
+        ++answered;  // before the reply, which releases the client
+        WriteOkResponse(fd, ping);
+      }
+    }
+    ::close(fd);
+  });
+  auto client = peer.ConnectPushClient();
+  ASSERT_NE(client, nullptr);
+  EXPECT_TRUE(client->push_negotiated());
+  Status s = client->Ping();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  // The same socket serves the next request: the push did not break it.
+  s = client->Ping();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(answered.load(), 2);
+  EXPECT_EQ(client->cache_counters().pushes, 0) << "a push for an unmapped store was banked";
+}
+
+TEST(NetClientPushDemuxTest, MalformedPushIsRetriedOnAFreshConnection) {
+  std::atomic<bool> retried{false};
+  ScriptedPeer peer([&retried](ScriptedPeer* p) {
+    const int first = p->Accept();
+    if (first < 0) return;
+    RequestMessage ping;
+    if (AnswerProbeWithPush(first) && ReadOneRequest(first, &ping)) {
+      WriteResponse(first, PushFrame(/*store_id=*/77, /*results=*/2));
+      const int second = p->Accept();
+      if (second >= 0) {
+        if (AnswerProbeWithPush(second) && ReadOneRequest(second, &ping)) {
+          retried.store(true);  // before the reply, which releases the client
+          WriteOkResponse(second, ping);
+        }
+        ::close(second);
+      }
+    }
+    ::close(first);
+  });
+  auto client = peer.ConnectPushClient();
+  ASSERT_NE(client, nullptr);
+  const Status s = client->Ping();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(retried.load()) << "the Ping was not re-sent on a fresh connection";
+}
+
+TEST(NetClientPushDemuxTest, ResponseWithAnotherIdFailsTheCall) {
+  ScriptedPeer peer([](ScriptedPeer* p) {
+    const int fd = p->Accept();
+    if (fd < 0) return;
+    RequestMessage ping;
+    if (AnswerProbeWithPush(fd) && ReadOneRequest(fd, &ping)) {
+      ResponseMessage wrong;
+      wrong.request_id = ping.request_id + 7;
+      wrong.results.resize(1);
+      WriteResponse(fd, wrong);
+      // Hold the connection until the client drops it.
+      char byte;
+      while (::recv(fd, &byte, 1, 0) > 0) {
+      }
+    }
+    ::close(fd);
+  });
+  auto client = peer.ConnectPushClient();
+  ASSERT_NE(client, nullptr);
+  const Status s = client->Ping();
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
 }
 
 TEST(NetClientTimeoutTest, UnresponsivePeerTimesOut) {

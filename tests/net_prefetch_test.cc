@@ -1,32 +1,31 @@
 // ETT-driven prefetch subsystem (src/net/prefetch.h, docs/NETWORK.md): unit
 // tests for the count-based ReadAheadCache and the per-shard
-// ShardPrefetchScheduler, plus end-to-end coverage of the push path — an
-// AsyncClient against a loopback flowkv_server must serve a closed window's
-// read from pushed client memory (deterministically, thanks to the
+// ShardPrefetchScheduler, plus end-to-end coverage of the push path — a
+// push-enabled Client against a loopback flowkv_server must serve a closed
+// window's read from pushed client memory (deterministically, thanks to the
 // push-before-ack wire ordering), degrade silently against legacy or
-// push-disabled servers, and every NEXMark query through the prefetch-enabled
-// remote backend must match the embedded reference exactly.
+// push-disabled servers, stay correct when pushes pile up behind an idle
+// subscriber, and every NEXMark query through the prefetch-enabled remote
+// backend must match the embedded reference exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "src/backends/flowkv_backend.h"
 #include "src/backends/remote_backend.h"
 #include "src/common/env.h"
-#include "src/net/async_client.h"
 #include "src/net/client.h"
 #include "src/net/prefetch.h"
 #include "src/net/server.h"
 #include "src/nexmark/generator.h"
 #include "src/nexmark/queries.h"
 #include "src/spe/job_runner.h"
+#include "tools/stat_format.h"
 
 namespace flowkv {
 namespace {
@@ -328,7 +327,7 @@ TEST(ShardPrefetchSchedulerTest, UnregisterLastSubscriberDropsShadows) {
   EXPECT_EQ(sched.shadow_bytes(), 0u);
 }
 
-// ----- end-to-end: AsyncClient against a loopback server -----
+// ----- end-to-end: a push-enabled Client against a loopback server -----
 
 OperatorStateSpec AarSpec(const std::string& name) {
   OperatorStateSpec spec;
@@ -340,7 +339,7 @@ OperatorStateSpec AarSpec(const std::string& name) {
 }
 
 // Drains a window through the chunked read protocol into key → values.
-Status ReadWindow(net::StoreClient* client, uint64_t handle, const Window& w,
+Status ReadWindow(net::Client* client, uint64_t handle, const Window& w,
                   std::map<std::string, std::vector<std::string>>* out) {
   out->clear();
   bool done = false;
@@ -378,13 +377,13 @@ class NetPrefetchE2ETest : public ::testing::Test {
     ASSERT_TRUE(net::Server::Start(options, &server_).ok());
   }
 
-  std::unique_ptr<net::AsyncClient> AsyncTo(int port) {
+  std::unique_ptr<net::Client> PushClientTo(int port) {
     net::ClientOptions copts;
     copts.port = port;
     copts.enable_prefetch_push = true;
     copts.jitter_seed = 17;
-    std::unique_ptr<net::AsyncClient> client;
-    EXPECT_TRUE(net::AsyncClient::Connect(copts, &client).ok());
+    std::unique_ptr<net::Client> client;
+    EXPECT_TRUE(net::Client::Connect(copts, &client).ok());
     return client;
   }
 
@@ -394,7 +393,7 @@ class NetPrefetchE2ETest : public ::testing::Test {
 
 TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
   StartServer(/*server_push=*/true);
-  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   EXPECT_TRUE(client->push_negotiated());
 
@@ -420,7 +419,8 @@ TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
   }
   ASSERT_TRUE(client->Flush().ok());
 
-  // Flush acked ⇒ the reader has banked the pushes: the hit is deterministic.
+  // Flush acked ⇒ the client read the pushes ahead of the ack: the hit is
+  // deterministic.
   std::map<std::string, std::vector<std::string>> got;
   ASSERT_TRUE(ReadWindow(client.get(), h, w0, &got).ok());
   EXPECT_EQ(got, expected);
@@ -452,7 +452,7 @@ TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
   options.data_dir = JoinPath(dir_, "server_data");
   options.enable_prefetch_push = true;
   ASSERT_TRUE(net::Server::Start(options, &server_).ok());
-  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   uint64_t h = 0;
   ASSERT_TRUE(client->OpenStore("t.reactors.h0", AarSpec("reactors-op"), &h, nullptr).ok());
@@ -478,7 +478,7 @@ TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
 
 TEST_F(NetPrefetchE2ETest, CrossClientPushIsStaleWithoutLocalHistory) {
   StartServer(/*server_push=*/true);
-  std::unique_ptr<net::AsyncClient> subscriber = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> subscriber = PushClientTo(server_->port());
   ASSERT_NE(subscriber, nullptr);
   uint64_t h = 0;
   ASSERT_TRUE(subscriber->OpenStore("t.shared.h0", AarSpec("shared-op"), &h, nullptr).ok());
@@ -495,9 +495,10 @@ TEST_F(NetPrefetchE2ETest, CrossClientPushIsStaleWithoutLocalHistory) {
   ASSERT_TRUE(writer->AppendAligned(wh, "k", "v", Window(1000, 2000)).ok());
   ASSERT_TRUE(writer->Flush().ok());
 
-  // The push rides the subscriber's connection asynchronously; poll briefly.
+  // The push waits in the subscriber's socket until its next call reads it
+  // ahead of the response; ping until it has been read.
   for (int i = 0; i < 500 && subscriber->cache_counters().stale == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_TRUE(subscriber->Ping().ok());
   }
   EXPECT_EQ(subscriber->cache_counters().stale, 1);
   EXPECT_EQ(subscriber->cache_counters().hits, 0);
@@ -510,9 +511,84 @@ TEST_F(NetPrefetchE2ETest, CrossClientPushIsStaleWithoutLocalHistory) {
   EXPECT_EQ(got["k"].size(), 1u);
 }
 
+// The server-wide count of pushes shed at a connection's outbox bound, from
+// kStats.
+int64_t PushesDropped(net::Client* client) {
+  std::string json;
+  EXPECT_TRUE(client->Stats(&json).ok());
+  tools::JsonValue doc;
+  EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
+  const tools::JsonValue* prefetch = doc.Get("prefetch");
+  return prefetch == nullptr ? -1 : static_cast<int64_t>(prefetch->Num("pushes_dropped"));
+}
+
+// Pushes another connection triggers wait in an idle subscriber's socket
+// until its next call. Once the socket buffers and then the connection's
+// outbox bound are full, the server sheds further pushes rather than stall,
+// and the subscriber still reads every window correctly — remotely, since it
+// has no local history for them.
+TEST_F(NetPrefetchE2ETest, IdleSubscriberGetsPushesShedAndReadsRemotely) {
+  net::ServerOptions options;
+  options.num_shards = 2;
+  options.data_dir = JoinPath(dir_, "server_data");
+  options.enable_prefetch_push = true;
+  options.max_outbox_bytes = 64u << 10;
+  ASSERT_TRUE(net::Server::Start(options, &server_).ok());
+  std::unique_ptr<net::Client> subscriber = PushClientTo(server_->port());
+  ASSERT_NE(subscriber, nullptr);
+  ASSERT_TRUE(subscriber->push_negotiated());
+  uint64_t h = 0;
+  ASSERT_TRUE(subscriber->OpenStore("t.idle.h0", AarSpec("idle-op"), &h, nullptr).ok());
+
+  net::ClientOptions wopts;
+  wopts.port = server_->port();
+  std::unique_ptr<net::Client> writer;
+  ASSERT_TRUE(net::Client::Connect(wopts, &writer).ok());
+  uint64_t wh = 0;
+  ASSERT_TRUE(writer->OpenStore("t.idle.h0", AarSpec("idle-op"), &wh, nullptr).ok());
+
+  // Each window closes the one before it, so every window's push (8 keys,
+  // 4 KiB values) queues behind the idle subscriber. Stop once the server
+  // reports a shed push; the cap bounds the run if it never does.
+  const int kKeys = 8;
+  const std::string filler(4096, 'x');
+  auto value = [&](int window, int key) {
+    return filler + std::to_string(window) + "." + std::to_string(key);
+  };
+  int windows = 0;
+  int64_t dropped = 0;
+  while (dropped == 0 && windows < 1024) {
+    for (int i = 0; i < 16; ++i, ++windows) {
+      const Window w(windows * 1000, (windows + 1) * 1000);
+      for (int k = 0; k < kKeys; ++k) {
+        ASSERT_TRUE(writer->AppendAligned(wh, "k" + std::to_string(k), value(windows, k), w).ok());
+      }
+    }
+    ASSERT_TRUE(writer->Flush().ok());
+    dropped = PushesDropped(writer.get());
+  }
+  EXPECT_GT(dropped, 0) << "pushes never outgrew the outbox bound after " << windows
+                        << " windows";
+
+  // The first window's push was delivered, a late one's was shed; both read
+  // back whole, and neither from the cache.
+  for (const int i : {0, windows - 2}) {
+    std::map<std::string, std::vector<std::string>> got;
+    ASSERT_TRUE(ReadWindow(subscriber.get(), h, Window(i * 1000, (i + 1) * 1000), &got).ok());
+    ASSERT_EQ(got.size(), static_cast<size_t>(kKeys)) << "window " << i;
+    for (int k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(got["k" + std::to_string(k)], std::vector<std::string>{value(i, k)})
+          << "window " << i;
+    }
+  }
+  EXPECT_EQ(subscriber->cache_counters().hits, 0);
+  EXPECT_GT(subscriber->cache_counters().stale, 0);
+  EXPECT_EQ(subscriber->cache_bytes(), 0u);
+}
+
 TEST_F(NetPrefetchE2ETest, LegacyServerDegradesToRemoteReads) {
   StartServer(/*server_push=*/true, /*emulate_legacy=*/true);
-  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   EXPECT_FALSE(client->push_negotiated())
       << "legacy server must fail the capability probe";
@@ -532,7 +608,7 @@ TEST_F(NetPrefetchE2ETest, LegacyServerDegradesToRemoteReads) {
 
 TEST_F(NetPrefetchE2ETest, ServerWithPushDisabledDegrades) {
   StartServer(/*server_push=*/false);
-  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   EXPECT_FALSE(client->push_negotiated())
       << "probe must omit caps.prefetch_push when the server opts out";
@@ -549,7 +625,7 @@ TEST_F(NetPrefetchE2ETest, ServerWithPushDisabledDegrades) {
 
 TEST_F(NetPrefetchE2ETest, StatsExposePrefetchCounters) {
   StartServer(/*server_push=*/true);
-  std::unique_ptr<net::AsyncClient> client = AsyncTo(server_->port());
+  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   uint64_t h = 0;
   ASSERT_TRUE(client->OpenStore("t.stats.h0", AarSpec("stats-op"), &h, nullptr).ok());
@@ -663,7 +739,7 @@ TEST_P(PrefetchEquivalenceTest, RemoteWithPrefetchMatchesEmbedded) {
   net::ClientOptions copts;
   copts.port = server_->port();
   copts.request_timeout_ms = 60'000;
-  copts.enable_prefetch_push = true;  // routes through AsyncClient + cache
+  copts.enable_prefetch_push = true;  // subscribes and serves from the cache
   RemoteBackendFactory remote(copts);
   RunOutcome remote_run = RunQueryOn(query, &remote, nexmark, params);
   ASSERT_TRUE(remote_run.status.ok()) << remote_run.status.ToString();

@@ -12,7 +12,8 @@ events_per_sec, loopback req_per_sec, remote_prefetch reads_per_sec) and
 emits a GitHub `::warning::` annotation for every row regressing by more
 than 10%. Regressions are
 advisory — CI runners are noisy — so compare mode always exits 0 unless a
-file is unreadable.
+file is unreadable. Documents run at different `bench_scale`s measure
+different workloads, so compare mode prints a note and skips them.
 
 Usage: validate_bench_json.py BENCH.json
        validate_bench_json.py --compare NEW.json BASELINE.json
@@ -119,6 +120,11 @@ def compare(new_path, base_path):
         new_doc = json.load(f)
     with open(base_path) as f:
         base_doc = json.load(f)
+    if new_doc.get("bench_scale") != base_doc.get("bench_scale"):
+        print(f"validate_bench_json: not comparing {new_path} "
+              f"(bench_scale {new_doc.get('bench_scale')!r}) with {base_path} "
+              f"(bench_scale {base_doc.get('bench_scale')!r})")
+        return 0
 
     metric_by_bench = {
         "fig08": "events_per_sec",
