@@ -101,6 +101,7 @@ class [[nodiscard]] Status {
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsResourceExhausted() const { return code_ == StatusCode::kResourceExhausted; }
+  bool IsFailedPrecondition() const { return code_ == StatusCode::kFailedPrecondition; }
   bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
   bool IsConnectionReset() const { return code_ == StatusCode::kConnectionReset; }
   bool IsOverloaded() const { return code_ == StatusCode::kOverloaded; }

@@ -197,7 +197,7 @@ Status ConnectStreamSocket(const ClientOptions& options, const Endpoint& ep, boo
 
 }  // namespace
 
-Status Client::ConnectSocket() {
+Status Client::ConnectSocket(int64_t deadline_nanos) {
   CloseSocket();
   const Endpoint& ep = CurrentEndpoint();
   // The unix path only replaces the primary endpoint; standby failover
@@ -206,11 +206,26 @@ Status Client::ConnectSocket() {
   int fd = -1;
   FLOWKV_RETURN_IF_ERROR(ConnectStreamSocket(options_, ep, use_unix, &fd));
   fd_ = fd;
-  // A fresh connection may be to a different (older) server — e.g. a
-  // failover standby — so the capabilities must be re-learned.
-  trace_cap_ = CapState::kUnknown;
-  cluster_cap_ = CapState::kUnknown;
-  push_cap_ = CapState::kUnknown;
+  // The handshake. It runs before anything else on the connection, so the
+  // store re-opens that follow are already stamped with the adopted epoch.
+  handshake_view_ = ClusterView{};
+  push_ = false;
+  std::vector<OpRequest> ops(1);
+  ops[0].type = OpType::kClusterInfo;
+  std::vector<OpResult> results;
+  Status s = TryRequest(ops, &results, deadline_nanos);
+  if (s.ok()) {
+    s = results[0].status;
+  }
+  if (!s.ok()) {
+    CloseSocket();
+    return s;
+  }
+  handshake_view_ = ParseClusterView(results[0].stat_fields);
+  // Epochs are cluster-wide monotonic; keep the max we have ever seen so a
+  // write routed to a stale former primary fences instead of committing.
+  cluster_epoch_ = std::max(cluster_epoch_, handshake_view_.epoch);
+  push_ = options_.enable_prefetch_push && handshake_view_.prefetch_push;
   return Status::Ok();
 }
 
@@ -256,16 +271,12 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
         return Status::TimedOut("reconnect deadline exhausted: " + last.ToString());
       }
     }
-    last = ConnectSocket();
+    last = ConnectSocket(deadline_nanos);
+    if (last.IsFailedPrecondition()) {
+      // A peer of another wire version: reconnecting cannot help.
+      return last;
+    }
     if (last.ok()) {
-      // Probe before re-opening stores: the probe adopts the server's
-      // cluster epoch, so the re-opens below are already correctly stamped.
-      ProbeCaps(deadline_nanos);
-      if (fd_ < 0) {
-        // The probe's transport failed and dropped the socket.
-        last = Status::ConnectionReset("capability probe failed");
-        continue;
-      }
       last = ReopenStores(deadline_nanos);
       if (last.ok()) {
         last = RegisterPushStores(deadline_nanos);
@@ -284,44 +295,6 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
   return last;
 }
 
-void Client::ProbeCaps(int64_t deadline_nanos) {
-  if (trace_cap_ != CapState::kUnknown && cluster_cap_ != CapState::kUnknown &&
-      push_cap_ != CapState::kUnknown) {
-    return;
-  }
-  std::vector<OpRequest> ops(1);
-  ops[0].type = OpType::kGatherStats;
-  ops[0].store_id = kProbeStoreId;
-  std::vector<OpResult> results;
-  const Status s = TryRequest(ops, &results, deadline_nanos);
-  if (!s.ok()) {
-    // A failed probe leaves the stream state unknown; drop the socket so the
-    // caller's retry machinery reconnects rather than reading a stale frame.
-    CloseSocket();
-    return;
-  }
-  // An OK probe answer means the server understands the extension block; a
-  // per-op error is a legacy server (every feature stays off).
-  trace_cap_ = results[0].status.ok() ? CapState::kYes : CapState::kNo;
-  cluster_cap_ = CapState::kNo;
-  push_cap_ = CapState::kNo;
-  if (results[0].status.ok()) {
-    for (const auto& field : results[0].stat_fields) {
-      if (field.first == kCapClusterEpoch && field.second != 0) {
-        cluster_cap_ = CapState::kYes;
-      } else if (field.first == kCapPrefetchPush && field.second != 0 &&
-                 options_.enable_prefetch_push) {
-        push_cap_ = CapState::kYes;
-      } else if (field.first == kStatClusterEpoch) {
-        // Epochs are cluster-wide monotonic; keep the max we have ever seen
-        // so a write routed to a stale former primary fences instead of
-        // committing.
-        cluster_epoch_ = std::max(cluster_epoch_, static_cast<uint64_t>(field.second));
-      }
-    }
-  }
-}
-
 void Client::RefreshClusterView(int64_t deadline_nanos) {
   CloseSocket();
   obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Add(1);
@@ -333,40 +306,21 @@ void Client::RefreshClusterView(int64_t deadline_nanos) {
       break;
     }
     endpoint_index_ = (start + i) % NumEndpoints();
-    if (!ConnectSocket().ok()) {
-      continue;
-    }
-    std::vector<OpRequest> ops(1);
-    ops[0].type = OpType::kClusterInfo;
-    std::vector<OpResult> results;
-    const Status s = TryRequest(ops, &results, deadline_nanos);
+    // The handshake is the poll: its view says who this endpoint is.
+    const bool answered = ConnectSocket(deadline_nanos).ok();
     CloseSocket();
-    if (!s.ok() || !results[0].status.ok()) {
-      // Legacy servers drop the connection on the unknown op; either way
-      // this endpoint has no cluster view to offer.
+    if (!answered) {
       continue;
-    }
-    int64_t role = -1;
-    uint64_t epoch = 0;
-    for (const auto& field : results[0].stat_fields) {
-      if (field.first == kStatClusterRole) {
-        role = field.second;
-      } else if (field.first == kStatClusterEpoch) {
-        epoch = static_cast<uint64_t>(field.second);
-      }
     }
     // Only a PRIMARY is worth redirecting to, and when a stale former
     // primary and a freshly promoted one both claim the role, the higher
     // epoch is the real one.
-    if (role == kRolePrimary && epoch > best_epoch) {
-      best_epoch = epoch;
+    if (handshake_view_.role == kRolePrimary && handshake_view_.epoch > best_epoch) {
+      best_epoch = handshake_view_.epoch;
       best_index = endpoint_index_;
     }
   }
   endpoint_index_ = best_index;
-  if (best_epoch > cluster_epoch_) {
-    cluster_epoch_ = best_epoch;
-  }
   if (best_epoch != 0) {
     FLOWKV_LOG(kInfo) << "cluster view refreshed "
                       << LogKv("primary", CurrentEndpoint().host + ":" +
@@ -396,7 +350,7 @@ Status Client::ReopenStores(int64_t deadline_nanos) {
 }
 
 Status Client::RegisterPushStores(int64_t deadline_nanos) {
-  if (push_cap_ != CapState::kYes) {
+  if (!push_) {
     return Status::Ok();
   }
   // Server ids are already fresh (ReopenStores ran on this connection), so
@@ -478,6 +432,9 @@ Status Client::ReadResponse(int64_t deadline_nanos, ResponseMessage* response) {
     if (complete) {
       const Status s = DecodeResponse(payload, response);
       inbuf_.erase(0, before - input.size());
+      if (s.IsFailedPrecondition()) {
+        return s;  // a peer of another wire version; retrying cannot help
+      }
       if (!s.ok()) {
         return Status::ConnectionReset("corrupt response body: " + s.ToString());
       }
@@ -573,22 +530,21 @@ Status Client::TryRequest(const std::vector<OpRequest>& ops,
   }
   request.deadline_ms = static_cast<uint32_t>(remaining_ms);
 
+  // Epoch fencing: stamp the newest epoch we have adopted so a stale former
+  // primary rejects (and fences itself on) our writes instead of committing
+  // them. The kClusterInfo handshake is a read-only discovery op and goes
+  // unstamped: a standby's own epoch lags its primary's by design, and a
+  // server fences on any higher stamped epoch, so a stamped handshake would
+  // fence a healthy standby while RefreshClusterView walks the endpoints.
+  const bool discovery = ops.size() == 1 && ops[0].type == OpType::kClusterInfo;
+  request.epoch = discovery ? 0 : cluster_epoch_;
+  request.internal_apply = options_.internal_apply;
   // Distributed tracing: open a span covering this batch's round trip and
-  // propagate a fresh trace id — but only once the capability probe has
-  // confirmed the server accepts the extension block (old decoders reject
-  // trailing bytes and would drop the connection).
-  if (trace_cap_ == CapState::kYes && obs::Tracing::enabled()) {
+  // propagate a fresh trace id.
+  if (obs::Tracing::enabled()) {
     request.trace_id = backoff_rng_.Next() | 1;  // nonzero: 0 means untraced
     request.span_id = request.request_id;
     request.trace_flags = 1;  // sampled
-  }
-  // Epoch fencing: stamp the newest epoch we have adopted so a stale former
-  // primary rejects (and fences itself on) our writes instead of committing
-  // them. Gated on the capability probe like tracing — the extension block
-  // would drop the connection on an old server.
-  if (cluster_cap_ == CapState::kYes) {
-    request.epoch = cluster_epoch_;
-    request.internal_apply = options_.internal_apply;
   }
   obs::TraceSpan batch_span("client_batch", "client");
   batch_span.AddArg("trace_id", static_cast<int64_t>(request.trace_id));
@@ -751,8 +707,7 @@ Status Client::OpenStore(const std::string& ns, const OperatorStateSpec& spec,
   if (pattern != nullptr) {
     *pattern = reg.pattern;
   }
-  const bool subscribe =
-      push_cap_ == CapState::kYes && reg.pattern == StorePattern::kAppendAligned;
+  const bool subscribe = push_ && reg.pattern == StorePattern::kAppendAligned;
   stores_.push_back(std::move(reg));
   RebuildPushRoutes();
   if (subscribe) {
@@ -988,25 +943,8 @@ Status Client::Stats(std::string* json) {
   return Status::Ok();
 }
 
-Status Client::ClusterInfo(std::vector<std::pair<std::string, int64_t>>* fields) {
-  FLOWKV_RETURN_IF_ERROR(Flush());
-  std::vector<OpRequest> ops(1);
-  ops[0].type = OpType::kClusterInfo;
-  std::vector<OpResult> results;
-  // No handle translation: kClusterInfo addresses the server, not a store.
-  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
-  FLOWKV_RETURN_IF_ERROR(results[0].status);
-  for (const auto& field : results[0].stat_fields) {
-    if (field.first == kStatClusterEpoch) {
-      cluster_epoch_ = std::max(cluster_epoch_, static_cast<uint64_t>(field.second));
-    }
-  }
-  *fields = std::move(results[0].stat_fields);
-  return Status::Ok();
-}
-
 Status Client::ClusterAdmin(const std::string& command, uint64_t target_epoch,
-                            std::vector<std::pair<std::string, int64_t>>* fields) {
+                            ClusterView* view) {
   FLOWKV_RETURN_IF_ERROR(Flush());
   std::vector<OpRequest> ops(1);
   ops[0].type = OpType::kClusterAdmin;
@@ -1015,8 +953,8 @@ Status Client::ClusterAdmin(const std::string& command, uint64_t target_epoch,
   std::vector<OpResult> results;
   FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
-  if (fields != nullptr) {
-    *fields = std::move(results[0].stat_fields);
+  if (view != nullptr) {
+    *view = ParseClusterView(results[0].stat_fields);
   }
   return Status::Ok();
 }

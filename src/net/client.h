@@ -20,10 +20,17 @@
 // handles to the server's (possibly new) store ids, so a server drain +
 // restart is transparent to callers.
 //
+// Handshake: every fresh connection opens with one kClusterInfo round trip.
+// The client adopts the server's cluster epoch from the answer (keeping the
+// max it has seen) and learns whether the server pushes prefetches. The
+// handshake itself carries epoch 0, so it never fences the server it asks (a
+// standby's epoch lags its primary's by design). A server of another wire
+// version fails the call with kFailedPrecondition, which is never retried.
+//
 // Prefetch push (ClientOptions::enable_prefetch_push, src/net/prefetch.h,
-// docs/NETWORK.md): when the capability probe confirms caps.prefetch_push,
-// every open AAR store is subscribed with kEttRegister (again after each
-// reconnect), and the server pushes each closed window's chunk ahead of the
+// docs/NETWORK.md): when the handshake reports prefetch_push, every open AAR
+// store is subscribed with kEttRegister (again after each reconnect), and
+// the server pushes each closed window's chunk ahead of the
 // trigger read as an unsolicited kPushChunk frame (request_id
 // kPushRequestId). Pushes are read inline on the caller thread:
 // ReadResponse banks each one in the ReadAheadCache and keeps reading until
@@ -151,8 +158,8 @@ struct ClientOptions {
   // Subscribe to server pushes of closed AAR windows (kEttRegister /
   // kPushChunk, docs/NETWORK.md) and serve window reads from the client-side
   // read-ahead cache when the pushed chunk provably matches local history.
-  // Only takes effect after the capability probe confirms the connected
-  // server answers caps.prefetch_push, so legacy servers degrade silently.
+  // Takes effect only on connections whose handshake reports that the server
+  // pushes; otherwise reads stay remote.
   bool enable_prefetch_push = false;
   // Client-side cache budget. Bounds the read-ahead cache of pushed windows
   // (LRU eviction past it) and, per RemoteBackend, the write-through RMW
@@ -222,9 +229,7 @@ class Client {
 
   // Fetches the server's live introspection snapshot (kStats) as one JSON
   // document: per-shard req/s, queue depth, op latency percentiles,
-  // replication lag, connection table, and the slow-request log. Servers
-  // that predate the op drop the connection (unknown op type), surfacing
-  // here as kConnectionReset after the retry budget.
+  // replication lag, connection table, and the slow-request log.
   Status Stats(std::string* json);
 
   // Sends `ops` as-is — store_id fields are SERVER ids, not client handles,
@@ -234,18 +239,17 @@ class Client {
 
   // ----- cluster failover (docs/NETWORK.md "Cluster roles, epochs") -----
 
-  // Fetches the connected server's cluster view (kClusterInfo) as (name,
-  // value) fields: cluster.epoch, cluster.role, cluster.lease_ms,
-  // cluster.priority. Legal on every role.
-  Status ClusterInfo(std::vector<std::pair<std::string, int64_t>>* fields);
   // Sends a kClusterAdmin command ("promote" / "fence"); target_epoch 0 lets
-  // the server pick current+1 for a promote. On success `fields` (optional)
+  // the server pick current+1 for a promote. On success `view` (optional)
   // receives the resulting cluster view.
   Status ClusterAdmin(const std::string& command, uint64_t target_epoch,
-                      std::vector<std::pair<std::string, int64_t>>* fields = nullptr);
+                      ClusterView* view = nullptr);
+  // The cluster view the current (or most recent) connection's handshake
+  // returned.
+  const ClusterView& handshake_view() const { return handshake_view_; }
   // The newest cluster epoch this client has adopted (0 before the first
-  // epoch-capable connection). Stamped on every request so a stale former
-  // primary fences itself rather than committing our writes.
+  // handshake). Stamped on every request but the handshake so a stale
+  // former primary fences itself rather than committing our writes.
   uint64_t cluster_epoch() const { return cluster_epoch_; }
 
   // The endpoint the current/most recent connection used (index 0 = primary).
@@ -256,7 +260,7 @@ class Client {
   ReadAheadCounters cache_counters() const { return cache_.counters(); }
   size_t cache_bytes() const { return cache_.bytes(); }
   // Whether the CURRENT connection negotiated push support.
-  bool push_negotiated() const { return push_cap_ == CapState::kYes; }
+  bool push_negotiated() const { return push_; }
 
  private:
   struct StoreReg {
@@ -293,20 +297,15 @@ class Client {
                     int64_t deadline_nanos);
 
   Status EnsureConnected(int64_t deadline_nanos);
-  Status ConnectSocket();
-  // One-shot per connection: sends the kGatherStats capability probe
-  // (protocol.h) to learn whether this server understands the trace-context
-  // extension, the cluster-epoch protocol and prefetch push, and adopts the
-  // server's cluster epoch when it advertises one. Old servers answer the
-  // probe with a per-op error (harmless), so mixed-version pairs interoperate
-  // with every feature silently off. Best-effort: a transport failure leaves
-  // the capabilities unknown (and the features off) for the connection.
-  void ProbeCaps(int64_t deadline_nanos);
-  // Fenced-batch recovery: polls kClusterInfo across every endpoint on
-  // short-lived connections, adopts the highest epoch any live PRIMARY
-  // reports, and leaves endpoint_index_ pointed there (or where it started
-  // if no primary answered). Closes the current socket either way; the
-  // caller's retry loop reconnects through EnsureConnected.
+  // Opens a socket to the current endpoint and runs the kClusterInfo
+  // handshake on it: records handshake_view_, adopts the epoch (max) and
+  // sets push_. On failure the socket is closed.
+  Status ConnectSocket(int64_t deadline_nanos);
+  // Fenced-batch recovery: runs the handshake against every endpoint on
+  // short-lived connections (each adopts its endpoint's epoch) and leaves
+  // endpoint_index_ at the live PRIMARY with the highest epoch (or where it
+  // started if no primary answered). Closes the current socket either way;
+  // the caller's retry loop reconnects through EnsureConnected.
   void RefreshClusterView(int64_t deadline_nanos);
   // Re-opens every registered store on a fresh connection, updating
   // server_id mappings.
@@ -349,18 +348,14 @@ class Client {
   size_t endpoint_index_ = 0;
   Endpoint primary_;
 
-  // Whether the connected server understands the trace-context extension /
-  // the cluster-epoch protocol / prefetch push (the last only when
-  // enable_prefetch_push asks for it); reset on every fresh connection (a
-  // failover peer may be older).
-  enum class CapState { kUnknown, kYes, kNo };
-  CapState trace_cap_ = CapState::kUnknown;
-  CapState cluster_cap_ = CapState::kUnknown;
-  CapState push_cap_ = CapState::kUnknown;
-  // Newest cluster epoch adopted from any probe / cluster-view refresh;
-  // stamped on requests once cluster_cap_ is kYes. Never reset: epochs are
-  // cluster-wide monotonic, so keeping the max across reconnects is exactly
-  // what fences a stale former primary.
+  // The latest handshake's answer, and whether this connection takes pushes
+  // (enable_prefetch_push and the server pushes); both set per connection.
+  ClusterView handshake_view_;
+  bool push_ = false;
+  // Newest cluster epoch adopted from any handshake; stamped on every
+  // request but the handshake. Never reset: epochs are cluster-wide monotonic, so
+  // keeping the max across reconnects is exactly what fences a stale former
+  // primary.
   uint64_t cluster_epoch_ = 0;
 
   Random backoff_rng_;

@@ -21,6 +21,20 @@ Status Truncated(const char* what) {
   return Status::Corruption(std::string("truncated ") + what);
 }
 
+// Consumes the leading wire-version varint of a message payload.
+Status CheckWireVersion(Slice* payload, const char* what) {
+  uint32_t version = 0;
+  if (!GetVarint32(payload, &version)) {
+    return Truncated("wire version");
+  }
+  if (version != kWireVersion) {
+    return Status::FailedPrecondition(std::string(what) + " of wire version " +
+                                      std::to_string(version) + ", this peer speaks " +
+                                      std::to_string(kWireVersion));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 const char* OpTypeName(OpType type) {
@@ -71,6 +85,32 @@ const char* OpTypeName(OpType type) {
       return "cluster_admin";
   }
   return "?";
+}
+
+std::vector<std::pair<std::string, int64_t>> ClusterViewFields(const ClusterView& view) {
+  return {{kStatClusterEpoch, static_cast<int64_t>(view.epoch)},
+          {kStatClusterRole, view.role},
+          {kStatClusterLeaseMs, view.lease_ms},
+          {kStatClusterPriority, view.priority},
+          {kCapPrefetchPush, view.prefetch_push ? 1 : 0}};
+}
+
+ClusterView ParseClusterView(const std::vector<std::pair<std::string, int64_t>>& fields) {
+  ClusterView view;
+  for (const auto& [name, value] : fields) {
+    if (name == kStatClusterEpoch) {
+      view.epoch = static_cast<uint64_t>(value);
+    } else if (name == kStatClusterRole) {
+      view.role = value;
+    } else if (name == kStatClusterLeaseMs) {
+      view.lease_ms = value;
+    } else if (name == kStatClusterPriority) {
+      view.priority = value;
+    } else if (name == kCapPrefetchPush) {
+      view.prefetch_push = value != 0;
+    }
+  }
+  return view;
 }
 
 void EncodeFrameHeader(const Slice& payload, char out[kFrameHeaderBytes]) {
@@ -196,8 +236,14 @@ Status DecodeStoresMeta(const Slice& data, StoresMeta* meta) {
 }
 
 void EncodeRequest(const RequestMessage& msg, std::string* payload) {
+  PutVarint32(payload, kWireVersion);
   PutVarint64(payload, msg.request_id);
   PutVarint32(payload, msg.deadline_ms);
+  PutVarint64(payload, msg.epoch);
+  PutVarint32(payload, msg.internal_apply ? 1 : 0);
+  PutVarint64(payload, msg.trace_id);
+  PutVarint64(payload, msg.span_id);
+  PutVarint32(payload, msg.trace_flags);
   PutVarint32(payload, static_cast<uint32_t>(msg.ops.size()));
   for (const OpRequest& op : msg.ops) {
     PutVarint32(payload, static_cast<uint32_t>(op.type));
@@ -296,50 +342,26 @@ void EncodeRequest(const RequestMessage& msg, std::string* payload) {
         break;
     }
   }
-  // Optional trailing extension. Two forms share the tail position:
-  //   - legacy trace block: (trace_id != 0, span_id, flags) — what PR-6
-  //     clients emit and PR-6 servers decode; kept byte-identical whenever
-  //     the cluster fields are absent.
-  //   - tagged block: a 0 varint (impossible as a live trace_id), then a
-  //     flags varint selecting trace triple / epoch / internal_apply. Only
-  //     emitted after the kCapClusterEpoch probe, so pre-epoch decoders
-  //     never see the tag.
-  // Requests with neither stay byte-identical to the pre-extension encoding.
-  if (msg.epoch != 0 || msg.internal_apply) {
-    PutVarint64(payload, 0);  // tag
-    const uint32_t ext_flags = (msg.trace_id != 0 ? 1u : 0u) |
-                               (msg.epoch != 0 ? 2u : 0u) |
-                               (msg.internal_apply ? 4u : 0u);
-    PutVarint32(payload, ext_flags);
-    if (msg.trace_id != 0) {
-      PutVarint64(payload, msg.trace_id);
-      PutVarint64(payload, msg.span_id);
-      PutVarint32(payload, msg.trace_flags);
-    }
-    if (msg.epoch != 0) {
-      PutVarint64(payload, msg.epoch);
-    }
-  } else if (msg.trace_id != 0) {
-    PutVarint64(payload, msg.trace_id);
-    PutVarint64(payload, msg.span_id);
-    PutVarint32(payload, msg.trace_flags);
-  }
 }
 
 namespace {
 
 Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
   msg->ops.clear();
-  msg->trace_id = 0;
-  msg->span_id = 0;
-  msg->trace_flags = 0;
-  msg->epoch = 0;
-  msg->internal_apply = false;
+  FLOWKV_RETURN_IF_ERROR(CheckWireVersion(&payload, "request"));
+  uint32_t internal_apply = 0;
   uint32_t num_ops = 0;
   if (!GetVarint64(&payload, &msg->request_id) ||
-      !GetVarint32(&payload, &msg->deadline_ms) || !GetVarint32(&payload, &num_ops)) {
+      !GetVarint32(&payload, &msg->deadline_ms) || !GetVarint64(&payload, &msg->epoch) ||
+      !GetVarint32(&payload, &internal_apply) || !GetVarint64(&payload, &msg->trace_id) ||
+      !GetVarint64(&payload, &msg->span_id) || !GetVarint32(&payload, &msg->trace_flags) ||
+      !GetVarint32(&payload, &num_ops)) {
     return Truncated("request header");
   }
+  if (internal_apply > 1) {
+    return Status::Corruption("malformed request header");
+  }
+  msg->internal_apply = internal_apply != 0;
   // Every op costs at least its 1-byte type varint; bound the reserve so a
   // corrupt count cannot trigger a huge allocation before the ops decode.
   if (num_ops > payload.size()) {
@@ -464,47 +486,7 @@ Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
     msg->ops.push_back(std::move(op));
   }
   if (!payload.empty()) {
-    // Trailing bytes are an optional extension block. A nonzero leading
-    // varint is the PR-6 trace triple (trace_id, span_id, flags); a zero
-    // leading varint tags the cluster-era block (flags + selected fields).
-    // Anything else — truncation, extra bytes after the block, unknown flag
-    // bits — is corruption, exactly as all trailing bytes were before the
-    // extensions existed.
-    uint64_t lead = 0;
-    if (!GetVarint64(&payload, &lead)) {
-      return Truncated("extension block");
-    }
-    if (lead != 0) {
-      msg->trace_id = lead;
-      if (!GetVarint64(&payload, &msg->span_id) ||
-          !GetVarint32(&payload, &msg->trace_flags)) {
-        return Truncated("trace context");
-      }
-    } else {
-      uint32_t ext_flags = 0;
-      if (!GetVarint32(&payload, &ext_flags)) {
-        return Truncated("extension flags");
-      }
-      if (ext_flags == 0 || ext_flags > 7) {
-        return Status::Corruption("malformed request extension flags");
-      }
-      if ((ext_flags & 1u) != 0) {
-        if (!GetVarint64(&payload, &msg->trace_id) ||
-            !GetVarint64(&payload, &msg->span_id) ||
-            !GetVarint32(&payload, &msg->trace_flags) || msg->trace_id == 0) {
-          return Truncated("trace context");
-        }
-      }
-      if ((ext_flags & 2u) != 0) {
-        if (!GetVarint64(&payload, &msg->epoch) || msg->epoch == 0) {
-          return Truncated("cluster epoch");
-        }
-      }
-      msg->internal_apply = (ext_flags & 4u) != 0;
-    }
-    if (!payload.empty()) {
-      return Status::Corruption("trailing bytes after request body");
-    }
+    return Status::Corruption("trailing bytes after request body");
   }
   return Status::Ok();
 }
@@ -520,6 +502,7 @@ Status DecodeRequestBorrowed(Slice payload, RequestMessage* msg) {
 }
 
 void EncodeResponse(const ResponseMessage& msg, std::string* payload) {
+  PutVarint32(payload, kWireVersion);
   PutVarint64(payload, msg.request_id);
   PutVarint32(payload, static_cast<uint32_t>(msg.results.size()));
   for (const OpResult& r : msg.results) {
@@ -591,6 +574,7 @@ void EncodeResponse(const ResponseMessage& msg, std::string* payload) {
 
 Status DecodeResponse(Slice payload, ResponseMessage* msg) {
   msg->results.clear();
+  FLOWKV_RETURN_IF_ERROR(CheckWireVersion(&payload, "response"));
   uint32_t num_results = 0;
   if (!GetVarint64(&payload, &msg->request_id) || !GetVarint32(&payload, &num_results)) {
     return Truncated("response header");

@@ -15,6 +15,11 @@
 // in op order per key shard) or a ResponseMessage (one OpResult per op, in
 // the same order). request_id correlates the two; responses to different
 // requests may interleave on a pipelined connection.
+//
+// Every payload opens with the wire version (kWireVersion, a varint). There
+// is one version on the wire at a time: a decoder that sees another refuses
+// the message with kFailedPrecondition naming both numbers. Every connection
+// opens with a kClusterInfo handshake that returns the server's ClusterView.
 #ifndef SRC_NET_PROTOCOL_H_
 #define SRC_NET_PROTOCOL_H_
 
@@ -31,6 +36,10 @@
 
 namespace flowkv {
 namespace net {
+
+// The one wire format both peers speak. Bump it with any change to the
+// message layout or the op list.
+constexpr uint32_t kWireVersion = 1;
 
 // Default upper bound on a frame's payload. Large enough for a full write
 // batch or a read chunk (stores default to 4 MiB chunks), small enough to
@@ -91,9 +100,7 @@ enum class OpType : uint32_t {
   // req/s, op latency percentiles, bytes in/out, replication lag, connection
   // table, slow-request log) answered entirely by the reactor as one JSON
   // document in OpResult::stats_json. Distinct from kGatherStats, which
-  // returns one store's StoreStats counters. Servers that predate this op
-  // reject the frame at decode (unknown op type) and drop the connection, so
-  // callers should confirm support via the capability probe below first.
+  // returns one store's StoreStats counters.
   kStats = 16,
   // ----- ETT-driven prefetch (src/net/prefetch.h) -----
   // Client -> server: registers the connection for window-chunk pushes on an
@@ -101,9 +108,8 @@ enum class OpType : uint32_t {
   // read (`window`) and the next estimated trigger time (`timestamp`, an ETT
   // hint — informational; the server's scheduler fires on observed event-time
   // progress). Fans out to every shard so each shard's scheduler starts
-  // shadowing appends for the (connection, store) pair. Gated behind the
-  // kCapPrefetchPush capability probe: servers that predate the op reject the
-  // frame at decode and drop the connection, so clients must probe first.
+  // shadowing appends for the (connection, store) pair. Clients send it only
+  // when the handshake's ClusterView reports prefetch_push.
   kEttRegister = 17,
   // Server -> client ONLY, and never as a request op: one materialized window
   // chunk pushed ahead of the client's read. Appears as an OpResult (type
@@ -120,19 +126,16 @@ enum class OpType : uint32_t {
   // appends, forwarded to a standby like other writes).
   kDropWindow = 19,
   // ----- cluster failover (docs/NETWORK.md "Cluster roles, epochs") -----
-  // Returns the server's cluster view as (name, value) stat_fields:
-  // cluster.epoch, cluster.role (0 primary / 1 standby / 2 fenced),
-  // cluster.lease_ms, cluster.priority, cluster.fenced_rejects. Answered
-  // entirely by the reactor (like kStats) and legal on every role — this is
-  // how clients and flowkv_ctl discover who the primary is after a failover.
-  // Gated behind kCapClusterEpoch: servers that predate the op reject the
-  // frame at decode and drop the connection.
+  // Returns the server's ClusterView (below) as (name, value) stat_fields.
+  // Answered entirely by the reactor (like kStats) and legal on every role.
+  // It is the connect handshake, and how clients, standbys and flowkv_ctl
+  // discover who the primary is after a failover.
   kClusterInfo = 20,
   // Admin op (tools/flowkv_ctl): `path` carries the command — "promote"
   // (bump the epoch durably and atomically flip this server to primary,
   // quiescing in-flight requests first) or "fence" (stop accepting mutating
   // ops until restart; used to neutralize a stale primary in drills). The
-  // answer carries the resulting cluster view like kClusterInfo.
+  // answer carries the resulting ClusterView like kClusterInfo.
   kClusterAdmin = 21,
 };
 
@@ -144,35 +147,33 @@ constexpr uint32_t kMaxOpType = static_cast<uint32_t>(OpType::kClusterAdmin);
 // collide with a pending response.
 constexpr uint64_t kPushRequestId = 0;
 
-// Capability probe: a kGatherStats op addressed to this reserved store id.
-// Servers that understand protocol extensions (trace context, kStats) answer
-// it with OK and a stat_fields entry ("caps.trace_context", 1); older servers
-// resolve the store, find nothing, and answer a per-op InvalidArgument — a
-// harmless negative probe that never drops the connection in either
-// direction. Store ids are dense indices, so the sentinel can never collide
-// with a real store.
-constexpr uint64_t kProbeStoreId = ~0ull;
-constexpr char kCapTraceContext[] = "caps.trace_context";
-// Present (value 1) in the probe answer of servers that understand
-// kEttRegister/kPushChunk/kDropWindow. A client must never send a prefetch
-// op to a server that did not advertise this — old decoders treat the op
-// type as corruption and drop the connection.
-constexpr char kCapPrefetchPush[] = "caps.prefetch_push";
-// Present (value 1) in the probe answer of servers that understand cluster
-// epochs: the kClusterInfo/kClusterAdmin ops, the request epoch extension
-// below, and kFencedOff fencing. The probe answer of such servers also
-// carries the live ("cluster.epoch", N) and ("cluster.role", R) fields so a
-// client adopts the epoch in the same round trip that negotiates it.
-constexpr char kCapClusterEpoch[] = "caps.cluster_epoch";
+// The cluster view a kClusterInfo / kClusterAdmin answer carries, one
+// stat_fields entry per member. Names and role values are wire-stable.
 constexpr char kStatClusterEpoch[] = "cluster.epoch";
 constexpr char kStatClusterRole[] = "cluster.role";
 constexpr char kStatClusterLeaseMs[] = "cluster.lease_ms";
 constexpr char kStatClusterPriority[] = "cluster.priority";
+// 1 when the server pushes closed AAR windows (kEttRegister / kPushChunk /
+// kDropWindow); a client never sends kEttRegister to a server reporting 0.
+constexpr char kCapPrefetchPush[] = "caps.prefetch_push";
 
 // cluster.role values (wire-stable).
 constexpr int64_t kRolePrimary = 0;
 constexpr int64_t kRoleStandby = 1;
 constexpr int64_t kRoleFenced = 2;
+
+struct ClusterView {
+  uint64_t epoch = 0;
+  int64_t role = -1;  // -1 = not reported
+  int64_t lease_ms = 0;
+  int64_t priority = 0;
+  bool prefetch_push = false;
+};
+
+// The stat_fields encoding of a ClusterView, and its inverse. Parsing leaves
+// absent members at their defaults and ignores unknown names.
+std::vector<std::pair<std::string, int64_t>> ClusterViewFields(const ClusterView& view);
+ClusterView ParseClusterView(const std::vector<std::pair<std::string, int64_t>>& fields);
 
 const char* OpTypeName(OpType type);
 
@@ -298,6 +299,9 @@ struct OpResult {
   uint64_t push_seq = 0;                       // kPushChunk: shard sequence
 };
 
+// The request header: every field is on the wire in every request, in this
+// order, right after the wire version. Zero means untraced / not yet
+// learned.
 struct RequestMessage {
   uint64_t request_id = 0;
   // Relative deadline for the whole batch in milliseconds; 0 = none. The
@@ -305,32 +309,19 @@ struct RequestMessage {
   // are still queued when it passes (kTimedOut) instead of executing work
   // the client has already given up on.
   uint32_t deadline_ms = 0;
-  std::vector<OpRequest> ops;
-  // Distributed-tracing context, encoded as an OPTIONAL extension block after
-  // the op list (trace_id, span_id, flags varints) — present iff trace_id is
-  // nonzero (0 = untraced, the wire convention). Decoders that predate the
-  // block reject trailing bytes, so a client must only emit it after the
-  // capability probe above confirms the server understands it; requests
-  // without the block are byte-identical to the pre-extension encoding, so
-  // old clients interoperate with new servers unchanged (tracing off).
+  // The sender's last-seen cluster epoch (0 = none yet). The server fences
+  // mutating batches whose epoch mismatches its own. The primary stamps its
+  // own epoch on every frame of the replication stream.
+  uint64_t epoch = 0;
+  // Set only by the standby's ReplicaPuller loopback client: marks the
+  // replication apply stream, which is exempt from the standby's "no client
+  // writes" fence.
+  bool internal_apply = false;
+  // Distributed-tracing context; trace_id 0 = untraced.
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint32_t trace_flags = 0;
-  // Cluster-epoch fields, carried in a TAGGED extension block that begins
-  // with a 0 varint where the trace block's (nonzero) trace_id would sit —
-  // unambiguous against both the bare encoding and the PR-6 trace block,
-  // and byte-identical to them when epoch == 0 && !internal_apply (the
-  // trace triple is then emitted in its legacy form). Like the trace block
-  // it is only emitted after the kCapClusterEpoch probe, so servers that
-  // predate it never see the tag.
-  //
-  // `epoch`: the client's last-seen cluster epoch (0 = none/legacy). The
-  // server fences mutating batches whose epoch mismatches its own.
-  // `internal_apply`: set only by the standby's ReplicaPuller loopback
-  // client — marks the replication apply stream, which is exempt from the
-  // standby's "no client writes" fence.
-  uint64_t epoch = 0;
-  bool internal_apply = false;
+  std::vector<OpRequest> ops;
 };
 
 struct ResponseMessage {
@@ -360,6 +351,8 @@ Status TryDecodeFrame(Slice* input, Slice* payload, bool* complete,
 
 // ----- Message bodies -----
 
+// The decoders return kFailedPrecondition for a payload of another wire
+// version and kCorruption for a malformed one.
 void EncodeRequest(const RequestMessage& msg, std::string* payload);
 Status DecodeRequest(Slice payload, RequestMessage* msg);
 

@@ -208,72 +208,6 @@ Status ReplicaPuller::SendFrame(int fd, const RequestMessage& msg) {
   return Status::Ok();
 }
 
-Status ReplicaPuller::ProbePrimaryCaps(int fd, std::string* inbuf, bool* epoch_aware) {
-  *epoch_aware = false;
-  RequestMessage probe;
-  probe.request_id = 1;
-  probe.ops.resize(1);
-  probe.ops[0].type = OpType::kGatherStats;
-  probe.ops[0].store_id = kProbeStoreId;
-  FLOWKV_RETURN_IF_ERROR(SendFrame(fd, probe));
-
-  // One response frame, under the socket's 200 ms recv slices; bounded by
-  // the connect timeout so a hung primary fails the cycle instead of
-  // stalling the puller.
-  const int64_t deadline =
-      MonotonicNanos() + static_cast<int64_t>(options_.connect_timeout_ms) * 1'000'000;
-  while (!stop_.load(std::memory_order_acquire)) {
-    Slice input(*inbuf);
-    Slice payload;
-    bool complete = false;
-    const size_t before = input.size();
-    FLOWKV_RETURN_IF_ERROR(
-        TryDecodeFrame(&input, &payload, &complete, options_.max_frame_bytes));
-    if (complete) {
-      ResponseMessage resp;
-      FLOWKV_RETURN_IF_ERROR(DecodeResponse(payload, &resp));
-      inbuf->erase(0, before - input.size());
-      // A legacy primary answers the probe with a per-op error (no caps); a
-      // cluster-aware one lists caps.cluster_epoch among the stat fields.
-      if (!resp.results.empty() && resp.results[0].status.ok()) {
-        for (const auto& field : resp.results[0].stat_fields) {
-          if (field.first == kCapClusterEpoch && field.second != 0) {
-            *epoch_aware = true;
-          } else if (field.first == kStatClusterEpoch) {
-            known_primary_epoch_ = std::max(known_primary_epoch_,
-                                            static_cast<uint64_t>(field.second));
-          }
-        }
-      }
-      return Status::Ok();
-    }
-    if (MonotonicNanos() >= deadline) {
-      return Status::TimedOut("capability probe of primary");
-    }
-    char buf[16 * 1024];
-    size_t to_recv = sizeof(buf);
-    if (NetHooks* hooks = GetNetHooks()) {
-      FLOWKV_RETURN_IF_ERROR(hooks->PreRecv(fd, &to_recv));
-    }
-    const ssize_t n = ::recv(fd, buf, to_recv, 0);
-    if (n > 0) {
-      if (NetHooks* hooks = GetNetHooks()) {
-        hooks->DidRecv(fd, buf, static_cast<size_t>(n));
-      }
-      inbuf->append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      return Status::ConnectionReset("primary closed during probe");
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      continue;
-    }
-    return Status::FromErrno("recv(probe)");
-  }
-  return Status::ConnectionReset("stopped during probe");
-}
-
 void ReplicaPuller::PullOnce() {
   // The loopback client applies shipped state to our own server; keep it
   // across cycles (it reconnects itself if the local server restarts).
@@ -298,33 +232,16 @@ void ReplicaPuller::PullOnce() {
 
   obs::Counter* frames = obs::MetricsRegistry::Global().GetCounter("repl.frames_pulled");
 
-  std::string inbuf;
-  primary_epoch_aware_ = false;
-  {
-    const Status s = ProbePrimaryCaps(fd, &inbuf, &primary_epoch_aware_);
-    if (!s.ok()) {
-      FLOWKV_LOG(kWarn) << "primary capability probe failed "
-                        << LogKv("status", s.ToString());
-      if (NetHooks* hooks = GetNetHooks()) {
-        hooks->DidClose(fd);
-      }
-      ::close(fd);
-      return;
-    }
-  }
-
   // Subscribe. A fresh snapshot is always shipped, so the carried sequence is
-  // informational (logging/metrics on the primary). The epoch is carried only
-  // to an epoch-aware primary: it lets a stale primary fence itself when a
-  // standby from a newer epoch shows up, and tells the primary to echo its
-  // own epoch on kSnapshotDone and heartbeat replies.
+  // informational (logging/metrics on the primary). The carried epoch lets a
+  // stale primary fence itself when a standby from a newer epoch shows up.
   {
     RequestMessage sub;
     sub.request_id = 1;
     sub.ops.resize(1);
     sub.ops[0].type = OpType::kReplicaSubscribe;
     sub.ops[0].timestamp = static_cast<int64_t>(applied_seq());
-    if (primary_epoch_aware_ && options_.local_epoch) {
+    if (options_.local_epoch) {
       sub.epoch = options_.local_epoch();
     }
     if (!SendFrame(fd, sub).ok()) {
@@ -339,6 +256,7 @@ void ReplicaPuller::PullOnce() {
   pending_path_.clear();
   pending_data_.clear();
   snapshot_started_in_cycle_ = false;
+  std::string inbuf;
 
   // Both clocks restart per cycle: the subscribe itself is primary contact.
   last_frame_nanos_ = MonotonicNanos();
@@ -396,7 +314,7 @@ void ReplicaPuller::PullOnce() {
                           << LogKv("lease_ms", options_.lease_ms);
         break;  // Run() decides whether to elect
       }
-      if (primary_epoch_aware_ && now - last_heartbeat_nanos >= heartbeat_nanos) {
+      if (now - last_heartbeat_nanos >= heartbeat_nanos) {
         // request_id 0 marks a heartbeat, not an ack (acks carry seq >= 1);
         // the primary replies with a frame carrying its current epoch.
         if (!SendAck(fd, 0).ok()) {
@@ -437,9 +355,8 @@ void ReplicaPuller::PullOnce() {
 }
 
 Status ReplicaPuller::HandleFrame(int fd, const RequestMessage& frame) {
-  // Every frame from an epoch-aware primary may carry its epoch (always on
-  // kSnapshotDone and heartbeat replies); remember the newest so an election
-  // can never pick an epoch the old primary already used.
+  // Every frame from the primary carries its epoch; remember the newest so
+  // an election can never pick an epoch the old primary already used.
   if (frame.epoch > known_primary_epoch_) {
     known_primary_epoch_ = frame.epoch;
   }
@@ -617,7 +534,7 @@ Status ReplicaPuller::SendAck(int fd, uint64_t seq) {
 // Election
 // ---------------------------------------------------------------------------
 
-bool ReplicaPuller::PollPeer(const Endpoint& ep, uint64_t* epoch, int64_t* role) {
+bool ReplicaPuller::PollPeer(const Endpoint& ep, ClusterView* view) {
   ClientOptions co;
   co.host = ep.host;
   co.port = ep.port;
@@ -628,24 +545,13 @@ bool ReplicaPuller::PollPeer(const Endpoint& ep, uint64_t* epoch, int64_t* role)
   co.max_retries = 0;
   co.max_reconnect_attempts = 1;
   co.jitter_seed = options_.jitter_seed != 0 ? options_.jitter_seed : 1;
+  // The connect handshake carries the peer's view: one round trip.
   std::unique_ptr<Client> peer;
   if (!Client::Connect(co, &peer).ok()) {
     return false;
   }
-  std::vector<std::pair<std::string, int64_t>> fields;
-  if (!peer->ClusterInfo(&fields).ok()) {
-    return false;
-  }
-  *epoch = 0;
-  *role = -1;
-  for (const auto& field : fields) {
-    if (field.first == kStatClusterEpoch) {
-      *epoch = static_cast<uint64_t>(field.second);
-    } else if (field.first == kStatClusterRole) {
-      *role = field.second;
-    }
-  }
-  return *epoch != 0;
+  *view = peer->handshake_view();
+  return view->epoch != 0;
 }
 
 bool ReplicaPuller::RunElection() {
@@ -662,14 +568,13 @@ bool ReplicaPuller::RunElection() {
       if (stop_.load(std::memory_order_acquire)) {
         return;
       }
-      uint64_t epoch = 0;
-      int64_t role = -1;
-      if (!PollPeer(ep, &epoch, &role)) {
+      ClusterView view;
+      if (!PollPeer(ep, &view)) {
         continue;
       }
-      *newest = std::max(*newest, epoch);
-      if (role == kRolePrimary && epoch > *primary_epoch) {
-        *primary_epoch = epoch;
+      *newest = std::max(*newest, view.epoch);
+      if (view.role == kRolePrimary && view.epoch > *primary_epoch) {
+        *primary_epoch = view.epoch;
         *primary_ep = ep;
       }
     }

@@ -12,7 +12,8 @@
 //
 // On subscribe the primary runs a barrier checkpoint of every store shard,
 // ships the staged files, then forwards every mutating op it dispatches, in
-// dispatch order, tagged with a dense sequence. Replication is synchronous:
+// dispatch order, tagged with a dense sequence. Every frame the primary sends
+// carries its cluster epoch in the request header. Replication is synchronous:
 // the primary parks a client's response until the standby acked the sequence
 // that carried its ops, so an acknowledged write is never lost by failing
 // over (see docs/NETWORK.md for the exact delivery semantics per op).
@@ -29,7 +30,7 @@
 // (ResponseMessage with request_id 0; the primary echoes its epoch back), so
 // a healthy but idle primary keeps producing frames. When no frame arrives
 // for lease_ms — stream silence, failed dials, anything — the puller runs an
-// election: poll every peer's kClusterInfo; if a live primary holds an epoch
+// election: poll every peer's cluster view; if a live primary holds an epoch
 // at least as new as anything we have seen, follow it; otherwise wait out a
 // priority stagger (higher priority waits less), re-poll, and self-promote
 // through the `promote` hook with epoch max(seen)+1. Only a standby that has
@@ -91,7 +92,7 @@ struct ReplicaOptions {
   // disables failover: the puller just re-subscribes forever.
   int lease_ms = 0;
   // Heartbeat send interval while subscribed; 0 derives lease_ms / 3
-  // (min 50 ms). Heartbeats are only sent to epoch-aware primaries.
+  // (min 50 ms).
   int heartbeat_ms = 0;
   // This standby's promotion priority, 0–10: the election stagger is
   // (10 - priority) * promotion_stagger_ms plus jitter, so the
@@ -142,12 +143,6 @@ class ReplicaPuller {
   Status DialPrimary(int* fd);
   // Encodes and writes one request frame to the raw primary socket.
   Status SendFrame(int fd, const RequestMessage& msg);
-  // Capability probe on the raw primary socket (before subscribing): learns
-  // whether the primary speaks the cluster-epoch protocol — only then may
-  // the subscribe carry our epoch and heartbeats flow (a legacy primary
-  // would drop the extension block / misread a request_id-0 ack). Residual
-  // bytes stay in *inbuf for the stream loop.
-  Status ProbePrimaryCaps(int fd, std::string* inbuf, bool* epoch_aware);
   Status HandleFrame(int fd, const RequestMessage& frame);
   Status ApplySnapshotChunk(const OpRequest& op);
   Status FinishSnapshot();
@@ -160,9 +155,9 @@ class ReplicaPuller {
   // Lease expired: poll peers, follow a fresh live primary (retargets
   // options_.primary_*, returns false) or self-promote (returns true).
   bool RunElection();
-  // Polls one endpoint's kClusterInfo on a short-lived client; false when
-  // unreachable or not cluster-aware.
-  bool PollPeer(const Endpoint& ep, uint64_t* epoch, int64_t* role);
+  // Reads one endpoint's cluster view through the handshake of a
+  // short-lived client; false when unreachable.
+  bool PollPeer(const Endpoint& ep, ClusterView* view);
 
   // INVARIANT(thread-contract): the four atomics below are the only fields
   // shared between the puller thread and its controller — stop_ is the
@@ -184,7 +179,6 @@ class ReplicaPuller {
   // any primary frame or peer poll has carried.
   int64_t last_frame_nanos_ = 0;
   uint64_t known_primary_epoch_ = 0;
-  bool primary_epoch_aware_ = false;  // per-cycle, from the probe
   Random backoff_rng_;  // seeded in Start()
 
   // Loopback client to the standby's own server (puller thread only).

@@ -487,8 +487,9 @@ class Server::Impl {
 
   void HandleReplicaSubscribe(Reactor& r, Connection* conn, uint64_t standby_epoch);
   Status ShipSnapshot(Reactor& r) EXCLUDES(repl_mu_);
+  // Stamps this server's epoch on `message` and sends it to the replica.
   // Sequence assignment and the send stay ordered under the caller's lock.
-  bool SendReplicaFrame(Reactor& r, const RequestMessage& message) REQUIRES(repl_mu_);
+  bool SendReplicaFrame(Reactor& r, RequestMessage* message) REQUIRES(repl_mu_);
   void HandleReplicaAck(Reactor& r, uint64_t seq) EXCLUDES(repl_mu_);
   ReplicaDropActions DropReplicaLocked(const std::string& reason) REQUIRES(repl_mu_);
   void ApplyReplicaDrop(ReplicaDropActions actions) EXCLUDES(repl_mu_);
@@ -512,6 +513,8 @@ class Server::Impl {
   // persisting an epoch merely *observed* from a newer peer would let a
   // restart claim that epoch and split-brain against the real primary.
   void FenceInternal(const std::string& reason);
+  // This server's answer to kClusterInfo (and to a successful kClusterAdmin).
+  ClusterView CurrentClusterView() const;
   Status PersistClusterEpoch(uint64_t epoch) REQUIRES(cluster_mu_);
   Status LoadClusterEpoch();
   // Drops the attach gate and replays deferred requests; `r` as in
@@ -638,10 +641,6 @@ class Server::Impl {
   // first one. Heartbeats deliberately do NOT feed repl_last_progress_nanos_:
   // a live-but-stalled standby must still trip the ack timeout.
   int64_t repl_last_heartbeat_nanos_ GUARDED_BY(repl_mu_) = 0;
-  // The subscriber sent a nonzero epoch in its kReplicaSubscribe, so it
-  // understands the tagged extension block; the primary then stamps its
-  // epoch on kSnapshotDone and heartbeat replies for the standby to adopt.
-  bool replica_epoch_aware_ GUARDED_BY(repl_mu_) = false;
   // Lock-free mirrors for the hot-path subscribed/attach checks.
   std::atomic<uint64_t> replica_conn_id_atomic_{0};
   std::atomic<bool> repl_attach_{false};
@@ -722,7 +721,7 @@ Status Server::Impl::Init(const ServerOptions& options) {
     // of the per-shard execution metrics.
     obs::WorkerScope worker_scope(s);
     shard_state_[s].shed_deadline = reg.GetCounter("server.shed_deadline");
-    if (options_.enable_prefetch_push && !options_.emulate_legacy_proto) {
+    if (options_.enable_prefetch_push) {
       PrefetchShardMetrics& pm = shard_state_[s].prefetch_metrics;
       pm.registrations = reg.GetCounter("server.prefetch_registrations");
       pm.fired = reg.GetCounter("server.prefetch_fired");
@@ -1349,25 +1348,13 @@ bool Server::Impl::ProcessBufferedFrames(Reactor& r, uint64_t conn_id) {
     if (!decode_status.ok()) {
       conn->Consume(frame_bytes);
       r.metrics.protocol_errors->Add(1);
+      if (decode_status.IsFailedPrecondition()) {
+        // A peer of another wire version (the status names both numbers).
+        FLOWKV_LOG(kWarn) << "dropping connection " << LogKv("conn", conn_id)
+                          << LogKv("status", decode_status.ToString());
+      }
       CloseConnLocal(r, conn_id);
       return false;
-    }
-    if (options_.emulate_legacy_proto) {
-      // A pre-extension decoder rejects the trace block (trailing bytes) and
-      // any op type past its own kMaxOpType (kStats and everything newer —
-      // kEttRegister, kPushChunk, kDropWindow) as corruption and drops the
-      // connection; reproduce that exactly.
-      bool unknown_to_legacy =
-          request.trace_id != 0 || request.epoch != 0 || request.internal_apply;
-      for (const OpRequest& op : request.ops) {
-        if (op.type >= OpType::kStats) unknown_to_legacy = true;
-      }
-      if (unknown_to_legacy) {
-        conn->Consume(frame_bytes);
-        r.metrics.protocol_errors->Add(1);
-        CloseConnLocal(r, conn_id);
-        return false;
-      }
     }
     bool consume_before_dispatch =
         request.ops.size() == 1 && request.ops[0].type == OpType::kReplicaSubscribe;
@@ -1425,7 +1412,7 @@ void Server::Impl::CloseConnLocal(Reactor& r, uint64_t conn_id) {
     // DropReplica zeroes the id before closing, so this does not recurse.
     DropReplica("connection closed");
   }
-  if (options_.enable_prefetch_push && !options_.emulate_legacy_proto) {
+  if (options_.enable_prefetch_push) {
     // Push subscriptions die with the connection. This reactor's shards
     // unregister inline; the rest get a best-effort task (a reactor already
     // closed is shutting down and its schedulers die with it).
@@ -1574,16 +1561,10 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
     }
 
     if (op.type == OpType::kClusterInfo) {
-      // Cluster view: legal on every role (it is how clients and standbys
-      // find the primary), answered inline like kStats.
+      // The connect handshake: legal on every role (it is how clients and
+      // standbys find the primary), answered inline like kStats.
       result.status = Status::Ok();
-      result.stat_fields.emplace_back(
-          kStatClusterEpoch,
-          static_cast<int64_t>(cluster_epoch_.load(std::memory_order_acquire)));
-      result.stat_fields.emplace_back(kStatClusterRole,
-                                      cluster_role_.load(std::memory_order_acquire));
-      result.stat_fields.emplace_back(kStatClusterLeaseMs, options_.lease_ms);
-      result.stat_fields.emplace_back(kStatClusterPriority, options_.promotion_priority);
+      result.stat_fields = ClusterViewFields(CurrentClusterView());
       continue;
     }
 
@@ -1603,11 +1584,7 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
         result.status = Status::InvalidArgument("unknown cluster admin command: " + op.path);
       }
       if (result.status.ok()) {
-        result.stat_fields.emplace_back(
-            kStatClusterEpoch,
-            static_cast<int64_t>(cluster_epoch_.load(std::memory_order_acquire)));
-        result.stat_fields.emplace_back(kStatClusterRole,
-                                        cluster_role_.load(std::memory_order_acquire));
+        result.stat_fields = ClusterViewFields(CurrentClusterView());
       }
       continue;
     }
@@ -1699,27 +1676,6 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
       for (int shard = 0; shard < options_.num_shards; ++shard) {
         shard_items[static_cast<size_t>(shard)].push_back({i, store});
       }
-      continue;
-    }
-
-    if (op.type == OpType::kGatherStats && op.store_id == kProbeStoreId &&
-        !options_.emulate_legacy_proto) {
-      // Capability probe (protocol.h): an old server falls through to the
-      // unknown-store-id error below; answering OK here tells the client
-      // which protocol extensions are safe to use on this connection.
-      result.status = Status::Ok();
-      result.stat_fields.emplace_back(kCapTraceContext, 1);
-      if (options_.enable_prefetch_push) {
-        result.stat_fields.emplace_back(kCapPrefetchPush, 1);
-      }
-      // Epoch-fencing support, plus the current view so a probing client
-      // adopts the epoch in the same round trip.
-      result.stat_fields.emplace_back(kCapClusterEpoch, 1);
-      result.stat_fields.emplace_back(
-          kStatClusterEpoch,
-          static_cast<int64_t>(cluster_epoch_.load(std::memory_order_acquire)));
-      result.stat_fields.emplace_back(kStatClusterRole,
-                                      cluster_role_.load(std::memory_order_acquire));
       continue;
     }
 
@@ -1879,7 +1835,7 @@ void Server::Impl::DispatchReplicated(Reactor& r,
         // it (synchronous replication).
         fwd.request_id = repl_next_seq_++;
         pending->repl_seq = fwd.request_id;
-        if (!SendReplicaFrame(r, fwd)) {
+        if (!SendReplicaFrame(r, &fwd)) {
           pending->repl_seq = 0;  // replica just dropped; proceed unreplicated
           drop = DropReplicaLocked("send failed");
           dropped = true;
@@ -2570,12 +2526,10 @@ std::string Server::Impl::BuildStatsJson() {
             ? static_cast<double>(now - repl_last_heartbeat_nanos_) / 1e6
             : -1.0;
     add("\"replication\":{\"subscribed\":%s,\"next_seq\":%llu,\"acked_seq\":%llu,"
-        "\"lag\":%llu,\"parked\":%llu,\"heartbeat_age_ms\":%.1f,"
-        "\"standby_epoch_aware\":%s},",
+        "\"lag\":%llu,\"parked\":%llu,\"heartbeat_age_ms\":%.1f},",
         subscribed ? "true" : "false", static_cast<unsigned long long>(repl_next_seq_),
         static_cast<unsigned long long>(repl_acked_seq_), lag,
-        static_cast<unsigned long long>(parked_.size()), heartbeat_age_ms,
-        replica_epoch_aware_ ? "true" : "false");
+        static_cast<unsigned long long>(parked_.size()), heartbeat_age_ms);
   }
 
   {
@@ -2753,7 +2707,6 @@ void Server::Impl::HandleReplicaSubscribe(Reactor& r, Connection* conn,
     replica_reactor_ = r.index;
     repl_last_progress_nanos_ = MonotonicNanos();
     repl_last_heartbeat_nanos_ = 0;
-    replica_epoch_aware_ = standby_epoch != 0;
     replica_conn_id_atomic_.store(conn_id, std::memory_order_release);
   }
   FLOWKV_LOG(kInfo) << "replica subscribed " << LogKv("conn", conn_id)
@@ -2838,7 +2791,7 @@ Status Server::Impl::ShipSnapshot(Reactor& r) {
           return Status::ConnectionReset("replica went away mid-snapshot");
         }
         m.request_id = repl_next_seq_++;
-        if (!SendReplicaFrame(r, m)) {
+        if (!SendReplicaFrame(r, &m)) {
           return Status::ConnectionReset("replica went away mid-snapshot");
         }
       }
@@ -2855,14 +2808,8 @@ Status Server::Impl::ShipSnapshot(Reactor& r) {
     if (replica_conn_id_ == 0) {
       return Status::ConnectionReset("replica went away mid-snapshot");
     }
-    if (replica_epoch_aware_) {
-      // The standby adopts the primary's epoch from here (and from every
-      // heartbeat reply after), so a freshly promoted primary's followers
-      // converge without re-subscribing.
-      done.epoch = cluster_epoch_.load(std::memory_order_acquire);
-    }
     done.request_id = repl_next_seq_++;
-    if (!SendReplicaFrame(r, done)) {
+    if (!SendReplicaFrame(r, &done)) {
       return Status::ConnectionReset("replica went away mid-snapshot");
     }
   }
@@ -2871,10 +2818,14 @@ Status Server::Impl::ShipSnapshot(Reactor& r) {
   return Status::Ok();
 }
 
-bool Server::Impl::SendReplicaFrame(Reactor& r, const RequestMessage& message) {
+bool Server::Impl::SendReplicaFrame(Reactor& r, RequestMessage* message) {
   (void)r;
+  // Every frame carries the primary's epoch: the standby adopts it from the
+  // first snapshot chunk on, so an election there never reuses an epoch
+  // this primary already held.
+  message->epoch = cluster_epoch_.load(std::memory_order_acquire);
   std::string payload;
-  EncodeRequest(message, &payload);
+  EncodeRequest(*message, &payload);
   char header[kFrameHeaderBytes];
   EncodeFrameHeader(Slice(payload), header);
 
@@ -2923,7 +2874,6 @@ void Server::Impl::HandleReplicaAck(Reactor& r, uint64_t seq) {
 void Server::Impl::HandleReplicaHeartbeat(Reactor& r) {
   RequestMessage beat;
   beat.request_id = 0;  // heartbeat replies never consume a replication seq
-  beat.epoch = cluster_epoch_.load(std::memory_order_acquire);
   OpRequest op;
   op.type = OpType::kPing;
   beat.ops.push_back(std::move(op));
@@ -2932,12 +2882,7 @@ void Server::Impl::HandleReplicaHeartbeat(Reactor& r) {
     return;
   }
   repl_last_heartbeat_nanos_ = MonotonicNanos();
-  if (!replica_epoch_aware_) {
-    // A pre-epoch standby never sends heartbeats; if one somehow arrives,
-    // answering with a tagged frame would be worse than staying quiet.
-    return;
-  }
-  if (!SendReplicaFrame(r, beat)) {
+  if (!SendReplicaFrame(r, &beat)) {
     // The regular drop paths (ack timeout, close) handle the dead conn.
     FLOWKV_LOG(kWarn) << "heartbeat reply send failed";
   }
@@ -3059,6 +3004,16 @@ Status Server::Impl::LoadClusterEpoch() {
 Status Server::Impl::PersistClusterEpoch(uint64_t epoch) {
   return WriteFileDurably(JoinPath(options_.data_dir, kClusterEpochFileName),
                           std::to_string(epoch));
+}
+
+ClusterView Server::Impl::CurrentClusterView() const {
+  ClusterView view;
+  view.epoch = cluster_epoch_.load(std::memory_order_acquire);
+  view.role = cluster_role_.load(std::memory_order_acquire);
+  view.lease_ms = options_.lease_ms;
+  view.priority = options_.promotion_priority;
+  view.prefetch_push = options_.enable_prefetch_push;
+  return view;
 }
 
 void Server::Impl::FenceInternal(const std::string& reason) {
@@ -3337,7 +3292,7 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
         break;
       }
       // Disabled prefetch (null scheduler) still answers OK: the register is
-      // a hint, and clients only send it after the capability probe anyway.
+      // a hint, and clients only send it when the handshake reports push.
       if (sched != nullptr) {
         sched->Register(conn_id, store->id);
       }

@@ -96,21 +96,14 @@ struct ServerOptions {
   // ETT-driven prefetch push (docs/NETWORK.md, "Prefetch push"): a client
   // that registers interest in an AAR store (kEttRegister) gets each closed
   // window's chunk pushed (kPushChunk) before it asks, turning the trigger
-  // read into a client-memory hit. Off = the capability probe omits
-  // caps.prefetch_push and kEttRegister becomes a no-op, so clients fall
-  // back to ordinary remote reads.
+  // read into a client-memory hit. Off = the connect handshake reports no
+  // push and kEttRegister becomes a no-op, so clients fall back to ordinary
+  // remote reads.
   bool enable_prefetch_push = true;
   // Per-shard budget for the shadow copies the push scheduler keeps; a
   // window that would exceed it is abandoned (counted) and served by the
   // normal read path instead of being pushed.
   size_t prefetch_shadow_bytes = 8u << 20;
-
-  // Test-only: behave byte-for-byte like a server that predates the protocol
-  // extensions — drop connections that send a trace-context block or a kStats
-  // op, and answer the capability probe with the legacy per-op error. Lets
-  // compatibility tests exercise a new client against old-server semantics
-  // without keeping an old binary around.
-  bool emulate_legacy_proto = false;
 
   // ----- cluster role and epochs (docs/NETWORK.md "Cluster roles") -----
 

@@ -16,6 +16,8 @@
 //     self-promotes (ReplicaPuller election), clients converge, and a
 //     NEXMark query that loses its primary mid-run still matches the
 //     embedded reference exactly (zero acked-write loss);
+//   - a standby learns its primary's epoch from the replication stream, so
+//     its election never reuses an epoch the dead primary held;
 //   - a standby killed and restarted mid-run re-subscribes, receives a
 //     fresh snapshot, and carries every acked write;
 //   - a crash at ANY fsync of the promotion's epoch commit never regresses
@@ -43,6 +45,7 @@
 #include "src/net/server.h"
 #include "src/nexmark/generator.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/metrics.h"
 #include "src/spe/job_runner.h"
 
 namespace flowkv {
@@ -123,16 +126,6 @@ RunOutcome RunQuery(const std::string& query, StateBackendFactory* factory,
   outcome.results = collector->results;
   std::sort(outcome.results.begin(), outcome.results.end());
   return outcome;
-}
-
-int64_t Field(const std::vector<std::pair<std::string, int64_t>>& fields,
-              const std::string& name) {
-  for (const auto& [key, value] : fields) {
-    if (key == name) {
-      return value;
-    }
-  }
-  return -1;
 }
 
 bool WaitFor(const std::function<bool()>& pred, int timeout_ms) {
@@ -227,16 +220,15 @@ TEST(ClusterEpochTest, StandbyFencesClientWritesUntilPromoted) {
   Status st = client->OpenStore("cluster.sf.h0", RmwSpec("sf"), &handle, &pattern);
   EXPECT_TRUE(st.IsFencedOff()) << st.ToString();
 
-  // The cluster view is legal on every role.
-  std::vector<std::pair<std::string, int64_t>> fields;
-  ASSERT_TRUE(client->ClusterInfo(&fields).ok());
-  EXPECT_EQ(Field(fields, net::kStatClusterRole), net::kRoleStandby);
-  EXPECT_EQ(Field(fields, net::kStatClusterEpoch), 1);
+  // The cluster view is legal on every role: the handshake got an answer.
+  EXPECT_EQ(client->handshake_view().role, net::kRoleStandby);
+  EXPECT_EQ(client->handshake_view().epoch, 1u);
+  net::ClusterView view;
 
   // Promote over the wire (target_epoch 0 = current + 1): writes flow.
-  ASSERT_TRUE(client->ClusterAdmin("promote", 0, &fields).ok());
-  EXPECT_EQ(Field(fields, net::kStatClusterRole), net::kRolePrimary);
-  EXPECT_EQ(Field(fields, net::kStatClusterEpoch), 2);
+  ASSERT_TRUE(client->ClusterAdmin("promote", 0, &view).ok());
+  EXPECT_EQ(view.role, net::kRolePrimary);
+  EXPECT_EQ(view.epoch, 2u);
   ASSERT_TRUE(client->OpenStore("cluster.sf.h0", RmwSpec("sf"), &handle, &pattern).ok());
   ASSERT_TRUE(client->RmwPut(handle, "k0", w, "v0").ok());
   ASSERT_TRUE(client->Flush().ok());
@@ -248,8 +240,8 @@ TEST(ClusterEpochTest, StandbyFencesClientWritesUntilPromoted) {
   EXPECT_FALSE(client->ClusterAdmin("promote", 2, nullptr).ok());
 
   // An admin fence neutralizes the server again.
-  ASSERT_TRUE(client->ClusterAdmin("fence", 0, &fields).ok());
-  EXPECT_EQ(Field(fields, net::kStatClusterRole), net::kRoleFenced);
+  ASSERT_TRUE(client->ClusterAdmin("fence", 0, &view).ok());
+  EXPECT_EQ(view.role, net::kRoleFenced);
   st = client->RmwPut(handle, "k1", w, "v1");
   if (st.ok()) {
     st = client->Flush();
@@ -292,7 +284,7 @@ TEST(ClusterEpochTest, HigherEpochClientFencesStalePrimary) {
   copts.jitter_seed = 7;
   std::unique_ptr<net::Client> client;
   ASSERT_TRUE(net::Client::Connect(copts, &client).ok());
-  EXPECT_EQ(client->cluster_epoch(), 2u) << "client did not adopt the probe epoch";
+  EXPECT_EQ(client->cluster_epoch(), 2u) << "client did not adopt the handshake epoch";
 
   const Window w(0, 1000);
   uint64_t handle = 0;
@@ -521,6 +513,73 @@ TEST_F(NetClusterTest, KilledPrimaryTriggersSelfPromotionAndFencesRevival) {
   late.reset();
   client.reset();
   revived->Stop();
+}
+
+// The standby learns its primary's epoch from the replication stream alone:
+// the primary holds epoch 5 before the standby (local epoch 1) attaches and
+// dies as soon as the snapshot is applied, so only stream frames (snapshot
+// chunks, kSnapshotDone, heartbeat replies) can have carried the 5. The
+// election must then pick 6, never 2 — an epoch the dead primary's clients
+// may have been stamped with is never reused.
+TEST_F(NetClusterTest, StandbyAdoptsPrimaryEpochFromReplicationStream) {
+  ASSERT_TRUE(primary_->Promote(5).ok());
+  StartPuller(/*failover=*/true);
+  EXPECT_EQ(standby_->cluster_epoch(), 1u);
+  primary_->Stop();
+  ASSERT_TRUE(WaitFor([&] { return puller_->promoted(); }, 20'000))
+      << "standby never promoted itself";
+  EXPECT_EQ(standby_->cluster_role(), net::kRolePrimary);
+  EXPECT_EQ(standby_->cluster_epoch(), 6u);
+}
+
+// A cluster-view refresh handshakes every endpoint, a lagging standby too,
+// and must leave it a standby. The client adopted epoch 2 from the primary
+// on the way; the standby's own epoch is still 1, and a server fences on any
+// higher stamped epoch, so only an unstamped handshake keeps it healthy.
+// Endpoint order [fenced server, primary, standby] makes the refresh adopt 2
+// before it reaches the standby. The standby must then still self-promote
+// (to 3) once the primary dies.
+TEST_F(NetClusterTest, RefreshHandshakeNeverFencesALaggingStandby) {
+  ASSERT_TRUE(primary_->Promote(2).ok());
+  StartPuller(/*failover=*/true);
+  ASSERT_EQ(standby_->cluster_epoch(), 1u);
+
+  net::ServerOptions fopts;
+  fopts.num_shards = 2;
+  fopts.data_dir = JoinPath(dir_, "fenced_data");
+  fopts.checkpoint_dir = JoinPath(dir_, "fenced_ckpt");
+  std::unique_ptr<net::Server> fenced;
+  ASSERT_TRUE(net::Server::Start(fopts, &fenced).ok());
+  fenced->Fence();
+
+  net::ClientOptions copts = ClusterClientOptions();
+  copts.port = fenced->port();
+  copts.standbys = {{"127.0.0.1", primary_->port()}, {"127.0.0.1", standby_->port()}};
+  std::unique_ptr<net::Client> client;
+  ASSERT_TRUE(net::Client::Connect(copts, &client).ok());
+  EXPECT_EQ(client->cluster_epoch(), 1u);
+
+  // The fenced server refuses the open, the refresh walks all three
+  // endpoints, and the open lands on the epoch-2 primary.
+  const int64_t refreshes_before =
+      obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Value();
+  uint64_t handle = 0;
+  StorePattern pattern;
+  ASSERT_TRUE(client->OpenStore("cluster.rf.h0", RmwSpec("rf"), &handle, &pattern).ok());
+  EXPECT_GT(obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Value(),
+            refreshes_before);
+  EXPECT_EQ(client->cluster_epoch(), 2u);
+  EXPECT_EQ(client->handshake_view().role, net::kRolePrimary);
+  EXPECT_EQ(standby_->cluster_role(), net::kRoleStandby)
+      << "the refresh handshake fenced the standby";
+
+  client.reset();
+  fenced->Stop();
+  primary_->Stop();
+  ASSERT_TRUE(WaitFor([&] { return puller_->promoted(); }, 20'000))
+      << "standby never promoted itself";
+  EXPECT_EQ(standby_->cluster_role(), net::kRolePrimary);
+  EXPECT_EQ(standby_->cluster_epoch(), 3u);
 }
 
 // Satellite: kill and restart the standby in the middle of a NEXMark run.

@@ -2,8 +2,9 @@
 // 127.0.0.1 exercised through the blocking client across all three store
 // patterns, multi-shard window drains, write batching, reads carrying the
 // pending writes, server-side metrics, error passthrough, timeouts,
-// oversized-frame protection, server pushes read inline ahead of a response
-// (scripted peers), and the graceful drain → checkpoint → restart → resume
+// oversized-frame protection, refusal of a foreign wire version on both
+// sides, server pushes read inline ahead of a response (scripted peers), and
+// the graceful drain → checkpoint → restart → resume
 // cycle (no acknowledged state lost).
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/common/env.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
@@ -487,6 +489,62 @@ TEST_F(NetLoopbackTest, OversizedFrameDropsConnection) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
+// `payload` (an encoded message) relabelled with another wire version.
+std::string WithWireVersion(const std::string& payload, uint32_t version) {
+  Slice rest(payload);
+  uint32_t ours = 0;
+  EXPECT_TRUE(GetVarint32(&rest, &ours));
+  std::string out;
+  PutVarint32(&out, version);
+  out.append(rest.data(), rest.size());
+  return out;
+}
+
+int64_t ProtocolErrors(Client* client) {
+  std::string json;
+  EXPECT_TRUE(client->Stats(&json).ok());
+  tools::JsonValue doc;
+  EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
+  const tools::JsonValue* server = doc.Get("server");
+  return server != nullptr ? static_cast<int64_t>(server->Num("protocol_errors")) : -1;
+}
+
+TEST_F(NetLoopbackTest, ForeignWireVersionRequestIsRefused) {
+  auto bystander = MakeClient();
+  const int64_t errors_before = ProtocolErrors(bystander.get());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // A well-framed ping whose header names the next wire version.
+  RequestMessage ping;
+  ping.request_id = 1;
+  ping.ops.resize(1);
+  std::string payload;
+  EncodeRequest(ping, &payload);
+  std::string frame;
+  AppendFrame(&frame, WithWireVersion(payload, kWireVersion + 1));
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+
+  // The server closes the connection without answering.
+  char buf[16];
+  const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);  // blocks until close
+  EXPECT_EQ(n, 0);
+  ::close(fd);
+
+  // Counted once, and a client of this version on the same server is still
+  // served.
+  EXPECT_EQ(ProtocolErrors(bystander.get()), errors_before + 1);
+  EXPECT_TRUE(bystander->Ping().ok());
+}
+
 // Blocking-socket helpers for the fake servers below.
 bool ReadOneRequest(int fd, RequestMessage* request) {
   std::string buf;
@@ -524,6 +582,27 @@ void WriteOkResponse(int fd, const RequestMessage& request) {
   WriteResponse(fd, response);
 }
 
+// Reads the client's kClusterInfo handshake and answers it as an epoch-1
+// primary, reporting prefetch push when `push`.
+bool AnswerHandshake(int fd, bool push) {
+  RequestMessage handshake;
+  if (!ReadOneRequest(fd, &handshake) || handshake.ops.size() != 1 ||
+      handshake.ops[0].type != OpType::kClusterInfo) {
+    return false;
+  }
+  ClusterView view;
+  view.epoch = 1;
+  view.role = kRolePrimary;
+  view.prefetch_push = push;
+  ResponseMessage response;
+  response.request_id = handshake.request_id;
+  response.results.resize(1);
+  response.results[0].type = OpType::kClusterInfo;
+  response.results[0].stat_fields = ClusterViewFields(view);
+  WriteResponse(fd, response);
+  return true;
+}
+
 TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) {
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
@@ -543,12 +622,10 @@ TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) 
   std::thread fake([listen_fd, &stale_sent] {
     const int c1 = ::accept(listen_fd, nullptr, nullptr);
     if (c1 < 0) return;
-    // The client probes capabilities on every fresh connection; answer the
-    // probe promptly so Connect() succeeds, then delay the reply to the
-    // test's Ping until long after the client gave up on it.
-    RequestMessage probe1;
-    if (ReadOneRequest(c1, &probe1)) {
-      WriteOkResponse(c1, probe1);
+    // The client handshakes on every fresh connection; answer the handshake
+    // promptly so Connect() succeeds, then delay the reply to the test's
+    // Ping until long after the client gave up on it.
+    if (AnswerHandshake(c1, /*push=*/false)) {
       RequestMessage req1;
       if (ReadOneRequest(c1, &req1)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(600));
@@ -562,11 +639,10 @@ TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) 
     if (::poll(&pfd, 1, 10'000) > 0) {
       const int c2 = ::accept(listen_fd, nullptr, nullptr);
       if (c2 >= 0) {
-        // Exactly two requests arrive here: the capability probe (caps are
-        // re-learned on every fresh connection) and the retried Ping.
-        for (int i = 0; i < 2; ++i) {
-          RequestMessage req2;
-          if (!ReadOneRequest(c2, &req2)) break;
+        // Exactly two requests arrive here: the handshake (every fresh
+        // connection opens with one) and the retried Ping.
+        RequestMessage req2;
+        if (AnswerHandshake(c2, /*push=*/false) && ReadOneRequest(c2, &req2)) {
           WriteOkResponse(c2, req2);
         }
         ::close(c2);
@@ -597,21 +673,6 @@ TEST(NetClientStaleFrameTest, LateResponseAfterTimeoutDoesNotPoisonNextRequest) 
 }
 
 // ----- scripted peers: server pushes read inline ahead of a response -----
-
-// Reads the capability probe and answers it advertising prefetch push.
-bool AnswerProbeWithPush(int fd) {
-  RequestMessage probe;
-  if (!ReadOneRequest(fd, &probe)) {
-    return false;
-  }
-  ResponseMessage response;
-  response.request_id = probe.request_id;
-  response.results.resize(1);
-  response.results[0].type = OpType::kGatherStats;
-  response.results[0].stat_fields = {{kCapPrefetchPush, 1}};
-  WriteResponse(fd, response);
-  return true;
-}
 
 // An unsolicited push frame carrying `results` kPushChunk results.
 ResponseMessage PushFrame(uint64_t store_id, int results) {
@@ -661,12 +722,14 @@ class ScriptedPeer {
     }
   }
 
-  // Accepts the next connection within 10 s (-1 on timeout), so a client
-  // that never connects fails the test instead of hanging it.
-  int Accept() {
+  // Accepts the next connection within `timeout_ms` (-1 on timeout), so a
+  // client that never connects fails the test instead of hanging it.
+  int Accept(int timeout_ms = 10'000) {
     pollfd pfd = {listen_fd_, POLLIN, 0};
-    return ::poll(&pfd, 1, 10'000) > 0 ? ::accept(listen_fd_, nullptr, nullptr) : -1;
+    return ::poll(&pfd, 1, timeout_ms) > 0 ? ::accept(listen_fd_, nullptr, nullptr) : -1;
   }
+
+  int port() const { return port_; }
 
   std::unique_ptr<Client> ConnectPushClient() {
     ClientOptions copts;
@@ -692,7 +755,7 @@ TEST(NetClientPushDemuxTest, PushForUnknownStoreAheadOfResponseIsSkipped) {
   ScriptedPeer peer([&answered](ScriptedPeer* p) {
     const int fd = p->Accept();
     if (fd < 0) return;
-    if (AnswerProbeWithPush(fd)) {
+    if (AnswerHandshake(fd, /*push=*/true)) {
       for (int i = 0; i < 2; ++i) {
         RequestMessage ping;
         if (!ReadOneRequest(fd, &ping)) break;
@@ -723,11 +786,11 @@ TEST(NetClientPushDemuxTest, MalformedPushIsRetriedOnAFreshConnection) {
     const int first = p->Accept();
     if (first < 0) return;
     RequestMessage ping;
-    if (AnswerProbeWithPush(first) && ReadOneRequest(first, &ping)) {
+    if (AnswerHandshake(first, /*push=*/true) && ReadOneRequest(first, &ping)) {
       WriteResponse(first, PushFrame(/*store_id=*/77, /*results=*/2));
       const int second = p->Accept();
       if (second >= 0) {
-        if (AnswerProbeWithPush(second) && ReadOneRequest(second, &ping)) {
+        if (AnswerHandshake(second, /*push=*/true) && ReadOneRequest(second, &ping)) {
           retried.store(true);  // before the reply, which releases the client
           WriteOkResponse(second, ping);
         }
@@ -748,7 +811,7 @@ TEST(NetClientPushDemuxTest, ResponseWithAnotherIdFailsTheCall) {
     const int fd = p->Accept();
     if (fd < 0) return;
     RequestMessage ping;
-    if (AnswerProbeWithPush(fd) && ReadOneRequest(fd, &ping)) {
+    if (AnswerHandshake(fd, /*push=*/true) && ReadOneRequest(fd, &ping)) {
       ResponseMessage wrong;
       wrong.request_id = ping.request_id + 7;
       wrong.results.resize(1);
@@ -766,11 +829,52 @@ TEST(NetClientPushDemuxTest, ResponseWithAnotherIdFailsTheCall) {
   EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
 }
 
+TEST(NetClientVersionTest, ForeignVersionHandshakeFailsWithoutReconnecting) {
+  std::atomic<int> connections{0};
+  {
+    // Answers every handshake with the next wire version, and counts
+    // connections until none arrives for 500 ms.
+    ScriptedPeer peer([&connections](ScriptedPeer* p) {
+      for (int fd = p->Accept(); fd >= 0; fd = p->Accept(/*timeout_ms=*/500)) {
+        ++connections;
+        RequestMessage handshake;
+        if (ReadOneRequest(fd, &handshake)) {
+          ResponseMessage response;
+          response.request_id = handshake.request_id;
+          response.results.resize(1);
+          response.results[0].type = OpType::kClusterInfo;
+          std::string payload;
+          EncodeResponse(response, &payload);
+          std::string frame;
+          AppendFrame(&frame, WithWireVersion(payload, kWireVersion + 1));
+          ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+          char byte;
+          while (::recv(fd, &byte, 1, 0) > 0) {
+          }
+        }
+        ::close(fd);
+      }
+    });
+    ClientOptions copts;
+    copts.port = peer.port();
+    copts.max_reconnect_attempts = 5;
+    copts.reconnect_backoff_ms = 1;
+    std::unique_ptr<Client> client;
+    const Status s = Client::Connect(copts, &client);
+    EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+    EXPECT_NE(s.message().find(std::to_string(kWireVersion + 1)), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find(std::to_string(kWireVersion)), std::string::npos)
+        << s.ToString();
+  }  // the peer's destructor joins its thread
+  EXPECT_EQ(connections.load(), 1) << "the client reconnected to a foreign-version peer";
+}
+
 TEST(NetClientTimeoutTest, UnresponsivePeerTimesOut) {
-  // A listener that accepts but never replies. The client probes
-  // capabilities on every connect, so an accepting-but-silent peer is
-  // detected at Connect() — kTimedOut once the probe exhausts the
-  // deadline — rather than surfacing on the first request.
+  // A listener that accepts but never replies. The client handshakes on
+  // every connect, so an accepting-but-silent peer is detected at Connect()
+  // — kTimedOut once the handshake exhausts the deadline — rather than
+  // surfacing on the first request.
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
   sockaddr_in addr;

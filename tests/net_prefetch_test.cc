@@ -3,8 +3,8 @@
 // ShardPrefetchScheduler, plus end-to-end coverage of the push path — a
 // push-enabled Client against a loopback flowkv_server must serve a closed
 // window's read from pushed client memory (deterministically, thanks to the
-// push-before-ack wire ordering), degrade silently against legacy or
-// push-disabled servers, stay correct when pushes pile up behind an idle
+// push-before-ack wire ordering), degrade to remote reads against a
+// push-disabled server, stay correct when pushes pile up behind an idle
 // subscriber, and every NEXMark query through the prefetch-enabled remote
 // backend must match the embedded reference exactly.
 #include <gtest/gtest.h>
@@ -367,13 +367,12 @@ class NetPrefetchE2ETest : public ::testing::Test {
     RemoveDirRecursively(dir_).IgnoreError();
   }
 
-  void StartServer(bool server_push, bool emulate_legacy = false) {
+  void StartServer(bool server_push) {
     net::ServerOptions options;
     options.num_shards = 2;
     options.data_dir = JoinPath(dir_, "server_data");
     options.checkpoint_dir = JoinPath(dir_, "server_ckpt");
     options.enable_prefetch_push = server_push;
-    options.emulate_legacy_proto = emulate_legacy;
     ASSERT_TRUE(net::Server::Start(options, &server_).ok());
   }
 
@@ -586,32 +585,13 @@ TEST_F(NetPrefetchE2ETest, IdleSubscriberGetsPushesShedAndReadsRemotely) {
   EXPECT_EQ(subscriber->cache_bytes(), 0u);
 }
 
-TEST_F(NetPrefetchE2ETest, LegacyServerDegradesToRemoteReads) {
-  StartServer(/*server_push=*/true, /*emulate_legacy=*/true);
-  std::unique_ptr<net::Client> client = PushClientTo(server_->port());
-  ASSERT_NE(client, nullptr);
-  EXPECT_FALSE(client->push_negotiated())
-      << "legacy server must fail the capability probe";
-
-  uint64_t h = 0;
-  ASSERT_TRUE(client->OpenStore("t.legacy.h0", AarSpec("legacy-op"), &h, nullptr).ok());
-  ASSERT_TRUE(client->AppendAligned(h, "k", "v0", Window(0, 1000)).ok());
-  ASSERT_TRUE(client->AppendAligned(h, "k", "v1", Window(0, 1000)).ok());
-  ASSERT_TRUE(client->Flush().ok());
-
-  std::map<std::string, std::vector<std::string>> got;
-  ASSERT_TRUE(ReadWindow(client.get(), h, Window(0, 1000), &got).ok());
-  ASSERT_EQ(got.count("k"), 1u);
-  EXPECT_EQ(got["k"], (std::vector<std::string>{"v0", "v1"}));
-  EXPECT_EQ(client->cache_counters().hits, 0) << "no pushes can exist";
-}
-
 TEST_F(NetPrefetchE2ETest, ServerWithPushDisabledDegrades) {
   StartServer(/*server_push=*/false);
   std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
-  EXPECT_FALSE(client->push_negotiated())
-      << "probe must omit caps.prefetch_push when the server opts out";
+  EXPECT_FALSE(client->handshake_view().prefetch_push)
+      << "the handshake must report no push when the server opts out";
+  EXPECT_FALSE(client->push_negotiated());
 
   uint64_t h = 0;
   ASSERT_TRUE(client->OpenStore("t.nopush.h0", AarSpec("nopush-op"), &h, nullptr).ok());

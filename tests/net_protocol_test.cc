@@ -118,6 +118,30 @@ OpRequest RandomOpRequest(Random* rng) {
   return op;
 }
 
+// Randomizes every request header field, zero (untraced / not yet learned)
+// included.
+void RandomizeHeader(Random* rng, RequestMessage* msg) {
+  msg->request_id = rng->Next();
+  msg->deadline_ms = static_cast<uint32_t>(rng->Uniform(120'000));
+  msg->epoch = rng->Bernoulli(0.2) ? 0 : rng->Next() >> rng->Uniform(64);
+  msg->internal_apply = rng->Bernoulli(0.5);
+  if (rng->Bernoulli(0.5)) {
+    msg->trace_id = rng->Next() | 1;
+    msg->span_id = rng->Next();
+    msg->trace_flags = static_cast<uint32_t>(rng->Uniform(4));
+  }
+}
+
+void ExpectHeaderEq(const RequestMessage& a, const RequestMessage& b) {
+  EXPECT_EQ(a.request_id, b.request_id);
+  EXPECT_EQ(a.deadline_ms, b.deadline_ms);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.internal_apply, b.internal_apply);
+  EXPECT_EQ(a.trace_id, b.trace_id);
+  EXPECT_EQ(a.span_id, b.span_id);
+  EXPECT_EQ(a.trace_flags, b.trace_flags);
+}
+
 void ExpectOpEq(const OpRequest& a, const OpRequest& b) {
   EXPECT_EQ(a.type, b.type);
   EXPECT_EQ(a.store_id, b.store_id);
@@ -251,14 +275,7 @@ TEST(NetMessageTest, RequestRoundTripProperty) {
   Random rng(29);
   for (int iter = 0; iter < 100; ++iter) {
     RequestMessage msg;
-    msg.request_id = rng.Next();
-    msg.deadline_ms = static_cast<uint32_t>(rng.Uniform(120'000));
-    // Half the corpus carries the optional trace-context block.
-    if (rng.Bernoulli(0.5)) {
-      msg.trace_id = rng.Next() | 1;  // nonzero by construction
-      msg.span_id = rng.Next();
-      msg.trace_flags = 1;
-    }
+    RandomizeHeader(&rng, &msg);
     const uint64_t num_ops = rng.Uniform(8);
     for (uint64_t i = 0; i < num_ops; ++i) {
       msg.ops.push_back(RandomOpRequest(&rng));
@@ -268,11 +285,7 @@ TEST(NetMessageTest, RequestRoundTripProperty) {
     EncodeRequest(msg, &payload);
     RequestMessage decoded;
     ASSERT_TRUE(DecodeRequest(payload, &decoded).ok());
-    ASSERT_EQ(decoded.request_id, msg.request_id);
-    ASSERT_EQ(decoded.deadline_ms, msg.deadline_ms);
-    ASSERT_EQ(decoded.trace_id, msg.trace_id);
-    ASSERT_EQ(decoded.span_id, msg.span_id);
-    ASSERT_EQ(decoded.trace_flags, msg.trace_flags);
+    ExpectHeaderEq(decoded, msg);
     ASSERT_EQ(decoded.ops.size(), msg.ops.size());
     for (size_t i = 0; i < msg.ops.size(); ++i) {
       ExpectOpEq(decoded.ops[i], msg.ops[i]);
@@ -280,12 +293,17 @@ TEST(NetMessageTest, RequestRoundTripProperty) {
   }
 }
 
-// ----- trace-context extension (backward-compatible trailing block) -----
+// ----- the fixed request header and the wire version -----
 
 RequestMessage SampleRequest() {
   RequestMessage msg;
   msg.request_id = 77;
   msg.deadline_ms = 1000;
+  msg.epoch = 300;
+  msg.internal_apply = true;
+  msg.trace_id = 0x1234'5678'9ABCull;
+  msg.span_id = 7;
+  msg.trace_flags = 1;
   OpRequest op;
   op.type = OpType::kRmwPut;
   op.store_id = 3;
@@ -296,28 +314,79 @@ RequestMessage SampleRequest() {
   return msg;
 }
 
-TEST(NetTraceContextTest, UntracedEncodingIsBytePrefixOfTraced) {
-  // The extension must cost zero bytes when tracing is off, and appending
-  // the block must be the ONLY change when it is on — that is what keeps
-  // old decoders accepting untraced requests unchanged.
-  RequestMessage msg = SampleRequest();
-  std::string untraced;
-  EncodeRequest(msg, &untraced);
-
-  msg.trace_id = 0xABCDEF;
-  msg.span_id = 42;
-  msg.trace_flags = 1;
-  std::string traced;
-  EncodeRequest(msg, &traced);
-
-  ASSERT_GT(traced.size(), untraced.size());
-  EXPECT_EQ(traced.substr(0, untraced.size()), untraced);
+// Bytes of `msg`'s encoding that belong to the header (version included).
+size_t HeaderBytes(RequestMessage msg) {
+  msg.ops.clear();
+  std::string payload;
+  EncodeRequest(msg, &payload);
+  return payload.size() - 1;  // minus the 1-byte zero op count
 }
 
-TEST(NetTraceContextTest, OldFormatGoldenDecodesWithTracingOff) {
-  // A pre-extension encoder's bytes, built by hand: header + one kPing op
-  // and nothing after the op list. A new decoder must accept it and leave
-  // the trace fields zeroed (tracing silently off).
+// `payload` with its leading wire-version varint replaced by `version`.
+std::string WithWireVersion(const std::string& payload, uint32_t version) {
+  Slice rest(payload);
+  uint32_t ours = 0;
+  EXPECT_TRUE(GetVarint32(&rest, &ours));
+  EXPECT_EQ(ours, kWireVersion);
+  std::string out;
+  PutVarint32(&out, version);
+  out.append(rest.data(), rest.size());
+  return out;
+}
+
+TEST(NetWireVersionTest, OtherVersionIsRefusedNamingBothVersions) {
+  std::string request;
+  EncodeRequest(SampleRequest(), &request);
+  ResponseMessage response;
+  response.request_id = 77;
+  response.results.resize(1);
+  std::string response_payload;
+  EncodeResponse(response, &response_payload);
+
+  const std::string theirs = "wire version " + std::to_string(kWireVersion + 1);
+  const std::string ours = "speaks " + std::to_string(kWireVersion);
+  RequestMessage decoded_request;
+  Status s = DecodeRequest(WithWireVersion(request, kWireVersion + 1), &decoded_request);
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  EXPECT_NE(s.message().find(theirs), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find(ours), std::string::npos) << s.ToString();
+  s = DecodeRequestBorrowed(WithWireVersion(request, kWireVersion + 1), &decoded_request);
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+
+  ResponseMessage decoded_response;
+  s = DecodeResponse(WithWireVersion(response_payload, kWireVersion + 1), &decoded_response);
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  EXPECT_NE(s.message().find(theirs), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find(ours), std::string::npos) << s.ToString();
+}
+
+TEST(NetWireVersionTest, ClusterViewRoundTripsThroughStatFields) {
+  ClusterView view;
+  view.epoch = 12;
+  view.role = kRoleStandby;
+  view.lease_ms = 3000;
+  view.priority = 7;
+  view.prefetch_push = true;
+  std::vector<std::pair<std::string, int64_t>> fields = ClusterViewFields(view);
+  fields.emplace_back("cluster.future_member", 1);  // unknown names are skipped
+  const ClusterView parsed = ParseClusterView(fields);
+  EXPECT_EQ(parsed.epoch, view.epoch);
+  EXPECT_EQ(parsed.role, view.role);
+  EXPECT_EQ(parsed.lease_ms, view.lease_ms);
+  EXPECT_EQ(parsed.priority, view.priority);
+  EXPECT_EQ(parsed.prefetch_push, view.prefetch_push);
+
+  // Absent members keep their defaults.
+  const ClusterView empty = ParseClusterView({});
+  EXPECT_EQ(empty.epoch, 0u);
+  EXPECT_EQ(empty.role, -1);
+  EXPECT_FALSE(empty.prefetch_push);
+}
+
+TEST(NetWireVersionTest, PreVersionGoldenIsRefused) {
+  // An encoder from before the wire version, built by hand: request_id,
+  // deadline_ms, one kPing op and nothing else. Its leading request_id reads
+  // as a foreign version, so it is refused, never misparsed.
   std::string payload;
   PutVarint64(&payload, 9);   // request_id
   PutVarint32(&payload, 500);  // deadline_ms
@@ -325,89 +394,45 @@ TEST(NetTraceContextTest, OldFormatGoldenDecodesWithTracingOff) {
   PutVarint32(&payload, static_cast<uint32_t>(OpType::kPing));
 
   RequestMessage decoded;
-  ASSERT_TRUE(DecodeRequest(payload, &decoded).ok());
-  EXPECT_EQ(decoded.request_id, 9u);
-  EXPECT_EQ(decoded.deadline_ms, 500u);
-  ASSERT_EQ(decoded.ops.size(), 1u);
-  EXPECT_EQ(decoded.ops[0].type, OpType::kPing);
-  EXPECT_EQ(decoded.trace_id, 0u);
-  EXPECT_EQ(decoded.span_id, 0u);
-  EXPECT_EQ(decoded.trace_flags, 0u);
-}
-
-TEST(NetTraceContextTest, ZeroTraceIdInTrailingBlockIsCorruption) {
-  // trace_id == 0 means "no block"; explicit zero trailing bytes are the
-  // pre-extension "trailing garbage" case and must stay rejected.
-  RequestMessage msg = SampleRequest();
-  std::string payload;
-  EncodeRequest(msg, &payload);
-  PutVarint64(&payload, 0);  // trace_id = 0
-  PutVarint64(&payload, 1);
-  PutVarint32(&payload, 1);
-  RequestMessage decoded;
   const Status s = DecodeRequest(payload, &decoded);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 }
 
 TEST(NetTraceContextTest, TracedRequestTruncationSweep) {
-  // Every strict prefix of a traced request must be rejected — except the
-  // one prefix that ends exactly at the end of the op list, which is
-  // byte-identical to a valid untraced (old-format) request and therefore
-  // MUST decode, with tracing off. That ambiguity is the documented price
-  // of backward compatibility (the frame CRC owns truncation detection).
-  RequestMessage msg = SampleRequest();
-  std::string untraced;
-  EncodeRequest(msg, &untraced);
-  msg.trace_id = 0x1234'5678'9ABCull;
-  msg.span_id = 7;
-  msg.trace_flags = 1;
-  std::string traced;
-  EncodeRequest(msg, &traced);
-
-  for (size_t cut = 1; cut < traced.size(); ++cut) {
+  // Every header field is always on the wire, so every strict prefix of a
+  // request is rejected: none can pass for an untraced or epoch-less one.
+  const RequestMessage msg = SampleRequest();
+  std::string payload;
+  EncodeRequest(msg, &payload);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
     RequestMessage decoded;
-    const Status s = DecodeRequest(Slice(traced.data(), cut), &decoded);
-    if (cut == untraced.size()) {
-      ASSERT_TRUE(s.ok()) << "cut=" << cut;
-      EXPECT_EQ(decoded.trace_id, 0u);
-    } else {
-      EXPECT_FALSE(s.ok()) << "cut=" << cut;
-    }
+    EXPECT_FALSE(DecodeRequest(Slice(payload.data(), cut), &decoded).ok()) << "cut=" << cut;
   }
 
-  // The full traced payload round-trips the ids.
   RequestMessage decoded;
-  ASSERT_TRUE(DecodeRequest(traced, &decoded).ok());
-  EXPECT_EQ(decoded.trace_id, msg.trace_id);
-  EXPECT_EQ(decoded.span_id, msg.span_id);
-  EXPECT_EQ(decoded.trace_flags, msg.trace_flags);
+  ASSERT_TRUE(DecodeRequest(payload, &decoded).ok());
+  ExpectHeaderEq(decoded, msg);
 }
 
 TEST(NetTraceContextTest, BitFlippedTraceBlockNeverCrashes) {
-  RequestMessage msg = SampleRequest();
-  msg.trace_id = 0xDEAD'BEEFull;
-  msg.span_id = 0xFEEDull;
-  msg.trace_flags = 1;
-  std::string traced;
-  EncodeRequest(msg, &traced);
-  std::string untraced_equiv;
-  {
-    RequestMessage plain = SampleRequest();
-    EncodeRequest(plain, &untraced_equiv);
-  }
-  Random rng(71);
-  for (size_t pos = untraced_equiv.size(); pos < traced.size(); ++pos) {
+  const RequestMessage msg = SampleRequest();
+  std::string payload;
+  EncodeRequest(msg, &payload);
+  const size_t header_bytes = HeaderBytes(msg);
+  for (size_t pos = 0; pos < header_bytes; ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = traced;
+      std::string damaged = payload;
       damaged[pos] = static_cast<char>(damaged[pos] ^ (1u << bit));
       RequestMessage decoded;
-      // Any outcome is legal except a crash or a decoded zero trace id
-      // claiming success with leftover bytes; assert only termination and
-      // the invariant that success never yields trace_id == 0 with a block.
       const Status s = DecodeRequest(damaged, &decoded);
-      if (s.ok() && damaged.size() > untraced_equiv.size()) {
-        EXPECT_NE(decoded.trace_id, 0u) << "pos=" << pos << " bit=" << bit;
+      if (pos == 0) {
+        // The version byte: any flip names another version.
+        EXPECT_TRUE(s.IsFailedPrecondition()) << "bit=" << bit << " " << s.ToString();
+      } else if (s.ok()) {
+        // Damage the codec accepts (the frame CRC, not the codec, owns
+        // integrity) stays inside the header: the op list is intact.
+        ASSERT_EQ(decoded.ops.size(), 1u) << "pos=" << pos << " bit=" << bit;
+        ExpectOpEq(decoded.ops[0], msg.ops[0]);
       }
     }
   }
@@ -640,12 +665,12 @@ TEST(NetPrefetchProtoTest, PushChunkResponseTruncationSweep) {
   }
 }
 
-TEST(NetPrefetchProtoTest, PrefetchOpsAreAboveLegacyMaxOpType) {
-  // Byte-compat contract (protocol.h): a legacy server treats any op id it
-  // does not know as a protocol error and drops the connection — which is
-  // exactly why the client gates these ops behind the caps.prefetch_push
-  // probe. This pins the ids so a renumbering cannot silently break the
-  // capability gate.
+TEST(NetWireVersionTest, OpIdsArePinnedByTheWireVersion) {
+  // Op ids and the push request id are part of wire version 1: peers of one
+  // version agree on them byte for byte. Renumbering an op (or adding one)
+  // changes the wire, so it must come with a kWireVersion bump, and this
+  // test is updated together with it.
+  EXPECT_EQ(kWireVersion, 1u);
   EXPECT_EQ(static_cast<uint32_t>(OpType::kEttRegister), 17u);
   EXPECT_EQ(static_cast<uint32_t>(OpType::kPushChunk), 18u);
   EXPECT_EQ(static_cast<uint32_t>(OpType::kDropWindow), 19u);
@@ -748,15 +773,8 @@ std::vector<std::string> BuildValidCorpus(Random* rng) {
   std::vector<std::string> corpus;
   for (int i = 0; i < 8; ++i) {
     RequestMessage req;
-    req.request_id = rng->Next();
-    req.deadline_ms = static_cast<uint32_t>(rng->Uniform(60'000));
-    // Half the request corpus carries the trace-context extension block, so
-    // the truncation/bit-flip sweeps exercise the trailing-block parse too.
-    if (i % 2 == 1) {
-      req.trace_id = rng->Next() | 1;
-      req.span_id = rng->Next();
-      req.trace_flags = 1;
-    }
+    // Every header field randomized, so the sweeps cover the header parse.
+    RandomizeHeader(rng, &req);
     for (uint64_t k = 0, n = 1 + rng->Uniform(5); k < n; ++k) {
       req.ops.push_back(RandomOpRequest(rng));
     }

@@ -2,8 +2,6 @@
 //  - a NEXMark query through RemoteBackend → loopback flowkv_server with
 //    tracing enabled produces client spans and server spans that share
 //    trace ids, with the queue-wait vs execution breakdown present;
-//  - a new client against old-server semantics (emulate_legacy_proto)
-//    interoperates with tracing silently off — the compatibility contract;
 //  - the kStats op returns a parseable introspection document whose slow
 //    log captures requests above the threshold.
 #include <gtest/gtest.h>
@@ -162,66 +160,6 @@ TEST_F(NetTraceE2eTest, ClientAndServerSpansShareTraceIds) {
   EXPECT_NE(exported.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(exported.find("server_queue_wait"), std::string::npos);
   EXPECT_NE(exported.find("client_batch"), std::string::npos);
-}
-
-TEST_F(NetTraceE2eTest, NewClientAgainstLegacyServerTracesSilentlyOff) {
-  // Old-server semantics: trace bytes or a kStats op kill the connection,
-  // and the capability probe gets the legacy per-op error. A tracing-enabled
-  // client must detect this via the probe and keep the extension off the
-  // wire — the query succeeds, no server span carries a trace id.
-  net::ServerOptions options;
-  options.emulate_legacy_proto = true;
-  StartServer(options);
-  obs::Tracing::Enable();
-
-  net::ClientOptions copts;
-  copts.port = server_->port();
-  copts.request_timeout_ms = 60'000;
-  RemoteBackendFactory remote(copts);
-  int results = 0;
-  ASSERT_TRUE(RunQueryOn("q11", &remote, &results).ok());
-  EXPECT_GT(results, 0);
-
-  server_->Stop();
-  server_.reset();
-  obs::Tracing::Disable();
-
-  const std::vector<obs::TraceEvent> events = obs::Tracing::SnapshotEvents();
-  EXPECT_TRUE(TraceIdsOf(events, "server_queue_wait").empty());
-  EXPECT_TRUE(TraceIdsOf(events, "server_exec").empty());
-  // The client still traced locally — with the null (zero) trace id.
-  bool saw_client_batch = false;
-  for (const obs::TraceEvent& ev : events) {
-    if (std::strcmp(ev.name, "client_batch") == 0) saw_client_batch = true;
-  }
-  EXPECT_TRUE(saw_client_batch);
-  EXPECT_TRUE(TraceIdsOf(events, "client_batch").empty());
-}
-
-TEST_F(NetTraceE2eTest, OldClientAgainstNewServerUsesBaseProtocol) {
-  // An old client is byte-identical to a new client with tracing disabled:
-  // no probe, no trace block. The new server must serve it unchanged.
-  StartServer(net::ServerOptions{});
-  ASSERT_FALSE(obs::Tracing::enabled());
-
-  net::ClientOptions copts;
-  copts.port = server_->port();
-  std::unique_ptr<net::Client> client;
-  ASSERT_TRUE(net::Client::Connect(copts, &client).ok());
-  ASSERT_TRUE(client->Ping().ok());
-
-  OperatorStateSpec spec;
-  spec.name = "compat";
-  spec.window_kind = WindowKind::kTumbling;
-  spec.incremental = true;
-  spec.window_size_ms = 1000;
-  uint64_t handle = 0;
-  StorePattern pattern;
-  ASSERT_TRUE(client->OpenStore("compat.h0", spec, &handle, &pattern).ok());
-  ASSERT_TRUE(client->RmwPut(handle, "k", Window(0, 1000), "v").ok());
-  std::string acc;
-  ASSERT_TRUE(client->RmwGet(handle, "k", Window(0, 1000), &acc).ok());
-  EXPECT_EQ(acc, "v");
 }
 
 TEST_F(NetTraceE2eTest, StatsOpReportsShardsAndSlowLog) {

@@ -40,6 +40,7 @@ namespace {
 using flowkv::Status;
 using flowkv::net::Client;
 using flowkv::net::ClientOptions;
+using flowkv::net::ClusterView;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -63,14 +64,6 @@ Status Dial(const std::string& host, int port, std::unique_ptr<Client>* client) 
   return Client::Connect(opts, client);
 }
 
-int64_t Field(const std::vector<std::pair<std::string, int64_t>>& fields,
-              const char* name, int64_t dflt) {
-  for (const auto& [k, v] : fields) {
-    if (k == name) return v;
-  }
-  return dflt;
-}
-
 const char* RoleName(int64_t role) {
   switch (role) {
     case flowkv::net::kRolePrimary:
@@ -84,12 +77,10 @@ const char* RoleName(int64_t role) {
   }
 }
 
-void PrintView(const std::vector<std::pair<std::string, int64_t>>& fields) {
-  std::fprintf(stdout, "role=%s epoch=%lld lease_ms=%lld priority=%lld\n",
-               RoleName(Field(fields, flowkv::net::kStatClusterRole, -1)),
-               static_cast<long long>(Field(fields, flowkv::net::kStatClusterEpoch, 0)),
-               static_cast<long long>(Field(fields, flowkv::net::kStatClusterLeaseMs, 0)),
-               static_cast<long long>(Field(fields, flowkv::net::kStatClusterPriority, 0)));
+void PrintView(const ClusterView& view) {
+  std::fprintf(stdout, "role=%s epoch=%llu lease_ms=%lld priority=%lld\n",
+               RoleName(view.role), static_cast<unsigned long long>(view.epoch),
+               static_cast<long long>(view.lease_ms), static_cast<long long>(view.priority));
 }
 
 int RunStatus(const std::vector<std::string>& endpoints) {
@@ -104,23 +95,19 @@ int RunStatus(const std::vector<std::string>& endpoints) {
       std::fprintf(stderr, "bad endpoint (expected HOST:PORT): %s\n", ep.c_str());
       return 2;
     }
+    // The connect handshake returns the endpoint's cluster view.
     std::unique_ptr<Client> client;
-    std::vector<std::pair<std::string, int64_t>> fields;
-    Status s = Dial(host, port, &client);
-    if (s.ok()) {
-      s = client->ClusterInfo(&fields);
-    }
+    const Status s = Dial(host, port, &client);
     if (!s.ok()) {
       std::fprintf(stdout, "%-24s %-8s (%s)\n", ep.c_str(), "down", s.ToString().c_str());
       rc = 1;
       continue;
     }
-    const int64_t role = Field(fields, flowkv::net::kStatClusterRole, -1);
-    if (role == flowkv::net::kRolePrimary) ++primaries;
-    std::fprintf(stdout, "%-24s %-8s %8lld %9lld %9lld\n", ep.c_str(), RoleName(role),
-                 static_cast<long long>(Field(fields, flowkv::net::kStatClusterEpoch, 0)),
-                 static_cast<long long>(Field(fields, flowkv::net::kStatClusterLeaseMs, 0)),
-                 static_cast<long long>(Field(fields, flowkv::net::kStatClusterPriority, 0)));
+    const ClusterView& view = client->handshake_view();
+    if (view.role == flowkv::net::kRolePrimary) ++primaries;
+    std::fprintf(stdout, "%-24s %-8s %8llu %9lld %9lld\n", ep.c_str(), RoleName(view.role),
+                 static_cast<unsigned long long>(view.epoch),
+                 static_cast<long long>(view.lease_ms), static_cast<long long>(view.priority));
   }
   if (primaries > 1) {
     std::fprintf(stdout,
@@ -141,9 +128,9 @@ int RunAdmin(const std::string& command, const std::string& ep, uint64_t target_
   }
   std::unique_ptr<Client> client;
   Status s = Dial(host, port, &client);
-  std::vector<std::pair<std::string, int64_t>> fields;
+  ClusterView view;
   if (s.ok()) {
-    s = client->ClusterAdmin(command, target_epoch, &fields);
+    s = client->ClusterAdmin(command, target_epoch, &view);
   }
   if (!s.ok()) {
     std::fprintf(stderr, "%s %s failed: %s\n", command.c_str(), ep.c_str(),
@@ -151,7 +138,7 @@ int RunAdmin(const std::string& command, const std::string& ep, uint64_t target_
     return 1;
   }
   std::fprintf(stdout, "%s %s: ", command.c_str(), ep.c_str());
-  PrintView(fields);
+  PrintView(view);
   return 0;
 }
 

@@ -235,9 +235,10 @@ inline Status FetchStatsJson(const std::string& host, int port, std::string* jso
 // and heartbeat age the primary tracks.
 inline std::string FormatClusterLine(const JsonValue& root) {
   char buf[256];
+  static const JsonValue kAbsent;
   const JsonValue* cluster = root.Get("cluster");
   if (cluster == nullptr) {
-    return "cluster: n/a (pre-failover server)";
+    cluster = &kAbsent;
   }
   std::snprintf(buf, sizeof(buf), "cluster: %s epoch=%lld lease_ms=%lld priority=%lld",
                 cluster->Str("role", "unknown").c_str(),
@@ -252,10 +253,9 @@ inline std::string FormatClusterLine(const JsonValue& root) {
   }
   const JsonValue* repl = root.Get("replication");
   if (repl != nullptr && repl->Bool("subscribed")) {
-    std::snprintf(buf, sizeof(buf), "  standby: lag=%lld hb_age=%.0fms%s",
+    std::snprintf(buf, sizeof(buf), "  standby: lag=%lld hb_age=%.0fms",
                   static_cast<long long>(repl->Num("lag")),
-                  repl->Num("heartbeat_age_ms"),
-                  repl->Bool("standby_epoch_aware") ? "" : " (legacy)");
+                  repl->Num("heartbeat_age_ms"));
     line += buf;
   }
   return line;
@@ -296,9 +296,8 @@ inline void PrintStatsHuman(const JsonValue& root, const std::string& endpoint,
   const JsonValue* repl = root.Get("replication");
   if (repl != nullptr && repl->Bool("subscribed")) {
     std::fprintf(out,
-                 "replication: subscribed%s, lag %lld seq, %lld parked, "
+                 "replication: subscribed, lag %lld seq, %lld parked, "
                  "heartbeat age %.0f ms\n",
-                 repl->Bool("standby_epoch_aware") ? "" : " (legacy standby)",
                  static_cast<long long>(repl->Num("lag")),
                  static_cast<long long>(repl->Num("parked")),
                  repl->Num("heartbeat_age_ms"));
