@@ -29,11 +29,10 @@ size_t OpCost(const Slice& key, const Slice& value) { return key.size() + value.
 // skip the server.
 class AccumulatorCache {
  public:
-  explicit AccumulatorCache(size_t max_bytes) : max_bytes_(max_bytes) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    m_hits_ = reg.GetCounter("remote.rmw_cache_hits");
-    m_misses_ = reg.GetCounter("remote.rmw_cache_misses");
-  }
+  AccumulatorCache(size_t max_bytes, obs::MetricsRegistry* metrics)
+      : max_bytes_(max_bytes),
+        m_hits_(metrics->GetCounter("remote.rmw_cache_hits")),
+        m_misses_(metrics->GetCounter("remote.rmw_cache_misses")) {}
 
   bool Get(uint64_t handle, const Slice& key, const Window& w, std::string* value) {
     auto it = entries_.find(Entry{handle, w, key.ToString()});
@@ -90,23 +89,24 @@ class AccumulatorCache {
   const size_t max_bytes_;
   size_t bytes_ = 0;
   std::unordered_map<Entry, std::string, EntryHash> entries_;
-  obs::Counter* m_hits_ = nullptr;
-  obs::Counter* m_misses_ = nullptr;
+  obs::Counter* m_hits_;
+  obs::Counter* m_misses_;
 };
 
 // A backend's channel to the server, shared by all its state handles: the
 // client, a bounded in-order replay buffer for writes, and the RMW
 // accumulator cache. Every state call goes through Write or Read, so a
 // failure any handle sees invalidates the cache. Single-threaded, like the
-// backend that owns it (one backend per physical operator).
+// backend that owns it (one backend per physical operator). Its counters
+// live in the client's registry.
 class Session {
  public:
   Session(std::unique_ptr<net::Client> client, size_t replay_bytes, size_t cache_bytes)
-      : client_(std::move(client)), max_bytes_(replay_bytes), accumulators_(cache_bytes) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    m_buffered_ = reg.GetCounter("remote.buffered_writes");
-    m_replayed_ = reg.GetCounter("remote.replayed_writes");
-  }
+      : client_(std::move(client)),
+        max_bytes_(replay_bytes),
+        accumulators_(cache_bytes, &client_->metrics()),
+        m_buffered_(client_->metrics().GetCounter("remote.buffered_writes")),
+        m_replayed_(client_->metrics().GetCounter("remote.replayed_writes")) {}
 
   net::Client* client() const { return client_.get(); }
   AccumulatorCache* accumulators() { return &accumulators_; }
@@ -198,8 +198,8 @@ class Session {
   size_t buffered_bytes_ = 0;
   std::deque<std::pair<std::function<Status(net::Client*)>, size_t>> ops_;
   AccumulatorCache accumulators_;
-  obs::Counter* m_buffered_ = nullptr;
-  obs::Counter* m_replayed_ = nullptr;
+  obs::Counter* m_buffered_;
+  obs::Counter* m_replayed_;
 };
 
 class RemoteAarState : public AppendAlignedState {
@@ -390,6 +390,8 @@ class RemoteBackend : public StateBackend {
 
   std::string name() const override { return "remote"; }
 
+  net::Client* client() const { return session_->client(); }
+
  private:
   Status OpenStore(const OperatorStateSpec& spec, StorePattern expected,
                    uint64_t* handle) {
@@ -409,6 +411,11 @@ class RemoteBackend : public StateBackend {
 };
 
 }  // namespace
+
+net::Client* RemoteBackendClient(StateBackend* backend) {
+  auto* remote = dynamic_cast<RemoteBackend*>(backend);
+  return remote != nullptr ? remote->client() : nullptr;
+}
 
 RemoteBackendFactory::RemoteBackendFactory(net::ClientOptions options)
     : options_(std::move(options)) {}

@@ -26,7 +26,8 @@
 // fires — and is bounded by ClientOptions::read_ahead_cache_bytes: a Put
 // that would exceed the budget drops that entry, so a later Get goes to the
 // server. Hits and misses are counted in remote.rmw_cache_hits and
-// remote.rmw_cache_misses (docs/OBSERVABILITY.md).
+// remote.rmw_cache_misses, in the registry of the backend's own client
+// (RemoteBackendClient below, docs/OBSERVABILITY.md).
 #ifndef SRC_BACKENDS_REMOTE_BACKEND_H_
 #define SRC_BACKENDS_REMOTE_BACKEND_H_
 
@@ -63,6 +64,11 @@ class RemoteBackendFactory : public StateBackendFactory {
   net::ClientOptions options_;
   size_t replay_buffer_bytes_ = 0;
 };
+
+// The client behind a backend RemoteBackendFactory created, whose metrics()
+// hold the backend's client.* and remote.* instruments; null for any other
+// backend.
+net::Client* RemoteBackendClient(StateBackend* backend);
 
 }  // namespace flowkv
 

@@ -62,7 +62,10 @@ Client::Client(ClientOptions options)
                        ? options_.jitter_seed
                        : static_cast<uint64_t>(MonotonicNanos()) ^
                              reinterpret_cast<uintptr_t>(this)),
-      cache_(options_.read_ahead_cache_bytes) {
+      m_retries_(metrics_.GetCounter("client.retries")),
+      m_failovers_(metrics_.GetCounter("client.failovers")),
+      m_cluster_refreshes_(metrics_.GetCounter("client.cluster_refreshes")),
+      cache_(options_.read_ahead_cache_bytes, &metrics_) {
   primary_ = {options_.host, options_.port};
 }
 
@@ -253,7 +256,6 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
   if (fd_ >= 0) {
     return Status::Ok();
   }
-  obs::Counter* failovers = obs::MetricsRegistry::Global().GetCounter("client.failovers");
   int prev_sleep_ms = options_.reconnect_backoff_ms;
   Status last = Status::ConnectionReset("not connected");
   for (int attempt = 0; attempt < options_.max_reconnect_attempts; ++attempt) {
@@ -262,7 +264,7 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
       // primary + standbys before the next try.
       if (NumEndpoints() > 1) {
         endpoint_index_ = (endpoint_index_ + 1) % NumEndpoints();
-        failovers->Add(1);
+        m_failovers_->Add(1);
         FLOWKV_LOG(kInfo) << "client failing over "
                           << LogKv("endpoint", CurrentEndpoint().host + ":" +
                                                    std::to_string(CurrentEndpoint().port));
@@ -297,7 +299,7 @@ Status Client::EnsureConnected(int64_t deadline_nanos) {
 
 void Client::RefreshClusterView(int64_t deadline_nanos) {
   CloseSocket();
-  obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Add(1);
+  m_cluster_refreshes_->Add(1);
   const size_t start = endpoint_index_;
   size_t best_index = start;
   uint64_t best_epoch = 0;
@@ -609,7 +611,6 @@ bool FencedWhole(const std::vector<OpResult>& results) {
 
 Status Client::SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                            bool translate_handles) {
-  obs::Counter* retries = obs::MetricsRegistry::Global().GetCounter("client.retries");
   const int64_t deadline = DeadlineFromNow(options_.request_timeout_ms);
   int prev_sleep_ms = options_.reconnect_backoff_ms;
   Status last;
@@ -617,7 +618,7 @@ Status Client::SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResu
   // deadline: a dead server costs one request_timeout_ms, not a livelock.
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
-      retries->Add(1);
+      m_retries_->Add(1);
       if (!BackoffSleep(&prev_sleep_ms, deadline)) {
         return Status::TimedOut("retry deadline exhausted: " + last.ToString());
       }

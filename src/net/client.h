@@ -91,6 +91,7 @@
 #include "src/common/status.h"
 #include "src/net/prefetch.h"
 #include "src/net/protocol.h"
+#include "src/obs/metrics.h"
 
 namespace flowkv {
 namespace net {
@@ -255,6 +256,11 @@ class Client {
   // The endpoint the current/most recent connection used (index 0 = primary).
   size_t endpoint_index() const { return endpoint_index_; }
 
+  // This client's instruments: client.retries, client.failovers,
+  // client.cluster_refreshes, the read-ahead cache's client.prefetch_* and,
+  // behind a RemoteBackend, its remote.* counters (docs/OBSERVABILITY.md).
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
   // Read-ahead cache introspection (tests, bench reporting). All zero when
   // prefetch push is off.
   ReadAheadCounters cache_counters() const { return cache_.counters(); }
@@ -359,6 +365,11 @@ class Client {
   uint64_t cluster_epoch_ = 0;
 
   Random backoff_rng_;
+
+  obs::MetricsRegistry metrics_;
+  obs::Counter* m_retries_;
+  obs::Counter* m_failovers_;
+  obs::Counter* m_cluster_refreshes_;
 
   std::vector<StoreReg> stores_;  // handle = index
   // Server store id -> handle, for routing pushes; rebuilt whenever the

@@ -35,14 +35,29 @@ int64_t ChunkValues(const std::vector<WindowChunkEntry>& chunk) {
 
 // ----- ShardPrefetchScheduler -----
 
+ShardPrefetchScheduler::ShardPrefetchScheduler(size_t shadow_budget_bytes,
+                                               obs::MetricsRegistry* metrics)
+    : budget_bytes_(shadow_budget_bytes),
+      m_registrations_(metrics->GetCounter("prefetch.registrations")),
+      m_fired_(metrics->GetCounter("prefetch.fired")),
+      m_fired_entries_(metrics->GetCounter("prefetch.fired_entries")),
+      m_fired_bytes_(metrics->GetCounter("prefetch.fired_bytes")),
+      m_invalidated_(metrics->GetCounter("prefetch.invalidated")),
+      m_overflow_(metrics->GetCounter("prefetch.overflow")),
+      m_waste_(metrics->GetCounter("prefetch.waste")),
+      m_shadow_bytes_(metrics->GetGauge("prefetch.shadow_bytes")) {}
+
+void ShardPrefetchScheduler::AddShadowBytes(int64_t delta) {
+  shadow_bytes_ = static_cast<size_t>(static_cast<int64_t>(shadow_bytes_) + delta);
+  m_shadow_bytes_->Set(static_cast<int64_t>(shadow_bytes_));
+}
+
 void ShardPrefetchScheduler::Register(uint64_t conn_id, uint64_t store_id) {
   StoreState& st = stores_[store_id];
   if (std::find(st.subscribers.begin(), st.subscribers.end(), conn_id) ==
       st.subscribers.end()) {
     st.subscribers.push_back(conn_id);
-    if (m_.registrations != nullptr) {
-      m_.registrations->Add(1);
-    }
+    m_registrations_->Add(1);
   }
 }
 
@@ -54,18 +69,13 @@ void ShardPrefetchScheduler::Unregister(uint64_t conn_id) {
     if (st.subscribers.empty()) {
       // Nobody left to push to: the shadows are dead weight.
       for (const auto& [w, shadow] : st.shadows) {
-        shadow_bytes_ -= shadow.bytes;
-        if (m_.waste != nullptr) {
-          m_.waste->Add(ChunkValues(shadow.chunk));
-        }
+        AddShadowBytes(-static_cast<int64_t>(shadow.bytes));
+        m_waste_->Add(ChunkValues(shadow.chunk));
       }
       it = stores_.erase(it);
     } else {
       ++it;
     }
-  }
-  if (m_.shadow_bytes != nullptr) {
-    m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
   }
 }
 
@@ -87,17 +97,12 @@ void ShardPrefetchScheduler::OnAppend(uint64_t store_id, const Slice& key,
     // Late write into a window that already fired (or could have): whatever
     // was pushed is now short one value — the client's count check turns the
     // push into a safe miss. Cancel any shadow still pending.
-    if (m_.invalidated != nullptr) {
-      m_.invalidated->Add(1);
-    }
+    m_invalidated_->Add(1);
     auto shadow_it = st.shadows.find(w);
     if (shadow_it != st.shadows.end()) {
-      shadow_bytes_ -= shadow_it->second.bytes;
+      AddShadowBytes(-static_cast<int64_t>(shadow_it->second.bytes));
       st.shadows.erase(shadow_it);
       st.abandoned.insert(w);
-      if (m_.shadow_bytes != nullptr) {
-        m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
-      }
     }
     FireReady(store_id, &st);
     return;
@@ -109,16 +114,11 @@ void ShardPrefetchScheduler::OnAppend(uint64_t store_id, const Slice& key,
       // would never satisfy the client's count check anyway).
       auto shadow_it = st.shadows.find(w);
       if (shadow_it != st.shadows.end()) {
-        shadow_bytes_ -= shadow_it->second.bytes;
+        AddShadowBytes(-static_cast<int64_t>(shadow_it->second.bytes));
         st.shadows.erase(shadow_it);
       }
       st.abandoned.insert(w);
-      if (m_.overflow != nullptr) {
-        m_.overflow->Add(1);
-      }
-      if (m_.shadow_bytes != nullptr) {
-        m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
-      }
+      m_overflow_->Add(1);
     } else {
       ShadowWindow& shadow = st.shadows[w];
       auto [key_it, inserted] = shadow.key_index.try_emplace(key.ToString(), shadow.chunk.size());
@@ -127,10 +127,7 @@ void ShardPrefetchScheduler::OnAppend(uint64_t store_id, const Slice& key,
       }
       shadow.chunk[key_it->second].values.push_back(value.ToString());
       shadow.bytes += cost;
-      shadow_bytes_ += cost;
-      if (m_.shadow_bytes != nullptr) {
-        m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
-      }
+      AddShadowBytes(static_cast<int64_t>(cost));
     }
   }
   FireReady(store_id, &st);
@@ -147,21 +144,12 @@ void ShardPrefetchScheduler::FireReady(uint64_t store_id, StoreState* st) {
     push.conn_ids = st->subscribers;
     push.chunk = std::move(shadow_it->second.chunk);
     push.bytes = shadow_it->second.bytes;
-    shadow_bytes_ -= shadow_it->second.bytes;
+    AddShadowBytes(-static_cast<int64_t>(push.bytes));
     st->shadows.erase(shadow_it);
-    if (m_.fired != nullptr) {
-      m_.fired->Add(1);
-    }
-    if (m_.fired_entries != nullptr) {
-      m_.fired_entries->Add(ChunkValues(push.chunk));
-    }
-    if (m_.fired_bytes != nullptr) {
-      m_.fired_bytes->Add(static_cast<int64_t>(push.bytes));
-    }
+    m_fired_->Add(1);
+    m_fired_entries_->Add(ChunkValues(push.chunk));
+    m_fired_bytes_->Add(static_cast<int64_t>(push.bytes));
     fired_.push_back(std::move(push));
-  }
-  if (m_.shadow_bytes != nullptr) {
-    m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
   }
 }
 
@@ -175,14 +163,9 @@ void ShardPrefetchScheduler::OnWindowConsumed(uint64_t store_id, const Window& w
   if (shadow_it != st.shadows.end()) {
     // The client read (or dropped) the window before it fired: the shadow
     // copy was pure waste.
-    shadow_bytes_ -= shadow_it->second.bytes;
-    if (m_.waste != nullptr) {
-      m_.waste->Add(ChunkValues(shadow_it->second.chunk));
-    }
+    AddShadowBytes(-static_cast<int64_t>(shadow_it->second.bytes));
+    m_waste_->Add(ChunkValues(shadow_it->second.chunk));
     st.shadows.erase(shadow_it);
-    if (m_.shadow_bytes != nullptr) {
-      m_.shadow_bytes->Set(static_cast<int64_t>(shadow_bytes_));
-    }
   }
   st.abandoned.erase(w);
 }
@@ -201,16 +184,15 @@ void ShardPrefetchScheduler::TakeFired(std::vector<FiredPush>* out) {
 
 // ----- ReadAheadCache -----
 
-ReadAheadCache::ReadAheadCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  m_hits_ = reg.GetCounter("client.prefetch_hits");
-  m_misses_ = reg.GetCounter("client.prefetch_misses");
-  m_waste_ = reg.GetCounter("client.prefetch_waste");
-  m_stale_ = reg.GetCounter("client.prefetch_stale");
-  m_evictions_ = reg.GetCounter("client.prefetch_evictions");
-  m_pushes_ = reg.GetCounter("client.prefetch_pushes");
-  m_push_lag_ms_ = reg.GetHistogram("client.push_lag_ms");
-}
+ReadAheadCache::ReadAheadCache(size_t capacity_bytes, obs::MetricsRegistry* metrics)
+    : capacity_bytes_(capacity_bytes),
+      m_hits_(metrics->GetCounter("client.prefetch_hits")),
+      m_misses_(metrics->GetCounter("client.prefetch_misses")),
+      m_waste_(metrics->GetCounter("client.prefetch_waste")),
+      m_stale_(metrics->GetCounter("client.prefetch_stale")),
+      m_evictions_(metrics->GetCounter("client.prefetch_evictions")),
+      m_pushes_(metrics->GetCounter("client.prefetch_pushes")),
+      m_push_lag_ms_(metrics->GetHistogram("client.push_lag_ms")) {}
 
 void ReadAheadCache::OnLocalAppend(uint64_t handle, const Window& w) {
   MutexLock lock(&mu_);
@@ -229,11 +211,9 @@ void ReadAheadCache::OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
     // A push for a window this client never appended to: either the window
     // was already consumed locally or the server is confused. Either way the
     // entry could never pass the count check — drop it now.
-    ++counters_.stale;
     m_stale_->Add(1);
     return;
   }
-  ++counters_.pushes;
   m_pushes_->Add(1);
   Entry& entry = entries_[key];
   if (entry.chunk.empty()) {
@@ -265,12 +245,10 @@ bool ReadAheadCache::TryServe(uint64_t handle, const Window& w,
   }
   auto entry_it = entries_.find(key);
   if (entry_it == entries_.end() || entry_it->second.values != count_it->second) {
-    ++counters_.misses;
     m_misses_->Add(1);
     return false;
   }
   Entry& entry = entry_it->second;
-  ++counters_.hits;
   m_hits_->Add(1);
   m_push_lag_ms_->Record(
       static_cast<double>(MonotonicNanos() - entry.last_push_nanos) / 1e6);
@@ -286,7 +264,6 @@ void ReadAheadCache::OnRemoteRead(uint64_t handle, const Window& w) {
   const Key key{handle, w};
   auto entry_it = entries_.find(key);
   if (entry_it != entries_.end()) {
-    counters_.waste += entry_it->second.values;
     m_waste_->Add(entry_it->second.values);
     bytes_ -= entry_it->second.bytes;
     entries_.erase(entry_it);
@@ -297,7 +274,6 @@ void ReadAheadCache::OnRemoteRead(uint64_t handle, const Window& w) {
 void ReadAheadCache::Clear() {
   MutexLock lock(&mu_);
   for (const auto& [key, entry] : entries_) {
-    counters_.waste += entry.values;
     m_waste_->Add(entry.values);
   }
   entries_.clear();
@@ -305,8 +281,14 @@ void ReadAheadCache::Clear() {
 }
 
 ReadAheadCounters ReadAheadCache::counters() const {
-  MutexLock lock(&mu_);
-  return counters_;
+  ReadAheadCounters c;
+  c.hits = m_hits_->Value();
+  c.misses = m_misses_->Value();
+  c.waste = m_waste_->Value();
+  c.stale = m_stale_->Value();
+  c.evictions = m_evictions_->Value();
+  c.pushes = m_pushes_->Value();
+  return c;
 }
 
 size_t ReadAheadCache::bytes() const {
@@ -322,9 +304,7 @@ void ReadAheadCache::EvictUntilWithinCapacityLocked() {
         victim = it;
       }
     }
-    counters_.waste += victim->second.values;
     m_waste_->Add(victim->second.values);
-    ++counters_.evictions;
     m_evictions_->Add(1);
     bytes_ -= victim->second.bytes;
     entries_.erase(victim);

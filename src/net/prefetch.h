@@ -55,19 +55,6 @@ namespace net {
 
 // ----- server side -----
 
-// Single-writer counters for one shard's scheduler, created by the server
-// under the owning reactor's WorkerScope. All optional (null = not wired).
-struct PrefetchShardMetrics {
-  obs::Counter* registrations = nullptr;   // kEttRegister subscriptions seen
-  obs::Counter* fired = nullptr;           // windows materialized and handed off
-  obs::Counter* fired_entries = nullptr;   // values across all fired windows
-  obs::Counter* fired_bytes = nullptr;     // shadow bytes across fired windows
-  obs::Counter* invalidated = nullptr;     // appends into already-fired windows
-  obs::Counter* overflow = nullptr;        // windows abandoned at the byte budget
-  obs::Counter* waste = nullptr;           // shadows dropped unpushed (read/drop first)
-  obs::Gauge* shadow_bytes = nullptr;      // current shadow footprint
-};
-
 // One fired window, ready to be encoded as a kPushChunk frame and queued to
 // every subscriber connection. `chunk` is key-grouped (one entry per key).
 struct FiredPush {
@@ -89,8 +76,10 @@ struct FiredPush {
 // handlers).
 class ShardPrefetchScheduler {
  public:
-  ShardPrefetchScheduler(size_t shadow_budget_bytes, PrefetchShardMetrics metrics)
-      : budget_bytes_(shadow_budget_bytes), m_(metrics) {}
+  // Creates the scheduler's `prefetch.*` instruments in `metrics`, labeled
+  // with the calling thread's context (the server constructs each shard's
+  // scheduler under WorkerScope(shard)). Single writer: the owning reactor.
+  ShardPrefetchScheduler(size_t shadow_budget_bytes, obs::MetricsRegistry* metrics);
 
   ShardPrefetchScheduler(const ShardPrefetchScheduler&) = delete;
   ShardPrefetchScheduler& operator=(const ShardPrefetchScheduler&) = delete;
@@ -146,9 +135,18 @@ class ShardPrefetchScheduler {
   };
 
   void FireReady(uint64_t store_id, StoreState* st);
+  // Moves the shadow footprint by `delta` bytes and publishes it.
+  void AddShadowBytes(int64_t delta);
 
   size_t budget_bytes_;
-  PrefetchShardMetrics m_;
+  obs::Counter* m_registrations_;   // kEttRegister subscriptions seen
+  obs::Counter* m_fired_;           // windows materialized and handed off
+  obs::Counter* m_fired_entries_;   // values across all fired windows
+  obs::Counter* m_fired_bytes_;     // shadow bytes across fired windows
+  obs::Counter* m_invalidated_;     // appends into already-fired windows
+  obs::Counter* m_overflow_;        // windows abandoned at the byte budget
+  obs::Counter* m_waste_;           // shadows dropped unpushed (read/drop first)
+  obs::Gauge* m_shadow_bytes_;      // current shadow footprint
   std::unordered_map<uint64_t, StoreState> stores_;
   std::vector<FiredPush> fired_;
   size_t shadow_bytes_ = 0;
@@ -156,7 +154,7 @@ class ShardPrefetchScheduler {
 
 // ----- client side -----
 
-// Point-in-time counter snapshot (also mirrored into obs counters).
+// Point-in-time read of a ReadAheadCache's `client.prefetch_*` counters.
 struct ReadAheadCounters {
   int64_t hits = 0;        // reads served from pushed chunks
   int64_t misses = 0;      // reads with local appends that went remote
@@ -181,7 +179,8 @@ struct ReadAheadCounters {
 // the dead primary's pushes.
 class ReadAheadCache {
  public:
-  explicit ReadAheadCache(size_t capacity_bytes);
+  // Counts into `metrics` (the owning client's registry).
+  ReadAheadCache(size_t capacity_bytes, obs::MetricsRegistry* metrics);
 
   ReadAheadCache(const ReadAheadCache&) = delete;
   ReadAheadCache& operator=(const ReadAheadCache&) = delete;
@@ -212,7 +211,7 @@ class ReadAheadCache {
   // them simply fails the equality.
   void Clear() EXCLUDES(mu_);
 
-  ReadAheadCounters counters() const EXCLUDES(mu_);
+  ReadAheadCounters counters() const;
   size_t bytes() const EXCLUDES(mu_);
 
  private:
@@ -248,10 +247,9 @@ class ReadAheadCache {
   std::unordered_map<Key, Entry, KeyHash> entries_ GUARDED_BY(mu_);
   size_t bytes_ GUARDED_BY(mu_) = 0;
   uint64_t lru_tick_ GUARDED_BY(mu_) = 0;
-  ReadAheadCounters counters_ GUARDED_BY(mu_);
 
-  // obs mirrors; all updates happen under mu_ on the one caller thread, so
-  // the single-writer counter contract holds.
+  // All updates happen under mu_ on the one caller thread, so the
+  // single-writer counter contract holds.
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_waste_;

@@ -87,6 +87,13 @@ Status ReplicaPuller::Start(const ReplicaOptions& options,
   return Status::Ok();
 }
 
+ReplicaPuller::ReplicaPuller()
+    : m_reconnects_(metrics_.GetCounter("repl.reconnects")),
+      m_frames_pulled_(metrics_.GetCounter("repl.frames_pulled")),
+      m_snapshots_restored_(metrics_.GetCounter("repl.snapshots_restored")),
+      m_elections_(metrics_.GetCounter("repl.elections")),
+      m_promotions_(metrics_.GetCounter("repl.promotions")) {}
+
 ReplicaPuller::~ReplicaPuller() { Stop(); }
 
 void ReplicaPuller::Stop() {
@@ -97,7 +104,6 @@ void ReplicaPuller::Stop() {
 }
 
 void ReplicaPuller::Run() {
-  obs::Counter* reconnects = obs::MetricsRegistry::Global().GetCounter("repl.reconnects");
   const bool failover = options_.lease_ms > 0;
   const int64_t lease_nanos = static_cast<int64_t>(options_.lease_ms) * 1'000'000;
   // A standby started with no reachable primary waits out one full lease
@@ -124,7 +130,7 @@ void ReplicaPuller::Run() {
     if (MonotonicNanos() - cycle_start >= 1'000'000'000) {
       prev_sleep_ms = options_.resubscribe_backoff_ms;
     }
-    reconnects->Add(1);
+    m_reconnects_->Add(1);
     BackoffSleep(&prev_sleep_ms);
   }
 }
@@ -230,8 +236,6 @@ void ReplicaPuller::PullOnce() {
     return;
   }
 
-  obs::Counter* frames = obs::MetricsRegistry::Global().GetCounter("repl.frames_pulled");
-
   // Subscribe. A fresh snapshot is always shipped, so the carried sequence is
   // informational (logging/metrics on the primary). The carried epoch lets a
   // stale primary fence itself when a standby from a newer epoch shows up.
@@ -291,7 +295,7 @@ void ReplicaPuller::PullOnce() {
       if (s.ok()) {
         last_frame_nanos_ = MonotonicNanos();  // any complete frame renews the lease
         s = HandleFrame(fd, frame);
-        frames->Add(1);
+        m_frames_pulled_->Add(1);
       }
       if (!s.ok()) {
         FLOWKV_LOG(kWarn) << "replica apply failed; resubscribing "
@@ -460,7 +464,7 @@ Status ReplicaPuller::FinishSnapshot() {
     FLOWKV_RETURN_IF_ERROR(results[0].status);
   }
   snapshot_loaded_.store(true, std::memory_order_release);
-  obs::MetricsRegistry::Global().GetCounter("repl.snapshots_restored")->Add(1);
+  m_snapshots_restored_->Add(1);
   return Status::Ok();
 }
 
@@ -555,7 +559,7 @@ bool ReplicaPuller::PollPeer(const Endpoint& ep, ClusterView* view) {
 }
 
 bool ReplicaPuller::RunElection() {
-  obs::MetricsRegistry::Global().GetCounter("repl.elections")->Add(1);
+  m_elections_->Add(1);
   const uint64_t local = options_.local_epoch();
 
   // One poll pass over the peers: the newest epoch anyone holds, and the
@@ -640,7 +644,7 @@ bool ReplicaPuller::RunElection() {
     return false;
   }
   promoted_.store(true, std::memory_order_release);
-  obs::MetricsRegistry::Global().GetCounter("repl.promotions")->Add(1);
+  m_promotions_->Add(1);
   FLOWKV_LOG(kInfo) << "election: promoted self to primary "
                     << LogKv("epoch", static_cast<int64_t>(target));
   return true;

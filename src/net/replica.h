@@ -52,6 +52,7 @@
 #include "src/common/status.h"
 #include "src/net/client.h"
 #include "src/net/protocol.h"
+#include "src/obs/metrics.h"
 
 namespace flowkv {
 namespace net {
@@ -134,7 +135,7 @@ class ReplicaPuller {
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }
 
  private:
-  ReplicaPuller() = default;
+  ReplicaPuller();
 
   void Run();
   // One subscribe → stream → disconnect cycle. Returns when the connection
@@ -172,6 +173,14 @@ class ReplicaPuller {
   std::atomic<uint64_t> applied_seq_{0};
   std::atomic<bool> snapshot_loaded_{false};
   std::atomic<bool> promoted_{false};
+
+  // This puller's repl.* instruments; the puller thread is the only writer.
+  obs::MetricsRegistry metrics_;
+  obs::Counter* m_reconnects_;
+  obs::Counter* m_frames_pulled_;
+  obs::Counter* m_snapshots_restored_;
+  obs::Counter* m_elections_;
+  obs::Counter* m_promotions_;
 
   // Failover state (puller thread only). last_frame_nanos_ is the lease
   // clock: the monotonic time of the last complete frame from the primary

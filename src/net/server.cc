@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,19 +120,25 @@ void AtomicMaxRelaxed(std::atomic<int64_t>* target, int64_t value) {
   }
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
+// Appends `item` to a comma-separated JSON list: array items or object members.
+void AppendItem(std::string* list, const std::string& item) {
+  if (!list->empty()) *list += ',';
+  *list += item;
+}
+
+// Appends the object member "field":value to a comma-separated list.
+void AppendMember(std::string* members, const std::string& field, const std::string& value) {
+  AppendItem(members, "\"" + field + "\":" + value);
+}
+
+// snprintf into a string; each kStats fragment stays well under the buffer.
+__attribute__((format(printf, 1, 2))) std::string Format(const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  return buf;
 }
 
 // Ops whose execution spans every shard rather than one key's shard.
@@ -398,11 +405,9 @@ class Server::Impl {
     // Single-writer (the owning reactor), created under WorkerScope(shard).
     obs::Counter* shed_deadline = nullptr;
     // Push scheduler; same reactor-confined contract as the shard's stores
-    // (only the owning reactor touches it). Null when prefetch is disabled.
+    // (only the owning reactor touches it). Idle when prefetch is disabled:
+    // kEttRegister never subscribes anyone.
     std::unique_ptr<ShardPrefetchScheduler> prefetch;
-    // Instrument copies kept so BuildStatsJson can sum without a registry
-    // scan (Counter/Gauge reads are plain relaxed loads, safe cross-thread).
-    PrefetchShardMetrics prefetch_metrics;
   };
 
   // What a replica drop must do outside repl_mu_: close the old connection
@@ -573,6 +578,10 @@ class Server::Impl {
 
   friend class Server;
 
+  // This server's instruments, named <kStats block>.<field> (BuildStatsJson).
+  // Declared first so every instrument outlives the threads and tasks that
+  // update it.
+  obs::MetricsRegistry metrics_;
   ServerOptions options_;
   int num_reactors_ = 1;
   int port_ = 0;
@@ -635,7 +644,7 @@ class Server::Impl {
   // Responses parked until the standby acks their carrying sequence.
   std::map<uint64_t, std::shared_ptr<PendingRequest>> parked_ GUARDED_BY(repl_mu_);
   // Guarded by repl_mu_ (multi-thread increments would race RelaxedCounter).
-  obs::Counter* m_repl_drops_ GUARDED_BY(repl_mu_) = nullptr;
+  obs::Counter* m_repl_drops_ GUARDED_BY(repl_mu_);
   // Standby heartbeat tracking (docs/NETWORK.md "Cluster roles"): nanos of
   // the last heartbeat ack (request_id 0) from the subscriber, 0 before the
   // first one. Heartbeats deliberately do NOT feed repl_last_progress_nanos_:
@@ -676,12 +685,10 @@ class Server::Impl {
   int64_t stats_prev_requests_ GUARDED_BY(stats_mu_) = 0;
   std::vector<int64_t> stats_prev_shard_ops_ GUARDED_BY(stats_mu_);
 
-  // Shared instruments that stay safe across threads: gauges are plain
-  // atomic stores, the histogram is internally locked.
-  obs::Gauge* m_open_conns_ = nullptr;
-  obs::Gauge* m_pending_ = nullptr;
-  obs::Gauge* m_repl_parked_ = nullptr;
-  obs::HistogramMetric* m_request_latency_ms_ = nullptr;
+  // Shared instruments that stay safe across threads: the gauge is a plain
+  // atomic store, the histogram is internally locked.
+  obs::Gauge* m_open_conns_;
+  obs::HistogramMetric* m_request_latency_ms_;
 };
 
 Status Server::Impl::Init(const ServerOptions& options) {
@@ -707,12 +714,12 @@ Status Server::Impl::Init(const ServerOptions& options) {
     num_reactors_ = std::min(options_.num_shards, std::max(1, hw));
   }
 
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  m_open_conns_ = reg.GetGauge("server.open_conns");
-  m_pending_ = reg.GetGauge("server.pending_requests");
-  m_repl_parked_ = reg.GetGauge("server.repl_parked_responses");
-  m_repl_drops_ = reg.GetCounter("server.repl_drops");
-  m_request_latency_ms_ = reg.GetHistogram("server.request_latency_ms");
+  m_open_conns_ = metrics_.GetGauge("server.open_conns");
+  m_request_latency_ms_ = metrics_.GetHistogram("server.request_latency_ms");
+  {
+    MutexLock lock(&repl_mu_);  // uncontended: reactors start below
+    m_repl_drops_ = metrics_.GetCounter("replication.drops");
+  }
 
   shard_state_ = std::make_unique<ShardState[]>(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
@@ -720,20 +727,9 @@ Status Server::Impl::Init(const ServerOptions& options) {
     // increments happen-after creation; labeled worker=shard like the rest
     // of the per-shard execution metrics.
     obs::WorkerScope worker_scope(s);
-    shard_state_[s].shed_deadline = reg.GetCounter("server.shed_deadline");
-    if (options_.enable_prefetch_push) {
-      PrefetchShardMetrics& pm = shard_state_[s].prefetch_metrics;
-      pm.registrations = reg.GetCounter("server.prefetch_registrations");
-      pm.fired = reg.GetCounter("server.prefetch_fired");
-      pm.fired_entries = reg.GetCounter("server.prefetch_fired_entries");
-      pm.fired_bytes = reg.GetCounter("server.prefetch_fired_bytes");
-      pm.invalidated = reg.GetCounter("server.prefetch_invalidated");
-      pm.overflow = reg.GetCounter("server.prefetch_overflow");
-      pm.waste = reg.GetCounter("server.prefetch_waste");
-      pm.shadow_bytes = reg.GetGauge("server.prefetch_shadow_bytes");
-      shard_state_[s].prefetch = std::make_unique<ShardPrefetchScheduler>(
-          options_.prefetch_shadow_bytes, pm);
-    }
+    shard_state_[s].shed_deadline = metrics_.GetCounter("server.shed_deadline");
+    shard_state_[s].prefetch = std::make_unique<ShardPrefetchScheduler>(
+        options_.prefetch_shadow_bytes, &metrics_);
   }
 
   reactors_.reserve(static_cast<size_t>(num_reactors_));
@@ -759,17 +755,17 @@ Status Server::Impl::Init(const ServerOptions& options) {
       // Distinct single-writer counter instances per reactor, created on this
       // thread so every reactor (and the stats builder) sees them published.
       obs::WorkerScope worker_scope(i);
-      r->metrics.conns_accepted = reg.GetCounter("server.conns_accepted");
-      r->metrics.requests = reg.GetCounter("server.requests");
-      r->metrics.frames_in = reg.GetCounter("server.frames_in");
-      r->metrics.bytes_in = reg.GetCounter("server.bytes_in");
-      r->metrics.bytes_out = reg.GetCounter("server.bytes_out");
-      r->metrics.protocol_errors = reg.GetCounter("server.protocol_errors");
-      r->metrics.shed_overload = reg.GetCounter("server.shed_overload");
-      r->metrics.repl_forwarded = reg.GetCounter("server.repl_frames_forwarded");
-      r->metrics.pushes_sent = reg.GetCounter("server.pushes_sent");
-      r->metrics.pushes_dropped = reg.GetCounter("server.pushes_dropped");
-      r->metrics.fenced_rejects = reg.GetCounter("server.fenced_rejects");
+      r->metrics.conns_accepted = metrics_.GetCounter("server.conns_accepted");
+      r->metrics.requests = metrics_.GetCounter("server.requests");
+      r->metrics.frames_in = metrics_.GetCounter("server.frames_in");
+      r->metrics.bytes_in = metrics_.GetCounter("server.bytes_in");
+      r->metrics.bytes_out = metrics_.GetCounter("server.bytes_out");
+      r->metrics.protocol_errors = metrics_.GetCounter("server.protocol_errors");
+      r->metrics.shed_overload = metrics_.GetCounter("server.shed_overload");
+      r->metrics.repl_forwarded = metrics_.GetCounter("replication.frames_forwarded");
+      r->metrics.pushes_sent = metrics_.GetCounter("prefetch.pushes_sent");
+      r->metrics.pushes_dropped = metrics_.GetCounter("prefetch.pushes_dropped");
+      r->metrics.fenced_rejects = metrics_.GetCounter("cluster.fenced_rejects");
     }
     wake_fds_.push_back(r->wake_fd);
     reactors_.push_back(std::move(r));
@@ -1123,7 +1119,6 @@ void Server::Impl::ReactorShutdownTail(Reactor& r, bool local_draining) {
       released.push_back(std::move(entry.second));
     }
     parked_.clear();
-    m_repl_parked_->Set(0);
   }
   for (const auto& pending : released) {
     SendResponse(pending);
@@ -1417,8 +1412,7 @@ void Server::Impl::CloseConnLocal(Reactor& r, uint64_t conn_id) {
     // unregister inline; the rest get a best-effort task (a reactor already
     // closed is shutting down and its schedulers die with it).
     for (int s = 0; s < options_.num_shards; ++s) {
-      if ((single_threaded_ || OwnerReactor(s) == r.index) &&
-          shard_state_[s].prefetch != nullptr) {
+      if (single_threaded_ || OwnerReactor(s) == r.index) {
         shard_state_[s].prefetch->Unregister(conn_id);
       }
     }
@@ -1471,7 +1465,6 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
     return;
   }
   r.metrics.requests->Add(1);
-  m_pending_->Set(static_cast<int64_t>(pending_count_.load(std::memory_order_relaxed)));
 
   auto pending = std::make_shared<PendingRequest>();
   pending->conn_id = conn->id();
@@ -1998,7 +1991,7 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
       // Drop the closed connection's subscriptions from every shard this
       // reactor owns (schedulers are confined to their shard's owner).
       for (int s = 0; s < options_.num_shards; ++s) {
-        if (OwnerReactor(s) == r.index && shard_state_[s].prefetch != nullptr) {
+        if (OwnerReactor(s) == r.index) {
           shard_state_[s].prefetch->Unregister(task.conn_id);
         }
       }
@@ -2112,7 +2105,7 @@ void Server::Impl::CompleteRequest(const std::shared_ptr<PendingRequest>& pendin
 
 bool Server::Impl::DispatchFiredPushes(int shard) {
   ShardPrefetchScheduler* sched = shard_state_[shard].prefetch.get();
-  if (sched == nullptr || !sched->has_fired()) {
+  if (!sched->has_fired()) {
     return false;
   }
   bool posted = false;
@@ -2310,7 +2303,6 @@ void Server::Impl::FinishPending(const std::shared_ptr<PendingRequest>& pending)
   if (pending->counted) {
     pending->counted = false;
     pending_count_.fetch_sub(1, std::memory_order_seq_cst);
-    m_pending_->Set(static_cast<int64_t>(pending_count_.load(std::memory_order_relaxed)));
   }
 
   if (options_.slow_request_threshold_ms > 0 && options_.slow_log_size > 0 &&
@@ -2359,7 +2351,6 @@ void Server::Impl::FinishPending(const std::shared_ptr<PendingRequest>& pending)
         repl_last_progress_nanos_ = MonotonicNanos();
       }
       parked_[pending->repl_seq] = pending;
-      m_repl_parked_->Set(static_cast<int64_t>(parked_.size()));
       return;
     }
   }
@@ -2413,62 +2404,48 @@ void Server::Impl::DeliverResponse(const std::shared_ptr<PendingRequest>& pendin
 // Introspection
 // ---------------------------------------------------------------------------
 
+// kStats is one walk over metrics_. An instrument named <block>.<field> is
+// summed over its labels into "<block>":{"<field>":...}; the shard block's
+// instruments (labeled worker=shard) render per shard into "shards". A
+// histogram renders as {count,p50,p95,p99,max}; in the shard block, as an
+// array with one such object per operator label. What is not an instrument
+// is written by hand: config, cluster role and epoch, replication sequence
+// numbers, queue depths, connections, trace, the slow log and the windowed
+// rates.
 std::string Server::Impl::BuildStatsJson() {
   const int64_t now = MonotonicNanos();
-
-  // One registry pass covers the per-shard execution counters (labeled
-  // worker=shard) and the deadline-shed total.
   const int num_shards = options_.num_shards;
-  std::vector<int64_t> shard_ops(static_cast<size_t>(num_shards), 0);
-  std::vector<int64_t> shard_errors(static_cast<size_t>(num_shards), 0);
-  int64_t shed_deadline = 0;
-  for (const obs::MetricSample& s : obs::MetricsRegistry::Global().Snapshot()) {
-    const int w = s.labels.worker;
-    if (s.name == "server.store_ops" && w >= 0 && w < num_shards) {
-      shard_ops[static_cast<size_t>(w)] += s.value;
-    } else if (s.name == "server.store_errors" && w >= 0 && w < num_shards) {
-      shard_errors[static_cast<size_t>(w)] += s.value;
-    } else if (s.name == "server.shed_deadline") {
-      shed_deadline += s.value;
+  const size_t n = static_cast<size_t>(num_shards);
+
+  // Counters and gauges. A shard reports ops and errors before its first op.
+  std::map<std::string, std::map<std::string, int64_t>> sums;
+  std::vector<std::map<std::string, int64_t>> shard_sums(n, {{"ops", 0}, {"errors", 0}});
+  for (const obs::MetricSample& m : metrics_.Snapshot()) {
+    const size_t dot = m.name.find('.');
+    const std::string block = m.name.substr(0, dot);
+    const std::string field = m.name.substr(dot + 1);
+    if (block != "shard") {
+      sums[block][field] += m.value;
+    } else if (m.labels.worker >= 0 && m.labels.worker < num_shards) {
+      shard_sums[static_cast<size_t>(m.labels.worker)][field] += m.value;
     }
   }
-  const std::vector<obs::HistogramSample> hists =
-      obs::MetricsRegistry::Global().HistogramSnapshots();
-
-  // Reactor-scoped counters sum across the pool.
-  int64_t requests = 0, frames_in = 0, bytes_in = 0, bytes_out = 0;
-  int64_t protocol_errors = 0, shed_overload = 0;
-  for (const auto& r : reactors_) {
-    requests += r->metrics.requests->Value();
-    frames_in += r->metrics.frames_in->Value();
-    bytes_in += r->metrics.bytes_in->Value();
-    bytes_out += r->metrics.bytes_out->Value();
-    protocol_errors += r->metrics.protocol_errors->Value();
-    shed_overload += r->metrics.shed_overload->Value();
-  }
-
-  std::string j;
-  j.reserve(4096);
-  char buf[512];
-  auto add = [&j, &buf](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    j.append(buf);
-  };
 
   double window_s = 0;
   double req_per_sec = 0;
-  std::vector<double> shard_ops_per_sec(static_cast<size_t>(num_shards), 0);
+  std::vector<int64_t> shard_ops(n);
+  std::vector<double> shard_ops_per_sec(n, 0);
+  for (size_t s = 0; s < n; ++s) shard_ops[s] = shard_sums[s]["ops"];
+  const int64_t requests = sums["server"]["requests"];
   std::vector<SlowRequest> slow;
   {
     MutexLock lock(&stats_mu_);
     window_s = static_cast<double>(now - stats_prev_nanos_) / 1e9;
     if (window_s > 0) {
       req_per_sec = static_cast<double>(requests - stats_prev_requests_) / window_s;
-      for (int s = 0; s < num_shards; ++s) {
-        shard_ops_per_sec[static_cast<size_t>(s)] =
-            static_cast<double>(shard_ops[static_cast<size_t>(s)] -
-                                stats_prev_shard_ops_[static_cast<size_t>(s)]) /
-            window_s;
+      for (size_t s = 0; s < n; ++s) {
+        shard_ops_per_sec[s] =
+            static_cast<double>(shard_ops[s] - stats_prev_shard_ops_[s]) / window_s;
       }
     }
     slow = slow_log_;
@@ -2477,43 +2454,19 @@ std::string Server::Impl::BuildStatsJson() {
     stats_prev_shard_ops_ = shard_ops;
   }
 
-  add("{\"ts_ms\":%lld,\"window_s\":%.3f,", static_cast<long long>(now / 1'000'000),
-      window_s);
-  add("\"server\":{\"port\":%d,\"num_shards\":%d,\"reactor_threads\":%d,"
-      "\"requests\":%lld,\"req_per_sec\":%.1f,\"frames_in\":%lld,\"bytes_in\":%lld,"
-      "\"bytes_out\":%lld,\"open_conns\":%lld,\"pending_requests\":%llu,"
-      "\"shed_overload\":%lld,\"shed_deadline\":%lld,\"protocol_errors\":%lld",
-      port_, num_shards, num_reactors_, static_cast<long long>(requests), req_per_sec,
-      static_cast<long long>(frames_in), static_cast<long long>(bytes_in),
-      static_cast<long long>(bytes_out),
-      static_cast<long long>(m_open_conns_->Value()),
-      static_cast<unsigned long long>(pending_count_.load(std::memory_order_relaxed)),
-      static_cast<long long>(shed_overload), static_cast<long long>(shed_deadline),
-      static_cast<long long>(protocol_errors));
-  for (const obs::HistogramSample& h : hists) {
-    if (h.name == "server.request_latency_ms" && h.count > 0) {
-      add(",\"request_latency_ms\":{\"count\":%llu,\"p50\":%.3f,\"p95\":%.3f,"
-          "\"p99\":%.3f,\"max\":%.3f}",
-          static_cast<unsigned long long>(h.count), h.p50, h.p95, h.p99, h.max);
-      break;
-    }
-  }
-  j += "},";
-
-  {
-    int64_t fenced_rejects = 0;
-    for (const auto& rr : reactors_) {
-      fenced_rejects += rr->metrics.fenced_rejects->Value();
-    }
-    const int64_t role = cluster_role_.load(std::memory_order_acquire);
-    add("\"cluster\":{\"role\":\"%s\",\"epoch\":%llu,\"lease_ms\":%d,"
-        "\"priority\":%d,\"fenced_rejects\":%lld},",
-        role == kRolePrimary ? "primary" : role == kRoleStandby ? "standby" : "fenced",
-        static_cast<unsigned long long>(cluster_epoch_.load(std::memory_order_acquire)),
-        options_.lease_ms, options_.promotion_priority,
-        static_cast<long long>(fenced_rejects));
-  }
-
+  // Block members: the hand-written ones first, then the instruments.
+  std::map<std::string, std::string> blocks;
+  blocks["server"] = Format(
+      "\"port\":%d,\"num_shards\":%d,\"reactor_threads\":%d,\"req_per_sec\":%.1f,"
+      "\"pending_requests\":%llu",
+      port_, num_shards, num_reactors_, req_per_sec,
+      static_cast<unsigned long long>(pending_count_.load(std::memory_order_relaxed)));
+  const int64_t role = cluster_role_.load(std::memory_order_acquire);
+  blocks["cluster"] = Format(
+      "\"role\":\"%s\",\"epoch\":%llu,\"lease_ms\":%d,\"priority\":%d",
+      role == kRolePrimary ? "primary" : role == kRoleStandby ? "standby" : "fenced",
+      static_cast<unsigned long long>(cluster_epoch_.load(std::memory_order_acquire)),
+      options_.lease_ms, options_.promotion_priority);
   {
     MutexLock lock(&repl_mu_);
     const bool subscribed = replica_conn_id_ != 0;
@@ -2525,75 +2478,59 @@ std::string Server::Impl::BuildStatsJson() {
         subscribed && repl_last_heartbeat_nanos_ > 0
             ? static_cast<double>(now - repl_last_heartbeat_nanos_) / 1e6
             : -1.0;
-    add("\"replication\":{\"subscribed\":%s,\"next_seq\":%llu,\"acked_seq\":%llu,"
-        "\"lag\":%llu,\"parked\":%llu,\"heartbeat_age_ms\":%.1f},",
+    blocks["replication"] = Format(
+        "\"subscribed\":%s,\"next_seq\":%llu,\"acked_seq\":%llu,\"lag\":%llu,"
+        "\"parked\":%llu,\"heartbeat_age_ms\":%.1f",
         subscribed ? "true" : "false", static_cast<unsigned long long>(repl_next_seq_),
         static_cast<unsigned long long>(repl_acked_seq_), lag,
         static_cast<unsigned long long>(parked_.size()), heartbeat_age_ms);
   }
-
-  {
-    // Prefetch-push rollup across shards (scheduler counters are per-shard
-    // single-writer; reading them here is a relaxed load) and reactors.
-    int64_t p_reg = 0, p_fired = 0, p_entries = 0, p_bytes = 0;
-    int64_t p_inval = 0, p_overflow = 0, p_waste = 0, p_shadow = 0;
-    bool enabled = false;
-    for (int s = 0; s < num_shards; ++s) {
-      const PrefetchShardMetrics& pm = shard_state_[s].prefetch_metrics;
-      if (pm.fired == nullptr) continue;
-      enabled = true;
-      p_reg += pm.registrations->Value();
-      p_fired += pm.fired->Value();
-      p_entries += pm.fired_entries->Value();
-      p_bytes += pm.fired_bytes->Value();
-      p_inval += pm.invalidated->Value();
-      p_overflow += pm.overflow->Value();
-      p_waste += pm.waste->Value();
-      p_shadow += pm.shadow_bytes->Value();
+  blocks["prefetch"] = options_.enable_prefetch_push ? "\"enabled\":true" : "\"enabled\":false";
+  for (const auto& [block, fields] : sums) {
+    for (const auto& [field, value] : fields) {
+      AppendMember(&blocks[block], field, std::to_string(value));
     }
-    int64_t pushes_sent = 0, pushes_dropped = 0;
-    for (const auto& r : reactors_) {
-      pushes_sent += r->metrics.pushes_sent->Value();
-      pushes_dropped += r->metrics.pushes_dropped->Value();
+  }
+  std::vector<std::map<std::string, std::string>> shard_hists(n, {{"op_latency_ms", ""}});
+  for (const obs::HistogramSample& h : metrics_.HistogramSnapshots()) {
+    const size_t dot = h.name.find('.');
+    const std::string block = h.name.substr(0, dot);
+    const std::string summary = Format(
+        "\"count\":%llu,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,\"max\":%.3f",
+        static_cast<unsigned long long>(h.count), h.p50, h.p95, h.p99, h.max);
+    if (block != "shard") {
+      AppendMember(&blocks[block], h.name.substr(dot + 1), "{" + summary + "}");
+    } else if (h.labels.worker >= 0 && h.labels.worker < num_shards) {
+      const size_t shard = static_cast<size_t>(h.labels.worker);
+      std::string& items = shard_hists[shard][h.name.substr(dot + 1)];
+      items += items.empty() ? "{\"op\":\"" : ",{\"op\":\"";
+      obs::AppendJsonEscaped(&items, h.labels.op);
+      items += "\"," + summary + "}";
     }
-    add("\"prefetch\":{\"enabled\":%s,\"registrations\":%lld,\"fired\":%lld,"
-        "\"fired_entries\":%lld,\"fired_bytes\":%lld,\"invalidated\":%lld,"
-        "\"overflow\":%lld,\"waste\":%lld,\"shadow_bytes\":%lld,"
-        "\"pushes_sent\":%lld,\"pushes_dropped\":%lld},",
-        enabled ? "true" : "false", static_cast<long long>(p_reg),
-        static_cast<long long>(p_fired), static_cast<long long>(p_entries),
-        static_cast<long long>(p_bytes), static_cast<long long>(p_inval),
-        static_cast<long long>(p_overflow), static_cast<long long>(p_waste),
-        static_cast<long long>(p_shadow), static_cast<long long>(pushes_sent),
-        static_cast<long long>(pushes_dropped));
   }
 
-  j += "\"shards\":[";
-  for (int shard = 0; shard < num_shards; ++shard) {
-    const size_t si = static_cast<size_t>(shard);
-    add("%s{\"shard\":%d,\"queue_depth\":%llu,\"ops\":%lld,\"ops_per_sec\":%.1f,"
-        "\"errors\":%lld,\"op_latency_ms\":[",
-        shard == 0 ? "" : ",", shard,
-        static_cast<unsigned long long>(
-            shard_state_[shard].depth.load(std::memory_order_relaxed)),
-        static_cast<long long>(shard_ops[si]), shard_ops_per_sec[si],
-        static_cast<long long>(shard_errors[si]));
-    bool first = true;
-    for (const obs::HistogramSample& h : hists) {
-      if (h.name != "server.op_latency_ms" || h.labels.worker != shard || h.count == 0) {
-        continue;
-      }
-      j += first ? "{\"op\":\"" : ",{\"op\":\"";
-      first = false;
-      AppendJsonEscaped(&j, h.labels.op);
-      add("\",\"count\":%llu,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,\"max\":%.3f}",
-          static_cast<unsigned long long>(h.count), h.p50, h.p95, h.p99, h.max);
-    }
-    j += "]}";
+  std::string j = Format("{\"ts_ms\":%lld,\"window_s\":%.3f",
+                         static_cast<long long>(now / 1'000'000), window_s);
+  for (const auto& [block, members] : blocks) {
+    AppendMember(&j, block, "{" + members + "}");
   }
-  j += "],";
+  std::string shards;
+  for (size_t s = 0; s < n; ++s) {
+    std::string members = Format(
+        "\"shard\":%zu,\"queue_depth\":%llu,\"ops_per_sec\":%.1f", s,
+        static_cast<unsigned long long>(shard_state_[s].depth.load(std::memory_order_relaxed)),
+        shard_ops_per_sec[s]);
+    for (const auto& [field, value] : shard_sums[s]) {
+      AppendMember(&members, field, std::to_string(value));
+    }
+    for (const auto& [field, items] : shard_hists[s]) {
+      AppendMember(&members, field, "[" + items + "]");
+    }
+    AppendItem(&shards, "{" + members + "}");
+  }
+  AppendMember(&j, "shards", "[" + shards + "]");
 
-  j += "\"connections\":[";
+  j += ",\"connections\":[";
   {
     // The registry (not the per-reactor maps) so any reactor can render the
     // whole directory; outbox_bytes() is the connection's one atomic field.
@@ -2602,36 +2539,36 @@ std::string Server::Impl::BuildStatsJson() {
     bool first_conn = true;
     for (const auto& kv : conn_registry_) {
       const Connection* conn = kv.second.conn.get();
-      add("%s{\"id\":%llu,\"outbox_bytes\":%llu,\"is_replica\":%s}",
-          first_conn ? "" : ",", static_cast<unsigned long long>(conn->id()),
-          static_cast<unsigned long long>(conn->outbox_bytes()),
-          conn->id() == replica_id ? "true" : "false");
+      j += Format("%s{\"id\":%llu,\"outbox_bytes\":%llu,\"is_replica\":%s}",
+                  first_conn ? "" : ",", static_cast<unsigned long long>(conn->id()),
+                  static_cast<unsigned long long>(conn->outbox_bytes()),
+                  conn->id() == replica_id ? "true" : "false");
       first_conn = false;
     }
   }
   j += "],";
 
-  add("\"trace\":{\"enabled\":%s,\"events\":%llu,\"dropped\":%llu},",
-      obs::Tracing::enabled() ? "true" : "false",
-      static_cast<unsigned long long>(obs::Tracing::EventCount()),
-      static_cast<unsigned long long>(obs::Tracing::DroppedCount()));
+  j += Format("\"trace\":{\"enabled\":%s,\"events\":%llu,\"dropped\":%llu},",
+              obs::Tracing::enabled() ? "true" : "false",
+              static_cast<unsigned long long>(obs::Tracing::EventCount()),
+              static_cast<unsigned long long>(obs::Tracing::DroppedCount()));
 
   // Slowest first, so the head of the array is always the worst offender.
   std::sort(slow.begin(), slow.end(), [](const SlowRequest& a, const SlowRequest& b) {
     return a.total_ms > b.total_ms;
   });
-  add("\"slow_threshold_ms\":%.3f,\"slow_requests\":[",
-      options_.slow_request_threshold_ms);
+  j += Format("\"slow_threshold_ms\":%.3f,\"slow_requests\":[",
+              options_.slow_request_threshold_ms);
   for (size_t i = 0; i < slow.size(); ++i) {
     const SlowRequest& s = slow[i];
-    add("%s{\"request_id\":%llu,\"conn_id\":%llu,\"trace_id\":%llu,\"ops\":%llu,"
-        "\"total_ms\":%.3f,\"queue_wait_ms\":%.3f,\"exec_ms\":%.3f,\"ts_ms\":%lld,"
-        "\"read_path\":\"%s\"}",
-        i == 0 ? "" : ",", static_cast<unsigned long long>(s.request_id),
-        static_cast<unsigned long long>(s.conn_id),
-        static_cast<unsigned long long>(s.trace_id),
-        static_cast<unsigned long long>(s.num_ops), s.total_ms, s.queue_wait_ms, s.exec_ms,
-        static_cast<long long>(s.ts_ms), s.read_path);
+    j += Format("%s{\"request_id\":%llu,\"conn_id\":%llu,\"trace_id\":%llu,\"ops\":%llu,"
+                "\"total_ms\":%.3f,\"queue_wait_ms\":%.3f,\"exec_ms\":%.3f,\"ts_ms\":%lld,"
+                "\"read_path\":\"%s\"}",
+                i == 0 ? "" : ",", static_cast<unsigned long long>(s.request_id),
+                static_cast<unsigned long long>(s.conn_id),
+                static_cast<unsigned long long>(s.trace_id),
+                static_cast<unsigned long long>(s.num_ops), s.total_ms, s.queue_wait_ms,
+                s.exec_ms, static_cast<long long>(s.ts_ms), s.read_path);
   }
   j += "]}";
   return j;
@@ -2864,7 +2801,6 @@ void Server::Impl::HandleReplicaAck(Reactor& r, uint64_t seq) {
       released.push_back(std::move(parked_.begin()->second));
       parked_.erase(parked_.begin());
     }
-    m_repl_parked_->Set(static_cast<int64_t>(parked_.size()));
   }
   for (const auto& pending : released) {
     DeliverResponse(pending);
@@ -2908,7 +2844,6 @@ Server::Impl::ReplicaDropActions Server::Impl::DropReplicaLocked(const std::stri
     actions.released.push_back(std::move(entry.second));
   }
   parked_.clear();
-  m_repl_parked_->Set(0);
   actions.record = "replica dropped: " + reason;
   return actions;
 }
@@ -2974,7 +2909,6 @@ void Server::Impl::ReleaseParkedForDrain() {
       released.push_back(std::move(entry.second));
     }
     parked_.clear();
-    m_repl_parked_->Set(0);
   }
   for (const auto& pending : released) {
     DeliverResponse(pending);
@@ -3252,10 +3186,9 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
   StoreEntry::ShardObs& so = store->shard_obs[static_cast<size_t>(shard)];
   if (so.ops == nullptr) {
     obs::OperatorScope op_scope(store->spec.name);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    so.ops = reg.GetCounter("server.store_ops");
-    so.errors = reg.GetCounter("server.store_errors");
-    so.latency_ms = reg.GetHistogram("server.op_latency_ms");
+    so.ops = metrics_.GetCounter("shard.ops");
+    so.errors = metrics_.GetCounter("shard.errors");
+    so.latency_ms = metrics_.GetHistogram("shard.op_latency_ms");
   }
   const int64_t start = MonotonicNanos();
 
@@ -3266,7 +3199,7 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
   switch (op.type) {
     case OpType::kAppendAligned:
       out->status = kv->Append(op.key_view(), op.value_view(), op.window);
-      if (out->status.ok() && sched != nullptr) {
+      if (out->status.ok()) {
         // Shadow-copy for the push scheduler (no-op without subscribers) and
         // advance the store's event-time high-water mark, possibly firing
         // closed windows (drained by DispatchFiredPushes after the batch).
@@ -3275,25 +3208,21 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
       break;
     case OpType::kGetWindowChunk:
       out->status = kv->GetWindowChunk(op.window, &out->chunk, &out->done);
-      if (sched != nullptr) {
-        // The client went to the read path: any unpushed shadow is waste.
-        sched->OnWindowConsumed(store->id, op.window);
-      }
+      // The client went to the read path: any unpushed shadow is waste.
+      sched->OnWindowConsumed(store->id, op.window);
       break;
     case OpType::kDropWindow:
       out->status = kv->DropWindow(op.window);
-      if (sched != nullptr) {
-        sched->OnWindowConsumed(store->id, op.window);
-      }
+      sched->OnWindowConsumed(store->id, op.window);
       break;
     case OpType::kEttRegister:
       if (kv->pattern() != StorePattern::kAppendAligned) {
         out->status = Status::FailedPrecondition("kEttRegister on a non-AAR store");
         break;
       }
-      // Disabled prefetch (null scheduler) still answers OK: the register is
-      // a hint, and clients only send it when the handshake reports push.
-      if (sched != nullptr) {
+      // Disabled prefetch still answers OK: the register is a hint, and
+      // clients only send it when the handshake reports push.
+      if (options_.enable_prefetch_push) {
         sched->Register(conn_id, store->id);
       }
       out->status = Status::Ok();
@@ -3381,6 +3310,8 @@ void Server::Stop() { impl_->HardStop(); }
 uint64_t Server::cluster_epoch() const { return impl_->cluster_epoch(); }
 
 int64_t Server::cluster_role() const { return impl_->cluster_role(); }
+
+const obs::MetricsRegistry& Server::metrics() const { return impl_->metrics_; }
 
 Status Server::Promote(uint64_t new_epoch) {
   // Off-pool callers only (the ReplicaPuller's election thread, tests, the

@@ -34,6 +34,7 @@
 #include "src/common/status.h"
 #include "src/flowkv/flowkv_options.h"
 #include "src/net/protocol.h"
+#include "src/obs/metrics.h"
 
 namespace flowkv {
 namespace net {
@@ -172,6 +173,10 @@ class Server {
   // Fences this server: mutating client ops are rejected with kFencedOff
   // until the process restarts. Used to neutralize a stale primary.
   void Fence();
+
+  // This server's own instruments, the source of its kStats document
+  // (docs/OBSERVABILITY.md). Valid until the server is destroyed.
+  const obs::MetricsRegistry& metrics() const;
 
  private:
   class Impl;

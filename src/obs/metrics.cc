@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/obs/context.h"
@@ -19,86 +20,78 @@ MetricLabels LabelsFromContext(const char* pattern_override = nullptr) {
   return labels;
 }
 
-template <typename T>
-T* FindOrCreate(std::map<std::string, std::unique_ptr<T>>* m, const std::string& key) {
+template <typename T, typename Key>
+T* FindOrCreate(std::map<Key, std::unique_ptr<T>>* m, Key key) {
   auto it = m->find(key);
   if (it == m->end()) {
-    it = m->emplace(key, std::make_unique<T>()).first;
+    it = m->emplace(std::move(key), std::make_unique<T>()).first;
   }
   return it->second.get();
 }
 
-// Inverse of MetricLabels::Key(): key = name + "|w=<w>|p=<p>|o=<op>|<pattern>".
-MetricLabels ParseKey(const std::string& key, std::string* name) {
-  MetricLabels labels;
-  const size_t bar = key.find('|');
-  *name = key.substr(0, bar);
-  if (bar == std::string::npos) return labels;
-  int w = -1, p = -1;
-  int consumed = 0;
-  if (std::sscanf(key.c_str() + bar, "|w=%d|p=%d|o=%n", &w, &p, &consumed) >= 2 &&
-      consumed > 0) {
-    labels.worker = w;
-    labels.partition = p;
-    const size_t op_start = bar + static_cast<size_t>(consumed);
-    const size_t op_end = key.find('|', op_start);
-    if (op_end != std::string::npos) {
-      labels.op = key.substr(op_start, op_end - op_start);
-      labels.pattern = key.substr(op_end + 1);
-    }
-  }
-  return labels;
-}
-
 }  // namespace
 
-std::string MetricLabels::Key() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "|w=%d|p=%d|o=", worker, partition);
-  // The operator name is user-controlled free text, so it goes last-but-one
-  // delimited by '|' (operator names containing '|' would corrupt the key;
-  // none of the engine's name sources allow it).
-  return buf + op + "|" + pattern;
+void AppendJsonEscaped(std::string* out, const std::string& s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out->append(buf);
+    } else {
+      out->push_back(c);
+    }
+  }
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
+  static MetricsRegistry* registry = new MetricsRegistry(GlobalTag{});  // never destroyed
   return *registry;
+}
+
+MetricsRegistry::MetricsRegistry() {
+  MetricsRegistry& global = Global();
+  MutexLock lock(&global.attached_mu_);
+  global.attached_.push_back(this);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  MetricsRegistry& global = Global();
+  MutexLock lock(&global.attached_mu_);
+  global.attached_.erase(std::find(global.attached_.begin(), global.attached_.end(), this));
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(&mu_);
-  return FindOrCreate(&counters_, name + LabelsFromContext().Key());
+  return FindOrCreate(&counters_, Key(name, LabelsFromContext()));
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   MutexLock lock(&mu_);
-  return FindOrCreate(&gauges_, name + LabelsFromContext().Key());
-}
-
-TimerMetric* MetricsRegistry::GetTimer(const std::string& name) {
-  MutexLock lock(&mu_);
-  return FindOrCreate(&timers_, name + LabelsFromContext().Key());
+  return FindOrCreate(&gauges_, Key(name, LabelsFromContext()));
 }
 
 HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(&mu_);
-  return FindOrCreate(&histograms_, name + LabelsFromContext().Key());
+  return FindOrCreate(&histograms_, Key(name, LabelsFromContext()));
 }
 
 std::vector<HistogramSample> MetricsRegistry::HistogramSnapshots() const {
   std::vector<HistogramSample> out;
-  MutexLock lock(&mu_);
-  for (const auto& kv : histograms_) {
-    HistogramSample s;
-    s.labels = ParseKey(kv.first, &s.name);
-    const Histogram hist = kv.second->SnapshotHistogram();
-    s.count = hist.count();
-    s.p50 = hist.Percentile(50);
-    s.p95 = hist.Percentile(95);
-    s.p99 = hist.Percentile(99);
-    s.max = hist.max();
-    out.push_back(std::move(s));
+  {
+    MutexLock lock(&mu_);
+    for (const auto& [key, metric] : histograms_) {
+      const Histogram hist = metric->SnapshotHistogram();
+      out.push_back({key.first, key.second, hist.count(), hist.Percentile(50),
+                     hist.Percentile(95), hist.Percentile(99), hist.max()});
+    }
+  }
+  MutexLock lock(&attached_mu_);
+  for (const MetricsRegistry* r : attached_) {
+    std::vector<HistogramSample> more = r->HistogramSnapshots();
+    out.insert(out.end(), more.begin(), more.end());
   }
   return out;
 }
@@ -142,74 +135,54 @@ StoreStats MetricsRegistry::AggregateStoreStats(int worker) const {
 
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   std::vector<MetricSample> out;
-  size_t n = 0;
-  const StoreStats::CounterField* fields = StoreStats::CounterFields(&n);
-  MutexLock lock(&mu_);
-
-  auto parse_key = [](const std::string& key, MetricSample* s) { s->labels = ParseKey(key, &s->name); };
-
-  for (const auto& kv : counters_) {
-    MetricSample s;
-    parse_key(kv.first, &s);
-    s.kind = "counter";
-    s.value = kv.second->Value();
-    out.push_back(std::move(s));
-  }
-  for (const auto& kv : gauges_) {
-    MetricSample s;
-    parse_key(kv.first, &s);
-    s.kind = "gauge";
-    s.value = kv.second->Value();
-    out.push_back(std::move(s));
-  }
-  for (const auto& kv : timers_) {
-    MetricSample s;
-    parse_key(kv.first, &s);
-    s.kind = "timer_count";
-    s.value = kv.second->Count();
-    out.push_back(s);
-    s.kind = "timer_nanos";
-    s.value = kv.second->TotalNanos();
-    out.push_back(std::move(s));
-  }
-  for (const StatsEntry& entry : stats_) {
-    for (size_t i = 0; i < n; ++i) {
-      MetricSample s;
-      s.name = fields[i].name;
-      s.labels = entry.labels;
-      s.kind = "stats";
-      s.value = fields[i].get(*entry.stats).load();
-      out.push_back(std::move(s));
+  {
+    size_t n = 0;
+    const StoreStats::CounterField* fields = StoreStats::CounterFields(&n);
+    MutexLock lock(&mu_);
+    for (const auto& [key, counter] : counters_) {
+      out.push_back({key.first, key.second, "counter", counter->Value()});
     }
+    for (const auto& [key, gauge] : gauges_) {
+      out.push_back({key.first, key.second, "gauge", gauge->Value()});
+    }
+    for (const StatsEntry& entry : stats_) {
+      for (size_t i = 0; i < n; ++i) {
+        out.push_back({fields[i].name, entry.labels, "stats", fields[i].get(*entry.stats).load()});
+      }
+    }
+  }
+  MutexLock lock(&attached_mu_);
+  for (const MetricsRegistry* r : attached_) {
+    std::vector<MetricSample> more = r->Snapshot();
+    out.insert(out.end(), more.begin(), more.end());
   }
   return out;
 }
 
 std::string MetricsRegistry::SnapshotJson() const {
-  std::vector<MetricSample> samples = Snapshot();
   std::string json = "[";
-  char buf[320];
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const MetricSample& s = samples[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"%s\",\"worker\":%d,\"partition\":%d,\"op\":\"%s\","
-                  "\"pattern\":\"%s\",\"kind\":\"%s\",\"value\":%lld}",
-                  i == 0 ? "" : ",", s.name.c_str(), s.labels.worker, s.labels.partition,
-                  s.labels.op.c_str(), s.labels.pattern.c_str(), s.kind,
-                  static_cast<long long>(s.value));
-    json += buf;
+  for (const MetricSample& s : Snapshot()) {
+    if (json.size() > 1) json += ',';
+    json += "{\"name\":\"";
+    AppendJsonEscaped(&json, s.name);
+    json += "\",\"worker\":" + std::to_string(s.labels.worker) +
+            ",\"partition\":" + std::to_string(s.labels.partition) + ",\"op\":\"";
+    AppendJsonEscaped(&json, s.labels.op);
+    json += "\",\"pattern\":\"";
+    AppendJsonEscaped(&json, s.labels.pattern);
+    json += "\",\"kind\":\"" + std::string(s.kind) +
+            "\",\"value\":" + std::to_string(s.value) + "}";
   }
   json += "]";
   return json;
 }
 
-void MetricsRegistry::Reset() {
-  MutexLock lock(&mu_);
-  for (auto& kv : counters_) *kv.second = Counter();
-  for (auto& kv : gauges_) *kv.second = Gauge();
-  for (auto& kv : timers_) *kv.second = TimerMetric();
-  for (auto& kv : histograms_) kv.second->Clear();
-  stats_.clear();
+int64_t MetricsRegistry::Sum(const std::string& name) const {
+  int64_t sum = 0;
+  for (const MetricSample& s : Snapshot()) {
+    if (s.name == name) sum += s.value;
+  }
+  return sum;
 }
 
 }  // namespace obs

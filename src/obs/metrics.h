@@ -1,14 +1,17 @@
-// Live metrics registry. Instruments (counters, gauges, timers) and
-// registered StoreStats blocks are owned by the process-wide registry and
-// labeled with the (worker, partition, pattern) context of the registering
-// thread. Hot-path updates are single-writer RelaxedCounter stores — no
-// locks, no contended cache lines under the SPE's thread-per-partition
-// contract — while the reporter thread snapshots them concurrently with
-// relaxed loads.
+// Live metrics registries. Instruments (counters, gauges, histograms) are
+// owned by a registry and labeled with the (worker, partition, pattern, op)
+// context of the creating thread. Counter and gauge updates are
+// single-writer RelaxedCounter stores — no locks, no contended cache lines
+// under the SPE's thread-per-partition contract — while readers snapshot
+// them concurrently with relaxed loads.
 //
-// Lookup (GetCounter etc.) takes a mutex; callers on hot paths should look
-// up once and cache the returned pointer, which stays valid for the life of
-// the process (instruments are never deallocated, only Reset() to zero).
+// Global() holds the embedded engine's instruments and registered StoreStats
+// blocks. Each net::Server, net::Client and net::ReplicaPuller owns an
+// instance registry instead, attached to Global() for its lifetime so the
+// process-wide dumps (flight records, the periodic reporter) still see it.
+//
+// Lookup (GetCounter etc.) takes a mutex; callers look up once and cache the
+// returned pointer, which stays valid for the life of the registry.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -16,6 +19,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -33,7 +38,10 @@ struct MetricLabels {
   std::string pattern;
   std::string op;  // logical operator name ("" when outside an OperatorScope)
 
-  std::string Key() const;  // canonical map-key / JSON fragment
+  bool operator<(const MetricLabels& o) const {
+    return std::tie(worker, partition, pattern, op) <
+           std::tie(o.worker, o.partition, o.pattern, o.op);
+  }
 };
 
 // Monotonically increasing count (events, bytes, ...). Single writer.
@@ -56,23 +64,6 @@ class Gauge {
   RelaxedCounter v_;
 };
 
-// Duration accumulator: total nanoseconds and sample count. Use with
-// ScopedTimer via nanos() or Record() directly.
-class TimerMetric {
- public:
-  void Record(int64_t nanos) {
-    count_ += 1;
-    nanos_ += nanos;
-  }
-  RelaxedCounter* nanos_sink() { return &nanos_; }
-  int64_t Count() const { return count_.load(); }
-  int64_t TotalNanos() const { return nanos_.load(); }
-
- private:
-  RelaxedCounter count_;
-  RelaxedCounter nanos_;
-};
-
 // Mutex-guarded latency/size distribution. Unlike the single-writer
 // instruments above it accepts concurrent writers (server shard threads all
 // record into the same request-latency histogram); Record is a short
@@ -88,10 +79,6 @@ class HistogramMetric {
     MutexLock lock(&mu_);
     return hist_;
   }
-  void Clear() {
-    MutexLock lock(&mu_);
-    hist_.Clear();
-  }
 
  private:
   mutable Mutex mu_;
@@ -102,7 +89,7 @@ class HistogramMetric {
 struct MetricSample {
   std::string name;
   MetricLabels labels;
-  const char* kind;  // "counter" | "gauge" | "timer_count" | "timer_nanos" | "stats"
+  const char* kind;  // "counter" | "gauge" | "stats"
   int64_t value = 0;
 };
 
@@ -117,15 +104,26 @@ struct HistogramSample {
   double max = 0;
 };
 
+// Appends `s` to `*out` as the body of a JSON string: '"' and '\\' are
+// backslash-escaped, control bytes become \u00XX. Every JSON writer over
+// metric names and labels goes through it.
+void AppendJsonEscaped(std::string* out, const std::string& s);
+
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
+
+  // An instance registry, attached to Global() until destroyed.
+  MetricsRegistry();
+  ~MetricsRegistry();
+
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Instruments are keyed by (name, current thread-context labels); repeated
   // calls with the same key return the same instrument.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  TimerMetric* GetTimer(const std::string& name);
   HistogramMetric* GetHistogram(const std::string& name);
 
   // Registers a live StoreStats block for concurrent sampling, labeled with
@@ -140,37 +138,45 @@ class MetricsRegistry {
   // embedded histogram is owner-written and is not sampled live.
   StoreStats AggregateStoreStats(int worker = -1) const;
 
-  // Point-in-time view of every instrument and registered stats counter.
+  // Point-in-time view of every instrument and registered stats counter,
+  // followed by those of every attached instance registry.
   std::vector<MetricSample> Snapshot() const;
-  // Percentile snapshots (p50/p95/p99) of every registered histogram; the
-  // periodic reporter embeds these in its JSONL stream.
+  // Percentile snapshots (p50/p95/p99) of every histogram, attached
+  // registries' included; the periodic reporter embeds these in its JSONL
+  // stream.
   std::vector<HistogramSample> HistogramSnapshots() const;
-  // Snapshot as a JSON array of {"name","worker","partition","pattern","kind","value"}.
+  // Snapshot as a JSON array of
+  // {"name","worker","partition","op","pattern","kind","value"}.
   std::string SnapshotJson() const;
-
-  // Zeroes instruments and drops stats registrations. Tests only — existing
-  // instrument pointers remain valid (they are zeroed, not freed).
-  void Reset();
+  // The Snapshot() values named `name`, summed over every label set.
+  int64_t Sum(const std::string& name) const;
 
  private:
-  MetricsRegistry() = default;
-
+  using Key = std::pair<std::string, MetricLabels>;
   struct StatsEntry {
     uint64_t id;
     StoreStats* stats;
     MetricLabels labels;
   };
+  struct GlobalTag {};
+
+  explicit MetricsRegistry(GlobalTag) {}
 
   // The mutex guards the registry's *shape* (the maps and the stats list);
   // the instruments the map values point at are updated lock-free by their
   // single-writer owners and sampled with relaxed loads.
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<TimerMetric>> timers_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_ GUARDED_BY(mu_);
+  std::map<Key, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
+  std::map<Key, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
+  std::map<Key, std::unique_ptr<HistogramMetric>> histograms_ GUARDED_BY(mu_);
   std::vector<StatsEntry> stats_ GUARDED_BY(mu_);
   uint64_t next_stats_id_ GUARDED_BY(mu_) = 1;
+
+  // Instance registries attached to this one (non-empty only on Global()).
+  // Taken after, never while holding, mu_; an attached registry's own locks
+  // nest inside it.
+  mutable Mutex attached_mu_;
+  std::vector<const MetricsRegistry*> attached_ GUARDED_BY(attached_mu_);
 };
 
 // RAII registration of a store's StoreStats with the global registry.

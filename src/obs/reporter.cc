@@ -22,21 +22,6 @@ FlightRecorder& Flight() {
   return *recorder;
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 void SetFlightRecordPath(const std::string& path) {
@@ -66,12 +51,13 @@ bool TriggerFlightRecord(const std::string& reason) {
   std::fprintf(out, "%s\",\"ts_ms\":%lld}\n", header.c_str(), ts_ms);
 
   for (const MetricSample& m : MetricsRegistry::Global().Snapshot()) {
-    std::string name;
+    std::string name, op;
     AppendJsonEscaped(&name, m.name);
+    AppendJsonEscaped(&op, m.labels.op);
     std::fprintf(out,
                  "{\"metric\":\"%s\",\"kind\":\"%s\",\"worker\":%d,\"op\":\"%s\","
                  "\"value\":%lld}\n",
-                 name.c_str(), m.kind, m.labels.worker, m.labels.op.c_str(),
+                 name.c_str(), m.kind, m.labels.worker, op.c_str(),
                  static_cast<long long>(m.value));
   }
 
@@ -192,12 +178,14 @@ void PeriodicReporter::EmitSample() {
   // per registered histogram per tick, so tails are visible live without a
   // trace file.
   for (const HistogramSample& h : MetricsRegistry::Global().HistogramSnapshots()) {
+    std::string name, op;
+    AppendJsonEscaped(&name, h.name);
+    AppendJsonEscaped(&op, h.labels.op);
     std::fprintf(out_,
                  "{\"ts_ms\":%lld,\"hist\":\"%s\",\"worker\":%d,\"op\":\"%s\","
                  "\"count\":%llu,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,\"max\":%.3f}\n",
-                 static_cast<long long>(ts_ms), h.name.c_str(), h.labels.worker,
-                 h.labels.op.c_str(), static_cast<unsigned long long>(h.count), h.p50, h.p95,
-                 h.p99, h.max);
+                 static_cast<long long>(ts_ms), name.c_str(), h.labels.worker, op.c_str(),
+                 static_cast<unsigned long long>(h.count), h.p50, h.p95, h.p99, h.max);
   }
 
   // Trace-ring overwrite counter: nonzero means the per-thread rings wrapped

@@ -359,8 +359,9 @@ TEST_F(NetChaosTest, NexmarkEquivalenceUnderResetsAndCorruption) {
   }
 }
 
-int64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+// Counter `name` of the client behind `backend`.
+int64_t CounterValue(StateBackend* backend, const char* name) {
+  return RemoteBackendClient(backend)->metrics().Sum(name);
 }
 
 // Reads `key` through a backend freshly created for the same worker and
@@ -402,14 +403,14 @@ TEST_F(NetChaosTest, ReplayBufferRidesOutATotalOutage) {
 
   // Total outage: every send and connect fails. Writes must still be
   // accepted (buffered), not surfaced as errors.
-  const int64_t buffered_before = CounterValue("remote.buffered_writes");
+  const int64_t buffered_before = CounterValue(backend.get(), "remote.buffered_writes");
   SocketFaultPlan outage;
   outage.reset_on_send_prob = 1.0;
   outage.connect_refuse_prob = 1.0;
   faults_->SetPlan(outage);
   ASSERT_TRUE(state->Put("during1", w, "d1").ok());
   ASSERT_TRUE(state->Put("during2", w, "d2").ok());
-  EXPECT_EQ(CounterValue("remote.buffered_writes") - buffered_before, 2);
+  EXPECT_EQ(CounterValue(backend.get(), "remote.buffered_writes") - buffered_before, 2);
 
   // Service restored: a read that reaches the server replays the buffer
   // first. The key was never written, so the accumulator cache cannot
@@ -481,10 +482,10 @@ TEST_F(NetChaosTest, RmwCacheMissesAfterAnInjectedError) {
   ASSERT_TRUE(state->Put("k", w, "v1").ok());
 
   std::string value;
-  int64_t hits = CounterValue("remote.rmw_cache_hits");
+  int64_t hits = CounterValue(backend.get(), "remote.rmw_cache_hits");
   ASSERT_TRUE(state->Get("k", w, &value).ok());
   EXPECT_EQ(value, "v1");
-  EXPECT_EQ(CounterValue("remote.rmw_cache_hits") - hits, 1);
+  EXPECT_EQ(CounterValue(backend.get(), "remote.rmw_cache_hits") - hits, 1);
 
   // No replay buffer: the outage surfaces as an error from the Put.
   SocketFaultPlan outage;
@@ -494,12 +495,12 @@ TEST_F(NetChaosTest, RmwCacheMissesAfterAnInjectedError) {
   EXPECT_FALSE(state->Put("k", w, "v2").ok());
   faults_->ClearFaults();
 
-  hits = CounterValue("remote.rmw_cache_hits");
-  const int64_t misses = CounterValue("remote.rmw_cache_misses");
+  hits = CounterValue(backend.get(), "remote.rmw_cache_hits");
+  const int64_t misses = CounterValue(backend.get(), "remote.rmw_cache_misses");
   ASSERT_TRUE(state->Get("k", w, &value).ok());
   EXPECT_EQ(value, "v1") << "the failed put must not have reached the server";
-  EXPECT_EQ(CounterValue("remote.rmw_cache_hits") - hits, 0);
-  EXPECT_EQ(CounterValue("remote.rmw_cache_misses") - misses, 1);
+  EXPECT_EQ(CounterValue(backend.get(), "remote.rmw_cache_hits") - hits, 0);
+  EXPECT_EQ(CounterValue(backend.get(), "remote.rmw_cache_misses") - misses, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -561,13 +561,11 @@ TEST_F(NetClusterTest, RefreshHandshakeNeverFencesALaggingStandby) {
 
   // The fenced server refuses the open, the refresh walks all three
   // endpoints, and the open lands on the epoch-2 primary.
-  const int64_t refreshes_before =
-      obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Value();
+  const int64_t refreshes_before = client->metrics().Sum("client.cluster_refreshes");
   uint64_t handle = 0;
   StorePattern pattern;
   ASSERT_TRUE(client->OpenStore("cluster.rf.h0", RmwSpec("rf"), &handle, &pattern).ok());
-  EXPECT_GT(obs::MetricsRegistry::Global().GetCounter("client.cluster_refreshes")->Value(),
-            refreshes_before);
+  EXPECT_GT(client->metrics().Sum("client.cluster_refreshes"), refreshes_before);
   EXPECT_EQ(client->cluster_epoch(), 2u);
   EXPECT_EQ(client->handshake_view().role, net::kRolePrimary);
   EXPECT_EQ(standby_->cluster_role(), net::kRoleStandby)

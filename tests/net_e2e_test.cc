@@ -78,6 +78,65 @@ RunOutcome RunQueryOn(const std::string& query, StateBackendFactory* factory,
   return outcome;
 }
 
+// RMW accumulator cache counters, summed over a run's backends.
+struct CacheTally {
+  int64_t hits = 0;
+  int64_t misses = 0;
+};
+
+// Forwards to a remote backend and, when destroyed, adds its client's cache
+// counters to a tally: a query's backends die with its pipeline.
+class TallyingBackend : public StateBackend {
+ public:
+  TallyingBackend(std::unique_ptr<StateBackend> inner, CacheTally* tally)
+      : inner_(std::move(inner)), tally_(tally) {}
+  ~TallyingBackend() override {
+    const obs::MetricsRegistry& metrics = RemoteBackendClient(inner_.get())->metrics();
+    tally_->hits += metrics.Sum("remote.rmw_cache_hits");
+    tally_->misses += metrics.Sum("remote.rmw_cache_misses");
+  }
+
+  Status CreateAppendAligned(const OperatorStateSpec& spec,
+                             std::unique_ptr<AppendAlignedState>* out) override {
+    return inner_->CreateAppendAligned(spec, out);
+  }
+  Status CreateAppendUnaligned(const OperatorStateSpec& spec,
+                               std::unique_ptr<AppendUnalignedState>* out) override {
+    return inner_->CreateAppendUnaligned(spec, out);
+  }
+  Status CreateRmw(const OperatorStateSpec& spec, std::unique_ptr<RmwState>* out) override {
+    return inner_->CreateRmw(spec, out);
+  }
+  StoreStats GatherStats() const override { return inner_->GatherStats(); }
+  Status CheckpointTo(const std::string& checkpoint_dir) const override {
+    return inner_->CheckpointTo(checkpoint_dir);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<StateBackend> inner_;
+  CacheTally* tally_;
+};
+
+class TallyingFactory : public StateBackendFactory {
+ public:
+  TallyingFactory(StateBackendFactory* inner, CacheTally* tally)
+      : inner_(inner), tally_(tally) {}
+
+  Status CreateBackend(int worker, const std::string& operator_name,
+                       std::unique_ptr<StateBackend>* out) override {
+    std::unique_ptr<StateBackend> backend;
+    FLOWKV_RETURN_IF_ERROR(inner_->CreateBackend(worker, operator_name, &backend));
+    *out = std::make_unique<TallyingBackend>(std::move(backend), tally_);
+    return Status::Ok();
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  StateBackendFactory* inner_;
+  CacheTally* tally_;
+};
+
 class RemoteEquivalenceTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -97,8 +156,10 @@ class RemoteEquivalenceTest : public ::testing::TestWithParam<std::string> {
   }
 
   // Runs `query` embedded and remote (with `copts` on the client) and
-  // expects identical results.
-  void ExpectRemoteMatchesEmbedded(const std::string& query, net::ClientOptions copts) {
+  // expects identical results. The remote run's RMW cache counters are added
+  // to `tally` when given.
+  void ExpectRemoteMatchesEmbedded(const std::string& query, net::ClientOptions copts,
+                                   CacheTally* tally = nullptr) {
     NexmarkConfig nexmark;
     nexmark.events_per_worker = 8'000;
     nexmark.num_people = 150;
@@ -117,7 +178,9 @@ class RemoteEquivalenceTest : public ::testing::TestWithParam<std::string> {
     copts.port = server_->port();
     copts.request_timeout_ms = 60'000;
     RemoteBackendFactory remote(copts);
-    RunOutcome remote_run = RunQueryOn(query, &remote, nexmark, params);
+    CacheTally unused;
+    TallyingFactory tallying(&remote, tally != nullptr ? tally : &unused);
+    RunOutcome remote_run = RunQueryOn(query, &tallying, nexmark, params);
     ASSERT_TRUE(remote_run.status.ok()) << remote_run.status.ToString();
     EXPECT_EQ(remote_run.results.size(), reference.results.size());
     EXPECT_EQ(remote_run.results, reference.results)
@@ -148,12 +211,10 @@ class TinyRmwCacheEquivalenceTest : public RemoteEquivalenceTest {};
 TEST_P(TinyRmwCacheEquivalenceTest, RemoteMatchesEmbedded) {
   net::ClientOptions copts;
   copts.read_ahead_cache_bytes = 512;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const int64_t hits = reg.GetCounter("remote.rmw_cache_hits")->Value();
-  const int64_t misses = reg.GetCounter("remote.rmw_cache_misses")->Value();
-  ExpectRemoteMatchesEmbedded(GetParam(), copts);
-  EXPECT_GT(reg.GetCounter("remote.rmw_cache_hits")->Value(), hits);
-  EXPECT_GT(reg.GetCounter("remote.rmw_cache_misses")->Value(), misses);
+  CacheTally tally;
+  ExpectRemoteMatchesEmbedded(GetParam(), copts, &tally);
+  EXPECT_GT(tally.hits, 0);
+  EXPECT_GT(tally.misses, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(RmwQueries, TinyRmwCacheEquivalenceTest,
@@ -179,19 +240,18 @@ TEST_F(RemoteEquivalenceTest, GetAfterRemoveReachesTheServer) {
   ASSERT_TRUE(backend->CreateRmw(spec, &state).ok());
   const Window w(0, 1000);
 
-  obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter("remote.rmw_cache_hits");
-  obs::Counter* misses = obs::MetricsRegistry::Global().GetCounter("remote.rmw_cache_misses");
+  const obs::MetricsRegistry& metrics = RemoteBackendClient(backend.get())->metrics();
   ASSERT_TRUE(state->Put("k", w, "v").ok());
   std::string value;
-  const int64_t hits_before = hits->Value();
+  const int64_t hits_before = metrics.Sum("remote.rmw_cache_hits");
   ASSERT_TRUE(state->Get("k", w, &value).ok());
   EXPECT_EQ(value, "v");
-  EXPECT_EQ(hits->Value() - hits_before, 1);
+  EXPECT_EQ(metrics.Sum("remote.rmw_cache_hits") - hits_before, 1);
 
   ASSERT_TRUE(state->Remove("k", w).ok());
-  const int64_t misses_before = misses->Value();
+  const int64_t misses_before = metrics.Sum("remote.rmw_cache_misses");
   EXPECT_TRUE(state->Get("k", w, &value).IsNotFound());
-  EXPECT_EQ(misses->Value() - misses_before, 1);
+  EXPECT_EQ(metrics.Sum("remote.rmw_cache_misses") - misses_before, 1);
 }
 
 }  // namespace

@@ -306,23 +306,165 @@ TEST_F(NetLoopbackTest, ServerMetricsAreLabeled) {
 
   // Server-side request metrics carry the per-operator label (satellite:
   // per-operator labels in src/obs).
-  bool found_store_ops = false;
-  for (const auto& sample : obs::MetricsRegistry::Global().Snapshot()) {
-    if (sample.name == "server.store_ops" && sample.labels.op == "metered-op" &&
+  bool found_shard_ops = false;
+  for (const auto& sample : server_->metrics().Snapshot()) {
+    if (sample.name == "shard.ops" && sample.labels.op == "metered-op" &&
         sample.value > 0) {
-      found_store_ops = true;
+      found_shard_ops = true;
     }
   }
-  EXPECT_TRUE(found_store_ops) << "no per-operator server.store_ops sample";
+  EXPECT_TRUE(found_shard_ops) << "no per-operator shard.ops sample";
 
   bool found_latency_hist = false;
-  for (const auto& hist : obs::MetricsRegistry::Global().HistogramSnapshots()) {
+  for (const auto& hist : server_->metrics().HistogramSnapshots()) {
     if (hist.name == "server.request_latency_ms" && hist.count > 0) {
       found_latency_hist = true;
       EXPECT_GE(hist.p99, hist.p50);
     }
   }
   EXPECT_TRUE(found_latency_hist) << "no request-latency histogram snapshot";
+}
+
+// The kStats document of the server `client` is connected to.
+tools::JsonValue FetchStats(Client* client) {
+  std::string json;
+  EXPECT_TRUE(client->Stats(&json).ok());
+  tools::JsonValue doc;
+  EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
+  return doc;
+}
+
+int64_t TotalShardOps(const tools::JsonValue& stats) {
+  int64_t ops = 0;
+  if (const tools::JsonValue* shards = stats.Get("shards")) {
+    for (const tools::JsonValue& shard : shards->arr) {
+      ops += static_cast<int64_t>(shard.Num("ops"));
+    }
+  }
+  return ops;
+}
+
+// Sends 200 puts to the server `client` is connected to.
+void PutTraffic(Client* client) {
+  uint64_t h = 0;
+  ASSERT_TRUE(client->OpenStore("t.traffic.h0", RmwSpec("traffic-op"), &h, nullptr).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(client->RmwPut(h, "k" + std::to_string(i), Window(0, 1000), "v").ok());
+  }
+  ASSERT_TRUE(client->Flush().ok());
+}
+
+// Every instrument in a live server's registry appears in its kStats
+// document under the <block>.<field> naming rule, and every key the stats
+// tools, the benches and perfbench read is still there.
+TEST_F(NetLoopbackTest, StatsCoverEveryInstrument) {
+  auto client = MakeClient();
+  uint64_t h = 0;
+  ASSERT_TRUE(client->OpenStore("t.cover.h0", RmwSpec("cover-op"), &h, nullptr).ok());
+  ASSERT_TRUE(client->RmwPut(h, "k", Window(0, 1000), "v").ok());
+  std::string acc;
+  ASSERT_TRUE(client->RmwGet(h, "k", Window(0, 1000), &acc).ok());
+
+  const tools::JsonValue doc = FetchStats(client.get());
+  const tools::JsonValue* shards = doc.Get("shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_EQ(shards->arr.size(), static_cast<size_t>(options_.num_shards));
+  auto find = [&](const std::string& name, int worker) -> const tools::JsonValue* {
+    const size_t dot = name.find('.');
+    const std::string field = name.substr(dot + 1);
+    if (name.compare(0, dot, "shard") == 0) {
+      return worker >= 0 && static_cast<size_t>(worker) < shards->arr.size()
+                 ? shards->arr[static_cast<size_t>(worker)].Get(field)
+                 : nullptr;
+    }
+    const tools::JsonValue* block = doc.Get(name.substr(0, dot));
+    return block != nullptr ? block->Get(field) : nullptr;
+  };
+  for (const obs::MetricSample& m : server_->metrics().Snapshot()) {
+    const tools::JsonValue* v = find(m.name, m.labels.worker);
+    EXPECT_TRUE(v != nullptr && v->kind == tools::JsonValue::Kind::kNumber) << m.name;
+  }
+  for (const obs::HistogramSample& hist : server_->metrics().HistogramSnapshots()) {
+    const tools::JsonValue* v = find(hist.name, hist.labels.worker);
+    ASSERT_NE(v, nullptr) << hist.name;
+    if (v->kind == tools::JsonValue::Kind::kArray) {  // per-operator, in a shard
+      bool found = false;
+      for (const tools::JsonValue& entry : v->arr) {
+        found |= entry.Str("op") == hist.labels.op && entry.Get("p99") != nullptr;
+      }
+      EXPECT_TRUE(found) << hist.name << " op=" << hist.labels.op;
+    } else {
+      EXPECT_NE(v->Get("p99"), nullptr) << hist.name;
+    }
+  }
+
+  const std::vector<std::pair<std::string, std::vector<std::string>>> golden = {
+      {"server",
+       {"num_shards", "requests", "req_per_sec", "bytes_in", "bytes_out", "open_conns",
+        "pending_requests", "shed_overload", "shed_deadline", "protocol_errors"}},
+      {"cluster", {"role", "epoch", "lease_ms", "priority", "fenced_rejects"}},
+      {"replication", {"subscribed", "lag", "parked", "heartbeat_age_ms"}},
+      {"prefetch",
+       {"enabled", "registrations", "fired", "fired_entries", "fired_bytes", "invalidated",
+        "overflow", "waste", "shadow_bytes", "pushes_sent", "pushes_dropped"}},
+      {"trace", {"enabled", "events", "dropped"}},
+  };
+  for (const auto& [block_name, keys] : golden) {
+    const tools::JsonValue* block = doc.Get(block_name);
+    ASSERT_NE(block, nullptr) << block_name;
+    for (const std::string& key : keys) {
+      EXPECT_NE(block->Get(key), nullptr) << block_name << "." << key;
+    }
+  }
+  const tools::JsonValue* latency = doc.Get("server")->Get("request_latency_ms");
+  ASSERT_NE(latency, nullptr);
+  for (const char* key : {"count", "p50", "p95", "p99", "max"}) {
+    EXPECT_NE(latency->Get(key), nullptr) << "request_latency_ms." << key;
+  }
+  for (const char* key : {"window_s", "slow_threshold_ms", "slow_requests"}) {
+    EXPECT_NE(doc.Get(key), nullptr) << key;
+  }
+  for (const tools::JsonValue& shard : shards->arr) {
+    for (const char* key : {"shard", "queue_depth", "ops", "ops_per_sec", "op_latency_ms"}) {
+      EXPECT_NE(shard.Get(key), nullptr) << "shards[]." << key;
+    }
+  }
+}
+
+// Two servers in one process count into their own instruments: traffic to
+// one never shows up in the other's kStats.
+TEST_F(NetLoopbackTest, TwoServersKeepSeparateCounters) {
+  ServerOptions other_options = options_;
+  other_options.data_dir = JoinPath(dir_, "other_data");
+  other_options.checkpoint_dir = JoinPath(dir_, "other_ckpt");
+  std::unique_ptr<Server> other;
+  ASSERT_TRUE(Server::Start(other_options, &other).ok());
+
+  PutTraffic(MakeClient().get());
+
+  ClientOptions copts;
+  copts.port = other->port();
+  std::unique_ptr<Client> observer;
+  ASSERT_TRUE(Client::Connect(copts, &observer).ok());
+  const tools::JsonValue stats = FetchStats(observer.get());
+  // The observer's own handshake and this poll, nothing else.
+  EXPECT_LE(stats.Get("server")->Num("requests"), 2);
+  EXPECT_EQ(TotalShardOps(stats), 0);
+  other->Stop();
+}
+
+// A server started after another one stopped, in the same process, starts
+// its counters at zero.
+TEST_F(NetLoopbackTest, RestartedServerCountersStartAtZero) {
+  PutTraffic(MakeClient().get());
+  server_->Stop();
+  server_.reset();
+  ASSERT_TRUE(Server::Start(options_, &server_).ok());
+
+  auto client = MakeClient();
+  const tools::JsonValue stats = FetchStats(client.get());
+  EXPECT_LE(stats.Get("server")->Num("requests"), 2);
+  EXPECT_EQ(TotalShardOps(stats), 0);
 }
 
 TEST_F(NetLoopbackTest, GatherStatsAndServerSideCheckpoint) {

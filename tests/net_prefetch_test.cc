@@ -31,14 +31,14 @@ namespace flowkv {
 namespace {
 
 using net::FiredPush;
-using net::PrefetchShardMetrics;
 using net::ReadAheadCache;
 using net::ShardPrefetchScheduler;
 
 // ----- ReadAheadCache -----
 
 TEST(ReadAheadCacheTest, HitRequiresExactCountMatch) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   cache.OnLocalAppend(1, w);
   cache.OnLocalAppend(1, w);
@@ -62,7 +62,8 @@ TEST(ReadAheadCacheTest, HitRequiresExactCountMatch) {
 }
 
 TEST(ReadAheadCacheTest, CountMismatchIsSafeMiss) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   cache.OnLocalAppend(7, w);
   cache.OnLocalAppend(7, w);
@@ -90,7 +91,8 @@ TEST(ReadAheadCacheTest, CountMismatchIsSafeMiss) {
 }
 
 TEST(ReadAheadCacheTest, PushWithoutLocalAppendsIsStale) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v"}});
   cache.OnPush(3, Window(0, 1000), 1, std::move(pushed));
@@ -102,7 +104,8 @@ TEST(ReadAheadCacheTest, PushWithoutLocalAppendsIsStale) {
 TEST(ReadAheadCacheTest, ShardChunksAccumulatePerWindow) {
   // One push per server shard for the same window; the entry must
   // accumulate values until the total equals the local count.
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   for (int i = 0; i < 4; ++i) {
     cache.OnLocalAppend(1, w);
@@ -125,7 +128,8 @@ TEST(ReadAheadCacheTest, ShardChunksAccumulatePerWindow) {
 }
 
 TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   cache.OnLocalAppend(1, w);
   std::vector<WindowChunkEntry> pushed;
@@ -145,7 +149,8 @@ TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
 // even when the pushes complete mid-drain and the counts then match: the
 // slices already read would be delivered twice.
 TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   cache.OnLocalAppend(1, w);
   cache.OnLocalAppend(1, w);
@@ -167,7 +172,8 @@ TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
 }
 
 TEST(ReadAheadCacheTest, ClearDropsEntriesButKeepsLocalCounts) {
-  ReadAheadCache cache(1u << 20);
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
   cache.OnLocalAppend(1, w);
   std::vector<WindowChunkEntry> pushed;
@@ -188,7 +194,8 @@ TEST(ReadAheadCacheTest, ClearDropsEntriesButKeepsLocalCounts) {
 }
 
 TEST(ReadAheadCacheTest, CapacityBoundEvictsLeastRecentlyPushed) {
-  ReadAheadCache cache(200);  // tiny: two ~100-byte entries exceed it
+  obs::MetricsRegistry metrics;
+  ReadAheadCache cache(200, &metrics);  // tiny: two ~100-byte entries exceed it
   const Window w0(0, 1000);
   const Window w1(1000, 2000);
   cache.OnLocalAppend(1, w0);
@@ -212,7 +219,8 @@ TEST(ReadAheadCacheTest, CapacityBoundEvictsLeastRecentlyPushed) {
 // ----- ShardPrefetchScheduler -----
 
 TEST(ShardPrefetchSchedulerTest, NoSubscribersMeansNoShadowState) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.OnAppend(1, "k", "v", Window(0, 1000));
   sched.OnAppend(1, "k", "v", Window(1000, 2000));
   EXPECT_EQ(sched.shadow_bytes(), 0u);
@@ -220,7 +228,8 @@ TEST(ShardPrefetchSchedulerTest, NoSubscribersMeansNoShadowState) {
 }
 
 TEST(ShardPrefetchSchedulerTest, FiresWhenEventTimePassesWindowEnd) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.Register(42, 1);
   ASSERT_TRUE(sched.HasSubscribers(1));
 
@@ -251,7 +260,8 @@ TEST(ShardPrefetchSchedulerTest, FiresWhenEventTimePassesWindowEnd) {
 }
 
 TEST(ShardPrefetchSchedulerTest, FiredQueueIsEarliestDeadlineFirst) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.Register(1, 9);
   // Two overlapping shadows (merge/session shapes) pending at once; a far
   // append closes both in one step.
@@ -267,7 +277,8 @@ TEST(ShardPrefetchSchedulerTest, FiredQueueIsEarliestDeadlineFirst) {
 }
 
 TEST(ShardPrefetchSchedulerTest, LateAppendIntoFiredWindowInvalidates) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.Register(1, 9);
   sched.OnAppend(9, "k", "v", Window(0, 1000));
   sched.OnAppend(9, "k", "v", Window(1000, 2000));  // fires [0, 1000)
@@ -284,7 +295,8 @@ TEST(ShardPrefetchSchedulerTest, LateAppendIntoFiredWindowInvalidates) {
 }
 
 TEST(ShardPrefetchSchedulerTest, ConsumedWindowDropsShadowAsWaste) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.Register(1, 9);
   sched.OnAppend(9, "k", "v", Window(0, 1000));
   ASSERT_GT(sched.shadow_bytes(), 0u);
@@ -299,7 +311,8 @@ TEST(ShardPrefetchSchedulerTest, ConsumedWindowDropsShadowAsWaste) {
 }
 
 TEST(ShardPrefetchSchedulerTest, BudgetOverflowAbandonsWindow) {
-  ShardPrefetchScheduler sched(100, PrefetchShardMetrics{});  // tiny budget
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(100, &metrics);  // tiny budget
   sched.Register(1, 9);
   sched.OnAppend(9, "k", std::string(40, 'x'), Window(0, 1000));
   sched.OnAppend(9, "k", std::string(40, 'x'), Window(0, 1000));  // over 100
@@ -315,7 +328,8 @@ TEST(ShardPrefetchSchedulerTest, BudgetOverflowAbandonsWindow) {
 }
 
 TEST(ShardPrefetchSchedulerTest, UnregisterLastSubscriberDropsShadows) {
-  ShardPrefetchScheduler sched(1u << 20, PrefetchShardMetrics{});
+  obs::MetricsRegistry metrics;
+  ShardPrefetchScheduler sched(1u << 20, &metrics);
   sched.Register(1, 9);
   sched.Register(2, 9);
   sched.OnAppend(9, "k", "v", Window(0, 1000));
@@ -583,6 +597,44 @@ TEST_F(NetPrefetchE2ETest, IdleSubscriberGetsPushesShedAndReadsRemotely) {
   EXPECT_EQ(subscriber->cache_counters().hits, 0);
   EXPECT_GT(subscriber->cache_counters().stale, 0);
   EXPECT_EQ(subscriber->cache_bytes(), 0u);
+}
+
+// Two clients on one thread count into their own registries: one client's
+// cache hit and the other's retries against a fenced server never show up
+// in the other client's counters.
+TEST_F(NetPrefetchE2ETest, TwoClientsOnOneThreadKeepSeparateCounters) {
+  StartServer(/*server_push=*/true);
+  std::unique_ptr<net::Client> reader = PushClientTo(server_->port());
+  ASSERT_NE(reader, nullptr);
+
+  net::ServerOptions fenced_options;
+  fenced_options.num_shards = 2;
+  fenced_options.data_dir = JoinPath(dir_, "fenced_data");
+  std::unique_ptr<net::Server> fenced;
+  ASSERT_TRUE(net::Server::Start(fenced_options, &fenced).ok());
+  fenced->Fence();
+  net::ClientOptions copts;
+  copts.port = fenced->port();
+  copts.max_retries = 2;
+  copts.jitter_seed = 17;
+  std::unique_ptr<net::Client> retrier;
+  ASSERT_TRUE(net::Client::Connect(copts, &retrier).ok());
+
+  uint64_t h = 0;
+  ASSERT_TRUE(reader->OpenStore("t.isolated.h0", AarSpec("isolated-op"), &h, nullptr).ok());
+  ASSERT_TRUE(reader->AppendAligned(h, "k", "v", Window(0, 1000)).ok());
+  ASSERT_TRUE(reader->AppendAligned(h, "k", "next", Window(1000, 2000)).ok());
+  ASSERT_TRUE(reader->Flush().ok());
+  std::map<std::string, std::vector<std::string>> got;
+  ASSERT_TRUE(ReadWindow(reader.get(), h, Window(0, 1000), &got).ok());
+  EXPECT_TRUE(retrier->OpenStore("t.fenced.h0", AarSpec("fenced-op"), &h, nullptr)
+                  .IsFencedOff());
+
+  EXPECT_EQ(reader->metrics().Sum("client.prefetch_hits"), 1);
+  EXPECT_EQ(reader->metrics().Sum("client.retries"), 0);
+  EXPECT_EQ(retrier->metrics().Sum("client.prefetch_hits"), 0);
+  EXPECT_EQ(retrier->metrics().Sum("client.retries"), copts.max_retries);
+  fenced->Stop();
 }
 
 TEST_F(NetPrefetchE2ETest, ServerWithPushDisabledDegrades) {

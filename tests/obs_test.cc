@@ -23,6 +23,7 @@
 #include "src/obs/reporter.h"
 #include "src/obs/trace.h"
 #include "src/spe/job_runner.h"
+#include "tools/stat_format.h"
 
 namespace flowkv {
 namespace {
@@ -376,11 +377,8 @@ TEST_F(ObsEndToEndTest, RegistrySnapshotJsonIsWellFormed) {
   counter->Add(1);
   obs::Gauge* gauge = registry.GetGauge("obs_test_gauge");
   gauge->Set(-5);
-  obs::TimerMetric* timer = registry.GetTimer("obs_test_timer");
-  timer->Record(1000);
   EXPECT_EQ(counter->Value(), 42);
   EXPECT_EQ(gauge->Value(), -5);
-  EXPECT_EQ(timer->Count(), 1);
 
   const std::string json = registry.SnapshotJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
@@ -397,6 +395,67 @@ TEST_F(ObsEndToEndTest, RegistrySnapshotJsonIsWellFormed) {
     obs::PartitionScope same(3, "aur");
     EXPECT_EQ(registry.GetCounter("obs_test_counter"), counter);
   }
+}
+
+// The non-empty lines of `path`, each parsed with the tools' JSON reader.
+std::vector<tools::JsonValue> ReadJsonLines(const std::string& path) {
+  std::string text;
+  EXPECT_TRUE(ReadWholeFile(path, &text));
+  std::vector<tools::JsonValue> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    tools::JsonValue doc;
+    EXPECT_TRUE(tools::ParseJson(line, &doc)) << line;
+    lines.push_back(std::move(doc));
+  }
+  return lines;
+}
+
+// Operator names are free text: every writer over metric labels escapes
+// them, whatever their length, and a reader gets the name back unchanged.
+TEST_F(ObsEndToEndTest, OperatorNamesSurviveEveryJsonWriter) {
+  const std::string op = "say \"hi\" to C:\\tmp " + std::string(400, 'x');
+  obs::MetricsRegistry registry;  // an instance registry, attached to Global()
+  {
+    obs::OperatorScope op_scope(op);
+    registry.GetCounter("obs_test.escaped")->Add(1);
+    registry.GetHistogram("obs_test.escaped_ms")->Record(1.0);
+  }
+
+  tools::JsonValue snapshot;
+  ASSERT_TRUE(tools::ParseJson(registry.SnapshotJson(), &snapshot));
+  ASSERT_EQ(snapshot.arr.size(), 1u);
+  EXPECT_EQ(snapshot.arr[0].Str("name"), "obs_test.escaped");
+  EXPECT_EQ(snapshot.arr[0].Str("op"), op);
+
+  const std::string saved_flight_path = obs::FlightRecordPath();
+  const std::string flight_path = JoinPath(dir_, "escaped.flight");
+  obs::SetFlightRecordPath(flight_path);
+  ASSERT_TRUE(obs::TriggerFlightRecord("escape test"));
+  obs::SetFlightRecordPath(saved_flight_path);
+  bool in_flight_record = false;
+  for (const tools::JsonValue& line : ReadJsonLines(flight_path)) {
+    if (line.Str("metric") == "obs_test.escaped") {
+      EXPECT_EQ(line.Str("op"), op);
+      in_flight_record = true;
+    }
+  }
+  EXPECT_TRUE(in_flight_record);
+
+  const std::string metrics_path = JoinPath(dir_, "escaped.jsonl");
+  obs::PeriodicReporter reporter;
+  ASSERT_TRUE(reporter.Start(metrics_path, /*interval_ms=*/60'000));
+  reporter.Stop();  // emits one tick
+  bool in_report = false;
+  for (const tools::JsonValue& line : ReadJsonLines(metrics_path)) {
+    if (line.Str("hist") == "obs_test.escaped_ms") {
+      EXPECT_EQ(line.Str("op"), op);
+      in_report = true;
+    }
+  }
+  EXPECT_TRUE(in_report);
 }
 
 TEST_F(ObsEndToEndTest, RegistryAggregatesRegisteredStats) {
