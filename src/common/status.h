@@ -42,8 +42,8 @@ enum class StatusCode : uint8_t {
 const char* StatusCodeName(StatusCode code);
 
 // [[nodiscard]]: a Status that is neither checked nor explicitly ignored is
-// a bug — GCC/Clang surface it via -Wunused-result, and the flowkv-lint
-// unchecked-status check enforces it in CI. Call sites that legitimately
+// a bug, and the build compiles with -Werror=unused-result, so dropping one
+// fails to compile (tests/dropped_status.cc). Call sites that legitimately
 // drop a Status (best-effort cleanup on an already-failing path) must say so
 // with IgnoreError(), which documents the decision at the call site.
 class [[nodiscard]] Status {
@@ -114,8 +114,8 @@ class [[nodiscard]] Status {
   std::string ToString() const;
 
   // Explicitly discards this Status. The only sanctioned way to drop one:
-  // it defeats [[nodiscard]] *and* the flowkv-lint unchecked-status check,
-  // so every use should carry a comment saying why failure is acceptable.
+  // it defeats [[nodiscard]], so every use should carry a comment saying why
+  // failure is acceptable.
   void IgnoreError() const {}
 
   bool operator==(const Status& other) const { return code_ == other.code_; }

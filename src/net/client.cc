@@ -46,6 +46,9 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
+// A write batch flushes once its buffered ops reach this footprint.
+constexpr size_t kMaxBatchBytes = 1u << 20;
+
 // Rough wire footprint of a buffered op, for the batch byte threshold.
 size_t OpFootprint(const OpRequest& op) {
   return 32 + op.key.size() + op.value.size() + op.ns.size() + op.path.size() +
@@ -423,8 +426,7 @@ Status Client::ReadResponse(int64_t deadline_nanos, ResponseMessage* response) {
     Slice payload;
     bool complete = false;
     const size_t before = input.size();
-    const Status frame_status =
-        TryDecodeFrame(&input, &payload, &complete, options_.max_frame_bytes);
+    const Status frame_status = TryDecodeFrame(&input, &payload, &complete);
     if (!frame_status.ok()) {
       // A corrupt frame means the byte stream is unsyncable — the transport
       // is broken, exactly like a peer reset, and equally safe to retry on a
@@ -554,7 +556,7 @@ Status Client::TryRequest(const std::vector<OpRequest>& ops,
 
   std::string payload;
   EncodeRequest(request, &payload);
-  if (payload.size() > options_.max_frame_bytes) {
+  if (payload.size() > kDefaultMaxFrameBytes) {
     return Status::InvalidArgument("request exceeds max frame size (" +
                                    std::to_string(payload.size()) + " bytes)");
   }
@@ -630,7 +632,7 @@ Status Client::SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResu
       std::vector<OpRequest> wire = ops;
       if (translate_handles) {
         for (OpRequest& op : wire) {
-          if (op.type != OpType::kPing && op.type != OpType::kOpenStore) {
+          if (OpInfoOf(op.type).Carries(RequestField::kStoreId)) {
             if (op.store_id >= stores_.size()) {
               return Status::InvalidArgument("unknown store handle " +
                                              std::to_string(op.store_id));
@@ -727,7 +729,7 @@ Status Client::OpenStore(const std::string& ns, const OperatorStateSpec& spec,
 Status Client::BufferWrite(OpRequest op) {
   batch_bytes_ += OpFootprint(op);
   batch_.push_back(std::move(op));
-  if (batch_.size() < options_.max_batch_ops && batch_bytes_ < options_.max_batch_bytes) {
+  if (batch_.size() < options_.max_batch_ops && batch_bytes_ < kMaxBatchBytes) {
     return Status::Ok();
   }
   const Status s = Flush();
@@ -937,8 +939,7 @@ Status Client::Stats(std::string* json) {
   std::vector<OpRequest> ops(1);
   ops[0].type = OpType::kStats;
   std::vector<OpResult> results;
-  // No handle translation: kStats addresses the server, not a store.
-  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   *json = std::move(results[0].stats_json);
   return Status::Ok();
@@ -952,7 +953,7 @@ Status Client::ClusterAdmin(const std::string& command, uint64_t target_epoch,
   ops[0].path = command;
   ops[0].timestamp = static_cast<int64_t>(target_epoch);
   std::vector<OpResult> results;
-  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results, /*translate_handles=*/false));
+  FLOWKV_RETURN_IF_ERROR(SendRequest(ops, &results));
   FLOWKV_RETURN_IF_ERROR(results[0].status);
   if (view != nullptr) {
     *view = ParseClusterView(results[0].stat_fields);

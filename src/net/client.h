@@ -148,11 +148,9 @@ struct ClientOptions {
   // bound (stalls then run to the request deadline).
   int frame_stall_timeout_ms = 10'000;
 
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-
-  // Write-batch flush thresholds.
+  // Write-batch flush threshold; a batch also flushes at 1 MiB of buffered
+  // writes.
   size_t max_batch_ops = 256;
-  size_t max_batch_bytes = 1u << 20;
 
   // ----- prefetch push -----
 
@@ -290,11 +288,11 @@ class Client {
   // and `*result` receives the read's result.
   Status SendBatch(OpRequest* read, OpResult* result);
 
-  // Sends `ops` (store_id fields hold client handles; translated to server
-  // ids per attempt when `translate_handles`) and fills `results`. All
-  // attempts share one deadline; reconnects + retries on kConnectionReset
-  // and whole-batch kOverloaded up to the retry budget; returns kTimedOut
-  // without retrying.
+  // Sends `ops` and fills `results`. With `translate_handles`, the store_id
+  // of every op whose request carries one holds a client handle, translated
+  // to the server id per attempt. All attempts share one deadline;
+  // reconnects + retries on kConnectionReset and whole-batch kOverloaded up
+  // to the retry budget; returns kTimedOut without retrying.
   Status SendRequest(const std::vector<OpRequest>& ops, std::vector<OpResult>* results,
                      bool translate_handles = true);
 

@@ -35,56 +35,85 @@ Status CheckWireVersion(Slice* payload, const char* what) {
   return Status::Ok();
 }
 
+using Q = RequestField;
+using A = ResultField;
+using enum OpAddress;
+
+// One row per OpType, in OpType order:
+//   {type, name, request fields, result fields, address, forwarded, fenced}
+// Field lists are in wire order.
+//
+// forwarded: everything that mutates store state, including the reads with
+// remove side effects (kGetUnaligned, kGetWindowChunk) and kOpenStore (so
+// primary and standby assign the same dense ids in the same order).
+// kEttRegister is not: subscriptions are connection-scoped primary state; a
+// promoted standby starts with no subscribers and clients re-register.
+// fenced: the forwarded ops plus kRestoreStore.
+//
+// kStore ops span every shard because a store's keys hash across all of them:
+// a push subscription must reach every shard's scheduler, and a window drop
+// must discard every shard's slice of the window.
+constexpr OpInfo kOpTable[] = {
+    {OpType::kPing, "ping", {}, {}, kServer, false, false},
+    {OpType::kOpenStore, "open_store", {Q::kNs, Q::kSpec}, {A::kStoreId, A::kPattern},
+     kStore, true, true},
+    {OpType::kAppendAligned, "append_aligned",
+     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow}, {}, kKey, true, true},
+    {OpType::kGetWindowChunk, "get_window_chunk", {Q::kStoreId, Q::kWindow}, {A::kChunk},
+     kScan, true, true},
+    {OpType::kAppendUnaligned, "append_unaligned",
+     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow, Q::kTimestamp}, {}, kKey, true, true},
+    {OpType::kGetUnaligned, "get_unaligned", {Q::kStoreId, Q::kKey, Q::kWindow},
+     {A::kValues}, kKey, true, true},
+    {OpType::kMergeWindows, "merge_windows",
+     {Q::kStoreId, Q::kKey, Q::kSources, Q::kWindow}, {}, kKey, true, true},
+    {OpType::kRmwGet, "rmw_get", {Q::kStoreId, Q::kKey, Q::kWindow}, {A::kAccumulator},
+     kKey, false, false},
+    {OpType::kRmwPut, "rmw_put", {Q::kStoreId, Q::kKey, Q::kWindow, Q::kValue}, {}, kKey,
+     true, true},
+    {OpType::kRmwRemove, "rmw_remove", {Q::kStoreId, Q::kKey, Q::kWindow}, {}, kKey, true,
+     true},
+    {OpType::kCheckpoint, "checkpoint", {Q::kStoreId, Q::kPath}, {}, kStore, false, false},
+    {OpType::kGatherStats, "gather_stats", {Q::kStoreId}, {A::kStatFields}, kStore, false,
+     false},
+    // timestamp: the standby's last applied sequence. Valid only alone in a
+    // batch, which turns the connection into a replication stream.
+    {OpType::kReplicaSubscribe, "replica_subscribe", {Q::kTimestamp}, {}, kRefused, false,
+     false},
+    // path: file relative to the epoch dir; timestamp: byte offset.
+    {OpType::kSnapshotFile, "snapshot_file", {Q::kPath, Q::kTimestamp, Q::kValue}, {},
+     kRefused, false, false},
+    {OpType::kSnapshotDone, "snapshot_done", {Q::kPath}, {}, kRefused, false, false},
+    {OpType::kRestoreStore, "restore_store", {Q::kStoreId, Q::kNs, Q::kSpec, Q::kPath}, {},
+     kStore, false, true},
+    {OpType::kStats, "stats", {}, {A::kStatsJson}, kServer, false, false},
+    // window: the first expected read; timestamp: the next-ETT estimate.
+    {OpType::kEttRegister, "ett_register", {Q::kStoreId, Q::kWindow, Q::kTimestamp}, {},
+     kStore, false, false},
+    {OpType::kPushChunk, "push_chunk", {},
+     {A::kStoreId, A::kWindow, A::kPushSeq, A::kChunk}, kRefused, false, false},
+    {OpType::kDropWindow, "drop_window", {Q::kStoreId, Q::kWindow}, {}, kStore, true, true},
+    {OpType::kClusterInfo, "cluster_info", {}, {A::kStatFields}, kServer, false, false},
+    // path: the command; timestamp: the target epoch (0 = current + 1).
+    {OpType::kClusterAdmin, "cluster_admin", {Q::kPath, Q::kTimestamp}, {A::kStatFields},
+     kServer, false, false},
+};
+
+constexpr bool RowsInOpTypeOrder() {
+  for (size_t i = 0; i < std::size(kOpTable); ++i) {
+    if (static_cast<size_t>(kOpTable[i].type) != i) return false;
+  }
+  return true;
+}
+static_assert(std::size(kOpTable) == kMaxOpType + 1 && RowsInOpTypeOrder(),
+              "one op table row per OpType, in OpType order");
+
 }  // namespace
 
+const OpInfo& OpInfoOf(OpType type) { return kOpTable[static_cast<uint32_t>(type)]; }
+
 const char* OpTypeName(OpType type) {
-  switch (type) {
-    case OpType::kPing:
-      return "ping";
-    case OpType::kOpenStore:
-      return "open_store";
-    case OpType::kAppendAligned:
-      return "append_aligned";
-    case OpType::kGetWindowChunk:
-      return "get_window_chunk";
-    case OpType::kAppendUnaligned:
-      return "append_unaligned";
-    case OpType::kGetUnaligned:
-      return "get_unaligned";
-    case OpType::kMergeWindows:
-      return "merge_windows";
-    case OpType::kRmwGet:
-      return "rmw_get";
-    case OpType::kRmwPut:
-      return "rmw_put";
-    case OpType::kRmwRemove:
-      return "rmw_remove";
-    case OpType::kCheckpoint:
-      return "checkpoint";
-    case OpType::kGatherStats:
-      return "gather_stats";
-    case OpType::kReplicaSubscribe:
-      return "replica_subscribe";
-    case OpType::kSnapshotFile:
-      return "snapshot_file";
-    case OpType::kSnapshotDone:
-      return "snapshot_done";
-    case OpType::kRestoreStore:
-      return "restore_store";
-    case OpType::kStats:
-      return "stats";
-    case OpType::kEttRegister:
-      return "ett_register";
-    case OpType::kPushChunk:
-      return "push_chunk";
-    case OpType::kDropWindow:
-      return "drop_window";
-    case OpType::kClusterInfo:
-      return "cluster_info";
-    case OpType::kClusterAdmin:
-      return "cluster_admin";
-  }
-  return "?";
+  return static_cast<uint32_t>(type) <= kMaxOpType ? OpInfoOf(type).name : "?";
 }
 
 std::vector<std::pair<std::string, int64_t>> ClusterViewFields(const ClusterView& view) {
@@ -235,116 +264,235 @@ Status DecodeStoresMeta(const Slice& data, StoresMeta* meta) {
   return Status::Ok();
 }
 
-void EncodeRequest(const RequestMessage& msg, std::string* payload) {
-  PutVarint32(payload, kWireVersion);
-  PutVarint64(payload, msg.request_id);
-  PutVarint32(payload, msg.deadline_ms);
-  PutVarint64(payload, msg.epoch);
-  PutVarint32(payload, msg.internal_apply ? 1 : 0);
-  PutVarint64(payload, msg.trace_id);
-  PutVarint64(payload, msg.span_id);
-  PutVarint32(payload, msg.trace_flags);
-  PutVarint32(payload, static_cast<uint32_t>(msg.ops.size()));
-  for (const OpRequest& op : msg.ops) {
-    PutVarint32(payload, static_cast<uint32_t>(op.type));
-    switch (op.type) {
-      case OpType::kPing:
-        break;
-      case OpType::kOpenStore:
-        PutLengthPrefixed(payload, op.ns);
-        EncodeStateSpec(payload, op.spec);
-        break;
-      case OpType::kAppendAligned:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutLengthPrefixed(payload, op.value_view());
-        PutWindow(payload, op.window);
-        break;
-      case OpType::kGetWindowChunk:
-        PutVarint64(payload, op.store_id);
-        PutWindow(payload, op.window);
-        break;
-      case OpType::kAppendUnaligned:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutLengthPrefixed(payload, op.value_view());
-        PutWindow(payload, op.window);
-        PutVarsigned64(payload, op.timestamp);
-        break;
-      case OpType::kGetUnaligned:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutWindow(payload, op.window);
-        break;
-      case OpType::kMergeWindows:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutVarint32(payload, static_cast<uint32_t>(op.sources.size()));
-        for (const Window& w : op.sources) {
-          PutWindow(payload, w);
-        }
-        PutWindow(payload, op.window);  // destination
-        break;
-      case OpType::kRmwGet:
-      case OpType::kRmwRemove:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutWindow(payload, op.window);
-        break;
-      case OpType::kRmwPut:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.key_view());
-        PutWindow(payload, op.window);
-        PutLengthPrefixed(payload, op.value_view());
-        break;
-      case OpType::kCheckpoint:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.path);
-        break;
-      case OpType::kGatherStats:
-        PutVarint64(payload, op.store_id);
-        break;
-      case OpType::kReplicaSubscribe:
-        PutVarsigned64(payload, op.timestamp);  // last applied sequence
-        break;
-      case OpType::kSnapshotFile:
-        PutLengthPrefixed(payload, op.path);
-        PutVarsigned64(payload, op.timestamp);  // byte offset
-        PutLengthPrefixed(payload, op.value_view());
-        break;
-      case OpType::kSnapshotDone:
-        PutLengthPrefixed(payload, op.path);  // epoch name
-        break;
-      case OpType::kRestoreStore:
-        PutVarint64(payload, op.store_id);
-        PutLengthPrefixed(payload, op.ns);
-        EncodeStateSpec(payload, op.spec);
-        PutLengthPrefixed(payload, op.path);
-        break;
-      case OpType::kStats:
-        break;  // no request fields: the snapshot is server-wide
-      case OpType::kEttRegister:
-        PutVarint64(payload, op.store_id);
-        PutWindow(payload, op.window);           // first expected read window
-        PutVarsigned64(payload, op.timestamp);   // next-ETT estimate hint
-        break;
-      case OpType::kPushChunk:
-        break;  // server->client only; carries no request fields
-      case OpType::kDropWindow:
-        PutVarint64(payload, op.store_id);
-        PutWindow(payload, op.window);
-        break;
-      case OpType::kClusterInfo:
-        break;  // no request fields: the view is server-wide
-      case OpType::kClusterAdmin:
-        PutLengthPrefixed(payload, op.path);   // command: "promote" / "fence"
-        PutVarsigned64(payload, op.timestamp); // target epoch (0 = current+1)
-        break;
-    }
+namespace {
+
+void PutRequestField(std::string* dst, RequestField field, const OpRequest& op) {
+  switch (field) {
+    case RequestField::kNone:
+      break;
+    case RequestField::kStoreId:
+      PutVarint64(dst, op.store_id);
+      break;
+    case RequestField::kNs:
+      PutLengthPrefixed(dst, op.ns);
+      break;
+    case RequestField::kSpec:
+      EncodeStateSpec(dst, op.spec);
+      break;
+    case RequestField::kKey:
+      PutLengthPrefixed(dst, op.key_view());
+      break;
+    case RequestField::kValue:
+      PutLengthPrefixed(dst, op.value_view());
+      break;
+    case RequestField::kWindow:
+      PutWindow(dst, op.window);
+      break;
+    case RequestField::kSources:
+      PutVarint32(dst, static_cast<uint32_t>(op.sources.size()));
+      for (const Window& w : op.sources) {
+        PutWindow(dst, w);
+      }
+      break;
+    case RequestField::kTimestamp:
+      PutVarsigned64(dst, op.timestamp);
+      break;
+    case RequestField::kPath:
+      PutLengthPrefixed(dst, op.path);
+      break;
   }
 }
 
-namespace {
+// Field decoders return nullptr on success and otherwise what the error's
+// "truncated <what>" names: the op (`op_name`), or a list whose count the
+// remaining bytes cannot hold, checked before the list is read so a corrupt
+// count cannot trigger a huge allocation.
+
+// Key and value land in the caller's slices, which it adopts or copies.
+const char* GetRequestField(Slice* in, RequestField field, const char* op_name,
+                            OpRequest* op, Slice* key, Slice* value) {
+  bool ok = true;
+  Slice s;
+  switch (field) {
+    case RequestField::kNone:
+      break;
+    case RequestField::kStoreId:
+      ok = GetVarint64(in, &op->store_id);
+      break;
+    case RequestField::kNs:
+      ok = GetLengthPrefixed(in, &s);
+      op->ns = s.ToString();
+      break;
+    case RequestField::kSpec:
+      ok = DecodeStateSpec(in, &op->spec);
+      break;
+    case RequestField::kKey:
+      ok = GetLengthPrefixed(in, key);
+      break;
+    case RequestField::kValue:
+      ok = GetLengthPrefixed(in, value);
+      break;
+    case RequestField::kWindow:
+      ok = GetWindow(in, &op->window);
+      break;
+    case RequestField::kSources: {
+      uint32_t num_sources = 0;
+      ok = GetVarint32(in, &num_sources);
+      // Every source window costs >= 2 payload bytes.
+      if (ok && num_sources > in->size() / 2 + 1) {
+        return "merge source list";
+      }
+      for (uint32_t j = 0; ok && j < num_sources; ++j) {
+        Window w;
+        ok = GetWindow(in, &w);
+        op->sources.push_back(w);
+      }
+      break;
+    }
+    case RequestField::kTimestamp:
+      ok = GetVarsigned64(in, &op->timestamp);
+      break;
+    case RequestField::kPath:
+      ok = GetLengthPrefixed(in, &s);
+      op->path = s.ToString();
+      break;
+  }
+  return ok ? nullptr : op_name;
+}
+
+void PutResultField(std::string* dst, ResultField field, const OpResult& r) {
+  switch (field) {
+    case ResultField::kNone:
+      break;
+    case ResultField::kStoreId:
+      PutVarint64(dst, r.store_id);
+      break;
+    case ResultField::kPattern:
+      PutVarint32(dst, static_cast<uint32_t>(r.pattern));
+      break;
+    case ResultField::kWindow:
+      PutWindow(dst, r.window);
+      break;
+    case ResultField::kPushSeq:
+      PutVarint64(dst, r.push_seq);
+      break;
+    case ResultField::kChunk:
+      PutVarint32(dst, r.done ? 1 : 0);
+      PutVarint32(dst, static_cast<uint32_t>(r.chunk.size()));
+      for (const WindowChunkEntry& entry : r.chunk) {
+        PutLengthPrefixed(dst, entry.key);
+        PutVarint32(dst, static_cast<uint32_t>(entry.values.size()));
+        for (const std::string& v : entry.values) {
+          PutLengthPrefixed(dst, v);
+        }
+      }
+      break;
+    case ResultField::kValues:
+      PutVarint32(dst, static_cast<uint32_t>(r.values.size()));
+      for (const std::string& v : r.values) {
+        PutLengthPrefixed(dst, v);
+      }
+      break;
+    case ResultField::kAccumulator:
+      PutLengthPrefixed(dst, r.accumulator);
+      break;
+    case ResultField::kStatFields:
+      PutVarint32(dst, static_cast<uint32_t>(r.stat_fields.size()));
+      for (const auto& [name, value] : r.stat_fields) {
+        PutLengthPrefixed(dst, name);
+        PutVarsigned64(dst, value);
+      }
+      break;
+    case ResultField::kStatsJson:
+      PutLengthPrefixed(dst, r.stats_json);
+      break;
+  }
+}
+
+const char* GetResultField(Slice* in, ResultField field, const char* op_name, OpResult* r) {
+  bool ok = true;
+  Slice s;
+  switch (field) {
+    case ResultField::kNone:
+      break;
+    case ResultField::kStoreId:
+      ok = GetVarint64(in, &r->store_id);
+      break;
+    case ResultField::kPattern: {
+      uint32_t pattern = 0;
+      ok = GetVarint32(in, &pattern) &&
+           pattern <= static_cast<uint32_t>(StorePattern::kReadModifyWrite);
+      if (ok) r->pattern = static_cast<StorePattern>(pattern);
+      break;
+    }
+    case ResultField::kWindow:
+      ok = GetWindow(in, &r->window);
+      break;
+    case ResultField::kPushSeq:
+      ok = GetVarint64(in, &r->push_seq);
+      break;
+    case ResultField::kChunk: {
+      uint32_t done = 0, num_entries = 0;
+      ok = GetVarint32(in, &done) && GetVarint32(in, &num_entries);
+      if (ok && num_entries > in->size() + 1) {
+        return "chunk entry list";
+      }
+      for (uint32_t j = 0; ok && j < num_entries; ++j) {
+        WindowChunkEntry entry;
+        uint32_t num_values = 0;
+        ok = GetLengthPrefixed(in, &s) && GetVarint32(in, &num_values);
+        if (ok && num_values > in->size() + 1) {
+          return "chunk value list";
+        }
+        entry.key = s.ToString();
+        for (uint32_t k = 0; ok && k < num_values; ++k) {
+          ok = GetLengthPrefixed(in, &s);
+          if (ok) entry.values.push_back(s.ToString());
+        }
+        if (ok) r->chunk.push_back(std::move(entry));
+      }
+      if (ok) r->done = done != 0;
+      break;
+    }
+    case ResultField::kValues: {
+      uint32_t num_values = 0;
+      ok = GetVarint32(in, &num_values);
+      if (ok && num_values > in->size() + 1) {
+        return "value list";
+      }
+      for (uint32_t j = 0; ok && j < num_values; ++j) {
+        ok = GetLengthPrefixed(in, &s);
+        if (ok) r->values.push_back(s.ToString());
+      }
+      break;
+    }
+    case ResultField::kAccumulator:
+      ok = GetLengthPrefixed(in, &s);
+      if (ok) r->accumulator = s.ToString();
+      break;
+    case ResultField::kStatFields: {
+      uint32_t num_fields = 0;
+      ok = GetVarint32(in, &num_fields);
+      if (ok && num_fields > in->size() + 1) {
+        return "stat field list";
+      }
+      for (uint32_t j = 0; ok && j < num_fields; ++j) {
+        int64_t value = 0;
+        ok = GetLengthPrefixed(in, &s) && GetVarsigned64(in, &value);
+        if (ok) r->stat_fields.emplace_back(s.ToString(), value);
+      }
+      break;
+    }
+    case ResultField::kStatsJson:
+      ok = GetLengthPrefixed(in, &s);
+      if (ok) r->stats_json = s.ToString();
+      break;
+  }
+  return ok ? nullptr : op_name;
+}
+
+// No payload follows a failed status; NotFound still carries the op's shape.
+bool CarriesResultFields(const Status& status) { return status.ok() || status.IsNotFound(); }
 
 Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
   msg->ops.clear();
@@ -378,103 +526,12 @@ Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
       return Status::Corruption("unknown op type " + std::to_string(type));
     }
     op.type = static_cast<OpType>(type);
-    Slice ns, key, value, path;
-    bool ok = true;
-    switch (op.type) {
-      case OpType::kPing:
-        break;
-      case OpType::kOpenStore:
-        ok = GetLengthPrefixed(&payload, &ns) && DecodeStateSpec(&payload, &op.spec);
-        op.ns = ns.ToString();
-        break;
-      case OpType::kAppendAligned:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetLengthPrefixed(&payload, &value) && GetWindow(&payload, &op.window);
-        break;
-      case OpType::kGetWindowChunk:
-        ok = GetVarint64(&payload, &op.store_id) && GetWindow(&payload, &op.window);
-        break;
-      case OpType::kAppendUnaligned:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetLengthPrefixed(&payload, &value) && GetWindow(&payload, &op.window) &&
-             GetVarsigned64(&payload, &op.timestamp);
-        break;
-      case OpType::kGetUnaligned:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetWindow(&payload, &op.window);
-        break;
-      case OpType::kMergeWindows: {
-        uint32_t num_sources = 0;
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetVarint32(&payload, &num_sources);
-        // Every source window costs >= 2 payload bytes; reject counts the
-        // remaining bytes cannot possibly satisfy before reserving.
-        if (ok && num_sources > payload.size() / 2 + 1) {
-          return Truncated("merge source list");
-        }
-        for (uint32_t j = 0; ok && j < num_sources; ++j) {
-          Window w;
-          ok = GetWindow(&payload, &w);
-          op.sources.push_back(w);
-        }
-        ok = ok && GetWindow(&payload, &op.window);
-        break;
+    const OpInfo& info = OpInfoOf(op.type);
+    Slice key, value;
+    for (const RequestField field : info.request) {
+      if (const char* what = GetRequestField(&payload, field, info.name, &op, &key, &value)) {
+        return Truncated(what);
       }
-      case OpType::kRmwGet:
-      case OpType::kRmwRemove:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetWindow(&payload, &op.window);
-        break;
-      case OpType::kRmwPut:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &key) &&
-             GetWindow(&payload, &op.window) && GetLengthPrefixed(&payload, &value);
-        break;
-      case OpType::kCheckpoint:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &path);
-        op.path = path.ToString();
-        break;
-      case OpType::kGatherStats:
-        ok = GetVarint64(&payload, &op.store_id);
-        break;
-      case OpType::kReplicaSubscribe:
-        ok = GetVarsigned64(&payload, &op.timestamp);
-        break;
-      case OpType::kSnapshotFile:
-        ok = GetLengthPrefixed(&payload, &path) &&
-             GetVarsigned64(&payload, &op.timestamp) && GetLengthPrefixed(&payload, &value);
-        op.path = path.ToString();
-        break;
-      case OpType::kSnapshotDone:
-        ok = GetLengthPrefixed(&payload, &path);
-        op.path = path.ToString();
-        break;
-      case OpType::kRestoreStore:
-        ok = GetVarint64(&payload, &op.store_id) && GetLengthPrefixed(&payload, &ns) &&
-             DecodeStateSpec(&payload, &op.spec) && GetLengthPrefixed(&payload, &path);
-        op.ns = ns.ToString();
-        op.path = path.ToString();
-        break;
-      case OpType::kStats:
-        break;
-      case OpType::kEttRegister:
-        ok = GetVarint64(&payload, &op.store_id) && GetWindow(&payload, &op.window) &&
-             GetVarsigned64(&payload, &op.timestamp);
-        break;
-      case OpType::kPushChunk:
-        break;  // decodes to an empty op; the server rejects it per-op
-      case OpType::kDropWindow:
-        ok = GetVarint64(&payload, &op.store_id) && GetWindow(&payload, &op.window);
-        break;
-      case OpType::kClusterInfo:
-        break;
-      case OpType::kClusterAdmin:
-        ok = GetLengthPrefixed(&payload, &path) &&
-             GetVarsigned64(&payload, &op.timestamp);
-        op.path = path.ToString();
-        break;
-    }
-    if (!ok) {
-      return Truncated(OpTypeName(op.type));
     }
     if (borrow) {
       op.SetKeyBorrowed(key);
@@ -493,6 +550,24 @@ Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
 
 }  // namespace
 
+void EncodeRequest(const RequestMessage& msg, std::string* payload) {
+  PutVarint32(payload, kWireVersion);
+  PutVarint64(payload, msg.request_id);
+  PutVarint32(payload, msg.deadline_ms);
+  PutVarint64(payload, msg.epoch);
+  PutVarint32(payload, msg.internal_apply ? 1 : 0);
+  PutVarint64(payload, msg.trace_id);
+  PutVarint64(payload, msg.span_id);
+  PutVarint32(payload, msg.trace_flags);
+  PutVarint32(payload, static_cast<uint32_t>(msg.ops.size()));
+  for (const OpRequest& op : msg.ops) {
+    PutVarint32(payload, static_cast<uint32_t>(op.type));
+    for (const RequestField field : OpInfoOf(op.type).request) {
+      PutRequestField(payload, field, op);
+    }
+  }
+}
+
 Status DecodeRequest(Slice payload, RequestMessage* msg) {
   return DecodeRequestInternal(payload, msg, /*borrow=*/false);
 }
@@ -509,65 +584,11 @@ void EncodeResponse(const ResponseMessage& msg, std::string* payload) {
     PutVarint32(payload, static_cast<uint32_t>(r.type));
     PutVarint32(payload, static_cast<uint32_t>(r.status.code()));
     PutLengthPrefixed(payload, r.status.message());
-    if (!r.status.ok() && !r.status.IsNotFound()) {
-      continue;  // no payload after a failure (NotFound still carries shape)
+    if (!CarriesResultFields(r.status)) {
+      continue;
     }
-    switch (r.type) {
-      case OpType::kPing:
-      case OpType::kAppendAligned:
-      case OpType::kAppendUnaligned:
-      case OpType::kMergeWindows:
-      case OpType::kRmwPut:
-      case OpType::kRmwRemove:
-      case OpType::kCheckpoint:
-      case OpType::kReplicaSubscribe:
-      case OpType::kSnapshotFile:
-      case OpType::kSnapshotDone:
-      case OpType::kRestoreStore:
-      case OpType::kEttRegister:
-      case OpType::kDropWindow:
-        break;
-      case OpType::kOpenStore:
-        PutVarint64(payload, r.store_id);
-        PutVarint32(payload, static_cast<uint32_t>(r.pattern));
-        break;
-      case OpType::kPushChunk:
-        PutVarint64(payload, r.store_id);
-        PutWindow(payload, r.window);
-        PutVarint64(payload, r.push_seq);
-        [[fallthrough]];  // the pushed payload reuses the chunk encoding
-      case OpType::kGetWindowChunk:
-        PutVarint32(payload, r.done ? 1 : 0);
-        PutVarint32(payload, static_cast<uint32_t>(r.chunk.size()));
-        for (const WindowChunkEntry& entry : r.chunk) {
-          PutLengthPrefixed(payload, entry.key);
-          PutVarint32(payload, static_cast<uint32_t>(entry.values.size()));
-          for (const std::string& v : entry.values) {
-            PutLengthPrefixed(payload, v);
-          }
-        }
-        break;
-      case OpType::kGetUnaligned:
-        PutVarint32(payload, static_cast<uint32_t>(r.values.size()));
-        for (const std::string& v : r.values) {
-          PutLengthPrefixed(payload, v);
-        }
-        break;
-      case OpType::kRmwGet:
-        PutLengthPrefixed(payload, r.accumulator);
-        break;
-      case OpType::kGatherStats:
-      case OpType::kClusterInfo:
-      case OpType::kClusterAdmin:
-        PutVarint32(payload, static_cast<uint32_t>(r.stat_fields.size()));
-        for (const auto& [name, value] : r.stat_fields) {
-          PutLengthPrefixed(payload, name);
-          PutVarsigned64(payload, value);
-        }
-        break;
-      case OpType::kStats:
-        PutLengthPrefixed(payload, r.stats_json);
-        break;
+    for (const ResultField field : OpInfoOf(r.type).result) {
+      PutResultField(payload, field, r);
     }
   }
 }
@@ -598,109 +619,13 @@ Status DecodeResponse(Slice payload, ResponseMessage* msg) {
     }
     r.type = static_cast<OpType>(type);
     r.status = Status::FromCode(static_cast<uint8_t>(code), status_msg.ToString());
-    if (!r.status.ok() && !r.status.IsNotFound()) {
-      msg->results.push_back(std::move(r));
-      continue;
-    }
-    bool ok = true;
-    switch (r.type) {
-      case OpType::kPing:
-      case OpType::kAppendAligned:
-      case OpType::kAppendUnaligned:
-      case OpType::kMergeWindows:
-      case OpType::kRmwPut:
-      case OpType::kRmwRemove:
-      case OpType::kCheckpoint:
-      case OpType::kReplicaSubscribe:
-      case OpType::kSnapshotFile:
-      case OpType::kSnapshotDone:
-      case OpType::kRestoreStore:
-      case OpType::kEttRegister:
-      case OpType::kDropWindow:
-        break;
-      case OpType::kOpenStore: {
-        uint32_t pattern = 0;
-        ok = GetVarint64(&payload, &r.store_id) && GetVarint32(&payload, &pattern) &&
-             pattern <= static_cast<uint32_t>(StorePattern::kReadModifyWrite);
-        if (ok) r.pattern = static_cast<StorePattern>(pattern);
-        break;
+    if (CarriesResultFields(r.status)) {
+      const OpInfo& info = OpInfoOf(r.type);
+      for (const ResultField field : info.result) {
+        if (const char* what = GetResultField(&payload, field, info.name, &r)) {
+          return Truncated(what);
+        }
       }
-      case OpType::kPushChunk:
-        ok = GetVarint64(&payload, &r.store_id) && GetWindow(&payload, &r.window) &&
-             GetVarint64(&payload, &r.push_seq);
-        if (!ok) {
-          break;
-        }
-        [[fallthrough]];  // the pushed payload reuses the chunk encoding
-      case OpType::kGetWindowChunk: {
-        uint32_t done = 0, num_entries = 0;
-        ok = GetVarint32(&payload, &done) && GetVarint32(&payload, &num_entries);
-        if (ok && num_entries > payload.size() + 1) {
-          return Truncated("chunk entry list");
-        }
-        for (uint32_t j = 0; ok && j < num_entries; ++j) {
-          WindowChunkEntry entry;
-          Slice key;
-          uint32_t num_values = 0;
-          ok = GetLengthPrefixed(&payload, &key) && GetVarint32(&payload, &num_values);
-          if (ok && num_values > payload.size() + 1) {
-            return Truncated("chunk value list");
-          }
-          entry.key = key.ToString();
-          for (uint32_t k = 0; ok && k < num_values; ++k) {
-            Slice v;
-            ok = GetLengthPrefixed(&payload, &v);
-            if (ok) entry.values.push_back(v.ToString());
-          }
-          if (ok) r.chunk.push_back(std::move(entry));
-        }
-        if (ok) r.done = done != 0;
-        break;
-      }
-      case OpType::kGetUnaligned: {
-        uint32_t num_values = 0;
-        ok = GetVarint32(&payload, &num_values);
-        if (ok && num_values > payload.size() + 1) {
-          return Truncated("value list");
-        }
-        for (uint32_t j = 0; ok && j < num_values; ++j) {
-          Slice v;
-          ok = GetLengthPrefixed(&payload, &v);
-          if (ok) r.values.push_back(v.ToString());
-        }
-        break;
-      }
-      case OpType::kRmwGet: {
-        Slice acc;
-        ok = GetLengthPrefixed(&payload, &acc);
-        if (ok) r.accumulator = acc.ToString();
-        break;
-      }
-      case OpType::kGatherStats:
-      case OpType::kClusterInfo:
-      case OpType::kClusterAdmin: {
-        uint32_t num_fields = 0;
-        ok = GetVarint32(&payload, &num_fields);
-        if (ok && num_fields > payload.size() + 1) {
-          return Truncated("stat field list");
-        }
-        for (uint32_t j = 0; ok && j < num_fields; ++j) {
-          Slice name;
-          int64_t value = 0;
-          ok = GetLengthPrefixed(&payload, &name) && GetVarsigned64(&payload, &value);
-          if (ok) r.stat_fields.emplace_back(name.ToString(), value);
-        }
-        break;
-      }
-      case OpType::kStats: {
-        Slice doc;
-        ok = GetLengthPrefixed(&payload, &doc);
-        if (ok) r.stats_json = doc.ToString();
-        break;
-      }
-    }
-    if (!ok) {
-      return Truncated(OpTypeName(r.type));
     }
     msg->results.push_back(std::move(r));
   }

@@ -8,8 +8,8 @@
 //   [u32 payload_len][u32 checksum][payload_len bytes of payload]
 //
 // checksum = Checksum32(payload). Both sides enforce a maximum payload size
-// (kDefaultMaxFrameBytes unless configured) so a corrupt or hostile length
-// prefix cannot trigger an unbounded allocation.
+// (kDefaultMaxFrameBytes) so a corrupt or hostile length prefix cannot
+// trigger an unbounded allocation.
 //
 // A payload is either a RequestMessage (a pipelined batch of ops, executed
 // in op order per key shard) or a ResponseMessage (one OpResult per op, in
@@ -41,9 +41,9 @@ namespace net {
 // message layout or the op list.
 constexpr uint32_t kWireVersion = 1;
 
-// Default upper bound on a frame's payload. Large enough for a full write
-// batch or a read chunk (stores default to 4 MiB chunks), small enough to
-// bound per-connection memory.
+// Upper bound on a frame's payload, enforced by every peer. Large enough for
+// a full write batch or a read chunk (stores default to 4 MiB chunks), small
+// enough to bound per-connection memory.
 constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 
 // Bytes of framing overhead preceding every payload.
@@ -175,10 +175,83 @@ struct ClusterView {
 std::vector<std::pair<std::string, int64_t>> ClusterViewFields(const ClusterView& view);
 ClusterView ParseClusterView(const std::vector<std::pair<std::string, int64_t>>& fields);
 
+// ----- The op table -----
+//
+// Every fact the codec and the server's routing need about an op is stated
+// once, in its row of the table in protocol.cc: its name, the OpRequest
+// members its request puts on the wire and the OpResult members its answer
+// carries (each in wire order), what it addresses, and whether it is
+// forwarded to a standby or fenced. Adding an op is one OpType value, one
+// row, and its execution in the server.
+
+// An OpRequest member on the wire.
+enum class RequestField : uint8_t {
+  kNone,       // pads a field list shorter than kMaxOpFields
+  kStoreId,    // varint64
+  kNs,         // length-prefixed
+  kSpec,       // EncodeStateSpec
+  kKey,        // length-prefixed
+  kValue,      // length-prefixed
+  kWindow,     // start and end, signed varints
+  kSources,    // varint32 count, then that many windows
+  kTimestamp,  // signed varint
+  kPath,       // length-prefixed
+};
+
+// An OpResult member on the wire. A result carries its fields only when its
+// status is OK or NotFound; any other status is the whole answer.
+enum class ResultField : uint8_t {
+  kNone,         // pads a field list shorter than kMaxOpFields
+  kStoreId,      // varint64
+  kPattern,      // varint32 StorePattern
+  kWindow,       // start and end, signed varints
+  kPushSeq,      // varint64
+  kChunk,        // done flag, entry count, then (key, value count, values)
+  kValues,       // count, then length-prefixed values
+  kAccumulator,  // length-prefixed
+  kStatFields,   // count, then (length-prefixed name, signed varint)
+  kStatsJson,    // length-prefixed
+};
+
+// Where the server sends a request op.
+enum class OpAddress : uint8_t {
+  kServer,   // answered on the reactor that read it
+  kKey,      // the one shard its key hashes to
+  kStore,    // every shard of the store
+  kScan,     // the shard the store's aligned-scan cursor points at
+  kRefused,  // never valid as a request op (kInvalidArgument)
+};
+
+constexpr size_t kMaxOpFields = 5;
+
+struct OpInfo {
+  OpType type;
+  const char* name;
+  RequestField request[kMaxOpFields];
+  ResultField result[kMaxOpFields];
+  OpAddress address;
+  // Sent to a subscribed standby ahead of local execution.
+  bool forwarded;
+  // Refused whole (kFencedOff) unless this server is the primary of the
+  // sender's epoch.
+  bool fenced;
+
+  bool Carries(RequestField field) const {
+    for (const RequestField f : request) {
+      if (f == field) return true;
+    }
+    return false;
+  }
+};
+
+// The table row of `type`, which must be at most kMaxOpType.
+const OpInfo& OpInfoOf(OpType type);
+
+// The row's name; "?" for a value past kMaxOpType.
 const char* OpTypeName(OpType type);
 
 // One operation of a request batch. A single struct covers every op type;
-// only the fields listed for the type in the encoding are on the wire.
+// only the fields its table row lists are on the wire.
 //
 // The key and value fields have three representations so the server's hot
 // path can decode without copying (DecodeRequestBorrowed):
@@ -195,7 +268,7 @@ struct OpRequest {
   enum class FieldRep : uint8_t { kOwned, kInline, kBorrowed };
 
   OpType type = OpType::kPing;
-  uint64_t store_id = 0;     // every op except kPing / kOpenStore
+  uint64_t store_id = 0;     // the store's server-assigned id
   std::string ns;            // kOpenStore: unique store key, e.g. "w0.q7.h0"
   OperatorStateSpec spec;    // kOpenStore: window metadata for classification
   std::string key;
@@ -204,10 +277,7 @@ struct OpRequest {
   std::vector<Window> sources;  // kMergeWindows
   int64_t timestamp = 0;        // kAppendUnaligned ETT hint
   std::string path;             // kCheckpoint target directory
-  // Replication ops reuse the fields above: kReplicaSubscribe carries the
-  // last applied sequence in `timestamp`; kSnapshotFile uses `path` (relative
-  // file), `timestamp` (offset) and `value` (data); kSnapshotDone uses `path`
-  // (epoch name); kRestoreStore uses `store_id`, `ns`, `spec` and `path`.
+  // Other ops reuse these members; their table rows (protocol.cc) say how.
 
   // Zero-copy decode state (see the struct comment). Only the borrowed
   // decoder writes these; default-constructed ops are plain owned strings.
@@ -283,7 +353,7 @@ struct OpRequest {
   }
 };
 
-// One operation's outcome. Field validity mirrors OpRequest.
+// One operation's outcome; the op's table row lists the fields on the wire.
 struct OpResult {
   OpType type = OpType::kPing;
   Status status;

@@ -279,7 +279,7 @@ void ReplicaPuller::PullOnce() {
       Slice payload;
       bool complete = false;
       const size_t before = input.size();
-      const Status fs = TryDecodeFrame(&input, &payload, &complete, options_.max_frame_bytes);
+      const Status fs = TryDecodeFrame(&input, &payload, &complete);
       if (!fs.ok()) {
         FLOWKV_LOG(kWarn) << "replica stream corrupt; resubscribing "
                           << LogKv("status", fs.ToString());

@@ -84,8 +84,6 @@ struct ReplicaOptions {
   // Seed for the backoff/stagger jitter PRNG; 0 = per-puller seed.
   uint64_t jitter_seed = 0;
 
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-
   // ----- failover (header comment above; all off unless lease_ms > 0) -----
 
   // Declare the primary dead when no frame (heartbeat reply, forwarded op,

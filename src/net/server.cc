@@ -56,6 +56,8 @@ constexpr char kReplSnapshotDirName[] = ".repl_snapshot";
 // mid-promotion can never regress the epoch. Unrelated to the checkpoint
 // `epoch_<n>` directories, which count drain checkpoints.
 constexpr char kClusterEpochFileName[] = "CLUSTER_EPOCH";
+// Snapshot files ship to a standby in kSnapshotFile chunks of this size.
+constexpr size_t kReplChunkBytes = 1u << 20;
 
 // epoll user-data tags for the two non-connection fds each reactor watches.
 // Connection ids start at 1 and count up, so the top of the id space is free.
@@ -139,39 +141,6 @@ __attribute__((format(printf, 1, 2))) std::string Format(const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   return buf;
-}
-
-// Ops whose execution spans every shard rather than one key's shard.
-// kEttRegister and kDropWindow qualify because a store's keys hash across
-// all shards: a push subscription must reach every shard's scheduler, and a
-// window drop must discard every shard's slice of the window.
-bool IsFanoutOp(OpType type) {
-  return type == OpType::kOpenStore || type == OpType::kCheckpoint ||
-         type == OpType::kGatherStats || type == OpType::kRestoreStore ||
-         type == OpType::kEttRegister || type == OpType::kDropWindow;
-}
-
-// Ops forwarded to a subscribed standby: everything that mutates store state,
-// including the reads with remove side effects (GetUnaligned, GetWindowChunk)
-// and kOpenStore (so both sides assign the same dense ids in the same order).
-bool IsForwardedOp(OpType type) {
-  switch (type) {
-    case OpType::kOpenStore:
-    case OpType::kAppendAligned:
-    case OpType::kGetWindowChunk:
-    case OpType::kAppendUnaligned:
-    case OpType::kGetUnaligned:
-    case OpType::kMergeWindows:
-    case OpType::kRmwPut:
-    case OpType::kRmwRemove:
-    case OpType::kDropWindow:
-      return true;
-    // kEttRegister is deliberately NOT forwarded: subscriptions are
-    // connection-scoped primary state; a promoted standby starts with no
-    // subscribers and the client re-registers after reconnecting.
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -286,6 +255,7 @@ class Server::Impl {
     size_t op_index = 0;
     StoreEntry* store = nullptr;  // resolved at routing; never null here
   };
+  using ShardItems = std::vector<std::vector<ShardWorkItem>>;  // indexed by shard
 
   struct Barrier {
     Mutex mu;
@@ -434,10 +404,35 @@ class Server::Impl {
   // Decodes and dispatches every complete frame buffered on the connection.
   // Returns false when the connection was closed along the way.
   bool ProcessBufferedFrames(Reactor& r, uint64_t conn_id);
+  // Admission, routing and dispatch of one request batch; every op is routed
+  // by its op table row (src/net/protocol.h).
   void HandleRequest(Reactor& r, Connection* conn, RequestMessage request);
   void DeferForAttach(Reactor& r, Connection* conn, RequestMessage request);
+  // Epoch fencing (docs/NETWORK.md "Cluster roles, epochs, and failover"):
+  // the kFencedOff status for a batch carrying a fenced op unless this server
+  // is the primary of the sender's epoch; OK otherwise.
+  Status EpochFence(const RequestMessage& request);
+  // Answers every op with `status`. Callers refuse a batch whole before
+  // anything dispatches or forwards, so the batch executed nowhere.
+  void FailBatch(const std::shared_ptr<PendingRequest>& pending, const Status& status);
+  // Answers op `i` in place, or appends its work items to the shards its
+  // table row addresses.
+  void RouteOp(Reactor& r, PendingRequest* pending, size_t i, ShardItems* shard_items);
+  // Ops addressed to the server, answered on the reactor that read them.
+  void AnswerOnReactor(Reactor& r, const OpRequest& op, OpResult* result);
+  // The store `op` addresses, or null with result->status set when the op
+  // needs no shard (an error, or an idempotent re-open's answer).
+  // kOpenStore and kRestoreStore create or reset the store by namespace;
+  // every other op names an existing store by id.
+  StoreEntry* ResolveStore(const OpRequest& op, OpResult* result);
+  StoreEntry* PrepareOpen(const OpRequest& op, OpResult* result);
+  StoreEntry* PrepareRestore(const OpRequest& op, OpResult* result);
+  // Run or queue the routed sub-batches (`tasks` non-empty shards); the
+  // replicated path forwards the batch to the standby first.
+  void DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
+                     ShardItems* shard_items, size_t tasks);
   void DispatchReplicated(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
-                          std::vector<std::vector<ShardWorkItem>>* shard_items);
+                          ShardItems* shard_items, size_t tasks);
   // Renders the kStats introspection document (callable from any reactor).
   std::string BuildStatsJson();
   void FinishPending(const std::shared_ptr<PendingRequest>& pending);
@@ -1297,7 +1292,7 @@ bool Server::Impl::ProcessBufferedFrames(Reactor& r, uint64_t conn_id) {
     Slice payload;
     bool complete = false;
     const size_t size_before = buffered.size();
-    const Status s = TryDecodeFrame(&buffered, &payload, &complete, options_.max_frame_bytes);
+    const Status s = TryDecodeFrame(&buffered, &payload, &complete);
     if (!s.ok()) {
       // Oversized or corrupt frame: the byte stream cannot be resynced.
       r.metrics.protocol_errors->Add(1);
@@ -1465,6 +1460,7 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
     return;
   }
   r.metrics.requests->Add(1);
+  const Status fence = EpochFence(request);
 
   auto pending = std::make_shared<PendingRequest>();
   pending->conn_id = conn->id();
@@ -1486,286 +1482,241 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
   obs::TraceInstant("server_dispatch", "server", "trace_id",
                     static_cast<int64_t>(pending->trace_id), "ops",
                     static_cast<int64_t>(pending->ops.size()));
-
-  // Epoch fencing (docs/NETWORK.md "Cluster roles, epochs, and failover"):
-  // refuse mutating batches whole before anything routes or forwards, so
-  // kFencedOff — like kOverloaded — guarantees the batch executed nowhere.
-  // The ReplicaPuller's loopback apply stream (internal_apply) is exempt:
-  // it is the one writer a standby exists to serve.
-  if (!request.internal_apply) {
-    if (request.epoch != 0 &&
-        request.epoch > cluster_epoch_.load(std::memory_order_acquire)) {
-      // The client has seen a newer primary than us: we are stale, whatever
-      // our role. Fence in memory only (see FenceInternal) and fall through
-      // to the rejection below.
-      FenceInternal("request carried epoch " + std::to_string(request.epoch) +
-                    " > local " + std::to_string(cluster_epoch_.load(std::memory_order_acquire)));
-    }
-    bool has_mutating = false;
-    for (const OpRequest& op : pending->ops) {
-      if (IsForwardedOp(op.type) || op.type == OpType::kRestoreStore) {
-        has_mutating = true;
-        break;
-      }
-    }
-    const int64_t role = cluster_role_.load(std::memory_order_acquire);
-    const uint64_t epoch = cluster_epoch_.load(std::memory_order_acquire);
-    const bool stale_epoch = request.epoch != 0 && request.epoch != epoch;
-    if (has_mutating && (role != kRolePrimary || stale_epoch)) {
-      r.metrics.fenced_rejects->Add(1);
-      const std::string why =
-          role == kRoleStandby ? "standby"
-          : role == kRoleFenced
-              ? "fenced"
-              : "stale epoch " + std::to_string(request.epoch) + " != " +
-                    std::to_string(epoch);
-      for (size_t i = 0; i < pending->ops.size(); ++i) {
-        pending->results[i] = OpResult{};
-        pending->results[i].type = pending->ops[i].type;
-        pending->results[i].status = Status::FencedOff(
-            why + " (epoch " + std::to_string(epoch) + ")");
-        pending->fanout_partials[i].clear();
-      }
-      FinishPending(pending);
-      return;
-    }
+  if (!fence.ok()) {
+    r.metrics.fenced_rejects->Add(1);
+    FailBatch(pending, fence);
+    return;
   }
 
-  std::vector<std::vector<ShardWorkItem>> shard_items(
-      static_cast<size_t>(options_.num_shards));
-
+  ShardItems shard_items(static_cast<size_t>(options_.num_shards));
   for (size_t i = 0; i < pending->ops.size(); ++i) {
-    const OpRequest& op = pending->ops[i];
-    OpResult& result = pending->results[i];
-    result.type = op.type;
-
-    if (op.type == OpType::kPing) {
-      result.status = Status::Ok();
-      continue;
-    }
-
-    if (op.type == OpType::kStats) {
-      // Server-level introspection: answered entirely on this reactor (all
-      // the inputs are locked or lock-free snapshots), so a stats poll never
-      // queues behind store work.
-      result.status = Status::Ok();
-      result.stats_json = BuildStatsJson();
-      continue;
-    }
-
-    if (op.type == OpType::kClusterInfo) {
-      // The connect handshake: legal on every role (it is how clients and
-      // standbys find the primary), answered inline like kStats.
-      result.status = Status::Ok();
-      result.stat_fields = ClusterViewFields(CurrentClusterView());
-      continue;
-    }
-
-    if (op.type == OpType::kClusterAdmin) {
-      if (op.path == "fence") {
-        FenceInternal("admin fence");
-        result.status = Status::Ok();
-      } else if (op.path == "promote") {
-        // op.timestamp optionally carries the target epoch; 0 = current + 1.
-        const uint64_t target =
-            op.timestamp > 0 ? static_cast<uint64_t>(op.timestamp)
-                             : cluster_epoch_.load(std::memory_order_acquire) + 1;
-        // This request holds one unit of pending_count_; the quiesce inside
-        // waits down to that floor while pumping this reactor's tasks.
-        result.status = PromoteInternal(target, &r, 1);
-      } else {
-        result.status = Status::InvalidArgument("unknown cluster admin command: " + op.path);
-      }
-      if (result.status.ok()) {
-        result.stat_fields = ClusterViewFields(CurrentClusterView());
-      }
-      continue;
-    }
-
-    if (op.type == OpType::kReplicaSubscribe || op.type == OpType::kSnapshotFile ||
-        op.type == OpType::kSnapshotDone) {
-      result.status =
-          Status::InvalidArgument("replication frame outside a replica stream");
-      continue;
-    }
-
-    if (op.type == OpType::kPushChunk) {
-      // Server-push only: it never appears as a request op.
-      result.status = Status::InvalidArgument("kPushChunk is a server-push frame");
-      continue;
-    }
-
-    if (op.type == OpType::kRestoreStore) {
-      // Standby-side snapshot install (loopback from the ReplicaPuller):
-      // create-or-replace the store from a staged checkpoint directory. The
-      // primary's dense id is enforced so forwarded ops route unchanged.
-      if (op.ns.empty() || op.path.empty()) {
-        result.status = Status::InvalidArgument("kRestoreStore needs ns and path");
-        continue;
-      }
-      bool created = false;
-      StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
-      if (store->id != op.store_id) {
-        result.status = Status::InvalidArgument(
-            "restore id mismatch for " + op.ns + ": have " +
-            std::to_string(store->id) + ", primary says " +
-            std::to_string(op.store_id));
-        continue;
-      }
-      {
-        MutexLock lock(&stores_mu_);
-        store->spec = op.spec;
-        store->pattern = ClassifyPattern(op.spec.incremental, op.spec.window_kind,
-                                         op.spec.alignment_hint);
-        store->open_state = StoreEntry::OpenState::kOpening;
-        store->chunk_cursor.clear();  // cursors referred to the replaced state
-      }
-      pending->fanout_partials[i].resize(static_cast<size_t>(options_.num_shards));
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        shard_items[static_cast<size_t>(shard)].push_back({i, store});
-      }
-      continue;
-    }
-
-    if (op.type == OpType::kOpenStore) {
-      if (op.ns.empty()) {
-        result.status = Status::InvalidArgument("empty store namespace");
-        continue;
-      }
-      bool created = false;
-      StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
-      if (!created) {
-        // Idempotent re-open (e.g. a client reconnecting after a server or
-        // client restart): hand back the existing id if the spec agrees.
-        const StorePattern pattern =
-            ClassifyPattern(op.spec.incremental, op.spec.window_kind, op.spec.alignment_hint);
-        bool already_open = false;
-        {
-          MutexLock lock(&stores_mu_);
-          if (pattern != store->pattern) {
-            result.status = Status::InvalidArgument(
-                "store " + op.ns + " already open with pattern " +
-                StorePatternName(store->pattern));
-            continue;
-          }
-          if (store->open_state == StoreEntry::OpenState::kOpen) {
-            already_open = true;
-          } else {
-            // Previous open failed (or is still in flight): retry the
-            // per-shard opens. Shards whose slot is already populated return
-            // OK without touching it, so a concurrent or repeated open is
-            // harmless.
-            store->open_state = StoreEntry::OpenState::kOpening;
-          }
-        }
-        if (already_open) {
-          result.status = Status::Ok();
-          result.store_id = store->id;
-          result.pattern = store->pattern;
-          continue;
-        }
-      }
-      pending->fanout_partials[i].resize(static_cast<size_t>(options_.num_shards));
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        shard_items[static_cast<size_t>(shard)].push_back({i, store});
-      }
-      continue;
-    }
-
-    StoreEntry* store = FindStore(op.store_id);
-    if (store == nullptr) {
-      result.status = Status::InvalidArgument("unknown store id " +
-                                              std::to_string(op.store_id));
-      continue;
-    }
-
-    if (IsFanoutOp(op.type)) {
-      if (op.type == OpType::kDropWindow) {
-        // The window's state is going away on every shard; a stale aligned-
-        // scan cursor would otherwise resume a dead scan mid-shard.
-        MutexLock lock(&stores_mu_);
-        store->chunk_cursor.erase(op.window);
-      }
-      pending->fanout_partials[i].resize(static_cast<size_t>(options_.num_shards));
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        shard_items[static_cast<size_t>(shard)].push_back({i, store});
-      }
-      continue;
-    }
-
-    if (op.type == OpType::kGetWindowChunk) {
-      // Aligned scans drain the shards in turn: route to the shard the
-      // cursor points at; FinishPending advances it on `done`.
-      size_t cursor = 0;
-      {
-        MutexLock lock(&stores_mu_);
-        auto cit = store->chunk_cursor.find(op.window);
-        if (cit != store->chunk_cursor.end()) {
-          cursor = cit->second;
-        } else {
-          store->chunk_cursor[op.window] = 0;
-        }
-      }
-      shard_items[cursor].push_back({i, store});
-      continue;
-    }
-
-    shard_items[static_cast<size_t>(ShardForKey(op.key_view()))].push_back({i, store});
+    RouteOp(r, pending.get(), i, &shard_items);
   }
-
-  size_t tasks = 0;
-  for (const auto& items : shard_items) {
-    if (!items.empty()) ++tasks;
-  }
+  const size_t tasks = static_cast<size_t>(std::count_if(
+      shard_items.begin(), shard_items.end(), [](const auto& items) { return !items.empty(); }));
 
   // Overload shedding happens before anything dispatches or forwards, so
   // kOverloaded guarantees the batch executed nowhere — the one status a
   // client may blindly retry.
-  if (tasks > 0 && options_.max_shard_queue_depth > 0) {
-    bool overloaded = false;
-    for (int shard = 0; shard < options_.num_shards; ++shard) {
-      if (!shard_items[static_cast<size_t>(shard)].empty() &&
-          shard_state_[shard].depth.load(std::memory_order_relaxed) >=
-              options_.max_shard_queue_depth) {
-        overloaded = true;
-        break;
-      }
-    }
-    if (overloaded) {
+  for (int shard = 0; options_.max_shard_queue_depth > 0 && shard < options_.num_shards;
+       ++shard) {
+    if (!shard_items[static_cast<size_t>(shard)].empty() &&
+        shard_state_[shard].depth.load(std::memory_order_relaxed) >=
+            options_.max_shard_queue_depth) {
       r.metrics.shed_overload->Add(1);
-      for (size_t i = 0; i < pending->ops.size(); ++i) {
-        pending->results[i] = OpResult{};
-        pending->results[i].type = pending->ops[i].type;
-        pending->results[i].status = Status::Overloaded("shard queue over bound");
-        pending->fanout_partials[i].clear();
-      }
-      FinishPending(pending);
+      FailBatch(pending, Status::Overloaded("shard queue over bound"));
       return;
     }
   }
 
   if (tasks == 0) {
     FinishPending(pending);
+  } else if (replica_conn_id_atomic_.load(std::memory_order_acquire) != 0) {
+    DispatchReplicated(r, pending, &shard_items, tasks);
+  } else {
+    DispatchLocal(r, pending, &shard_items, tasks);
+  }
+}
+
+Status Server::Impl::EpochFence(const RequestMessage& request) {
+  // The ReplicaPuller's loopback apply stream (internal_apply) is exempt: it
+  // is the one writer a standby exists to serve.
+  if (request.internal_apply) {
+    return Status::Ok();
+  }
+  if (request.epoch != 0 && request.epoch > cluster_epoch_.load(std::memory_order_acquire)) {
+    // The client has seen a newer primary than us: we are stale, whatever
+    // our role. Fence in memory only (see FenceInternal) and fall through
+    // to the rejection below.
+    FenceInternal("request carried epoch " + std::to_string(request.epoch) + " > local " +
+                  std::to_string(cluster_epoch_.load(std::memory_order_acquire)));
+  }
+  const bool fenced = std::any_of(request.ops.begin(), request.ops.end(),
+                                  [](const OpRequest& op) { return OpInfoOf(op.type).fenced; });
+  const int64_t role = cluster_role_.load(std::memory_order_acquire);
+  const uint64_t epoch = cluster_epoch_.load(std::memory_order_acquire);
+  const bool stale_epoch = request.epoch != 0 && request.epoch != epoch;
+  if (!fenced || (role == kRolePrimary && !stale_epoch)) {
+    return Status::Ok();
+  }
+  const std::string why =
+      role == kRoleStandby ? "standby"
+      : role == kRoleFenced
+          ? "fenced"
+          : "stale epoch " + std::to_string(request.epoch) + " != " + std::to_string(epoch);
+  return Status::FencedOff(why + " (epoch " + std::to_string(epoch) + ")");
+}
+
+void Server::Impl::FailBatch(const std::shared_ptr<PendingRequest>& pending,
+                             const Status& status) {
+  for (size_t i = 0; i < pending->ops.size(); ++i) {
+    pending->results[i] = OpResult{};
+    pending->results[i].type = pending->ops[i].type;
+    pending->results[i].status = status;
+    pending->fanout_partials[i].clear();
+  }
+  FinishPending(pending);
+}
+
+void Server::Impl::RouteOp(Reactor& r, PendingRequest* pending, size_t i,
+                           ShardItems* shard_items) {
+  const OpRequest& op = pending->ops[i];
+  OpResult& result = pending->results[i];
+  result.type = op.type;
+  const OpInfo& info = OpInfoOf(op.type);
+  if (info.address == OpAddress::kServer) {
+    AnswerOnReactor(r, op, &result);
     return;
   }
-
-  if (replica_conn_id_atomic_.load(std::memory_order_acquire) != 0) {
-    // Subscribed: sequence assignment and the per-shard pushes must happen
-    // under one lock so queue order equals sequence order everywhere.
-    DispatchReplicated(r, pending, &shard_items);
+  if (info.address == OpAddress::kRefused) {
+    result.status =
+        Status::InvalidArgument(std::string(info.name) + " is not valid in a request batch");
     return;
   }
+  StoreEntry* store = ResolveStore(op, &result);
+  if (store == nullptr) {
+    return;
+  }
+  if (info.address == OpAddress::kKey) {
+    (*shard_items)[static_cast<size_t>(ShardForKey(op.key_view()))].push_back({i, store});
+  } else if (info.address == OpAddress::kScan) {
+    // Aligned scans drain the shards in turn: route to the shard the cursor
+    // points at; FinishPending advances it on `done`.
+    MutexLock lock(&stores_mu_);
+    (*shard_items)[store->chunk_cursor.try_emplace(op.window, 0).first->second].push_back(
+        {i, store});
+  } else {
+    pending->fanout_partials[i].resize(static_cast<size_t>(options_.num_shards));
+    for (auto& items : *shard_items) {
+      items.push_back({i, store});
+    }
+  }
+}
 
-  // Fast path. Shards owned by this reactor whose queue is empty execute
-  // inline — no queue hop, no materialization, borrowed slices read straight
-  // from the rx buffer. Everything else takes the single-writer queue path.
-  // The dispatcher holds one unit of `remaining` so a queued shard finishing
+void Server::Impl::AnswerOnReactor(Reactor& r, const OpRequest& op, OpResult* result) {
+  result->status = Status::Ok();
+  switch (op.type) {
+    case OpType::kStats:
+      // All the inputs are locked or lock-free snapshots, so a stats poll
+      // never queues behind store work.
+      result->stats_json = BuildStatsJson();
+      break;
+    case OpType::kClusterInfo:
+      // The connect handshake: legal on every role (it is how clients and
+      // standbys find the primary).
+      result->stat_fields = ClusterViewFields(CurrentClusterView());
+      break;
+    case OpType::kClusterAdmin:
+      if (op.path == "fence") {
+        FenceInternal("admin fence");
+      } else if (op.path == "promote") {
+        // op.timestamp optionally carries the target epoch; 0 = current + 1.
+        const uint64_t target = op.timestamp > 0
+                                    ? static_cast<uint64_t>(op.timestamp)
+                                    : cluster_epoch_.load(std::memory_order_acquire) + 1;
+        // This request holds one unit of pending_count_; the quiesce inside
+        // waits down to that floor while pumping this reactor's tasks.
+        result->status = PromoteInternal(target, &r, 1);
+      } else {
+        result->status = Status::InvalidArgument("unknown cluster admin command: " + op.path);
+      }
+      if (result->status.ok()) {
+        result->stat_fields = ClusterViewFields(CurrentClusterView());
+      }
+      break;
+    default:  // kPing
+      break;
+  }
+}
+
+Server::Impl::StoreEntry* Server::Impl::ResolveStore(const OpRequest& op, OpResult* result) {
+  if (op.type == OpType::kOpenStore) {
+    return PrepareOpen(op, result);
+  }
+  if (op.type == OpType::kRestoreStore) {
+    return PrepareRestore(op, result);
+  }
+  StoreEntry* store = FindStore(op.store_id);
+  if (store == nullptr) {
+    result->status = Status::InvalidArgument("unknown store id " + std::to_string(op.store_id));
+  } else if (op.type == OpType::kDropWindow) {
+    // The window's state is going away on every shard; a stale aligned-scan
+    // cursor would otherwise resume a dead scan mid-shard.
+    MutexLock lock(&stores_mu_);
+    store->chunk_cursor.erase(op.window);
+  }
+  return store;
+}
+
+Server::Impl::StoreEntry* Server::Impl::PrepareOpen(const OpRequest& op, OpResult* result) {
+  if (op.ns.empty()) {
+    result->status = Status::InvalidArgument("empty store namespace");
+    return nullptr;
+  }
+  bool created = false;
+  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
+  if (created) {
+    return store;
+  }
+  // Idempotent re-open (e.g. a client reconnecting after a server or client
+  // restart): hand back the existing id if the spec agrees.
+  const StorePattern pattern =
+      ClassifyPattern(op.spec.incremental, op.spec.window_kind, op.spec.alignment_hint);
+  MutexLock lock(&stores_mu_);
+  if (pattern != store->pattern) {
+    result->status = Status::InvalidArgument("store " + op.ns + " already open with pattern " +
+                                             StorePatternName(store->pattern));
+    return nullptr;
+  }
+  if (store->open_state == StoreEntry::OpenState::kOpen) {
+    result->status = Status::Ok();
+    result->store_id = store->id;
+    result->pattern = store->pattern;
+    return nullptr;
+  }
+  // Previous open failed (or is still in flight): retry the per-shard opens.
+  // Shards whose slot is already populated return OK without touching it, so
+  // a concurrent or repeated open is harmless.
+  store->open_state = StoreEntry::OpenState::kOpening;
+  return store;
+}
+
+Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, OpResult* result) {
+  if (op.ns.empty() || op.path.empty()) {
+    result->status = Status::InvalidArgument("kRestoreStore needs ns and path");
+    return nullptr;
+  }
+  bool created = false;
+  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
+  if (store->id != op.store_id) {
+    result->status = Status::InvalidArgument(
+        "restore id mismatch for " + op.ns + ": have " + std::to_string(store->id) +
+        ", primary says " + std::to_string(op.store_id));
+    return nullptr;
+  }
+  MutexLock lock(&stores_mu_);
+  store->spec = op.spec;
+  store->pattern =
+      ClassifyPattern(op.spec.incremental, op.spec.window_kind, op.spec.alignment_hint);
+  store->open_state = StoreEntry::OpenState::kOpening;
+  store->chunk_cursor.clear();  // cursors referred to the replaced state
+  return store;
+}
+
+void Server::Impl::DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
+                                 ShardItems* shard_items, size_t tasks) {
+  // Shards owned by this reactor whose queue is empty execute inline — no
+  // queue hop, no materialization, borrowed slices read straight from the rx
+  // buffer. Everything else takes the single-writer queue path. The
+  // dispatcher holds one unit of `remaining` so a queued shard finishing
   // first cannot race FinishPending against the inline execution.
+  const auto inline_ok = [&](int shard) {
+    return OwnerReactor(shard) == r.index &&
+           shard_state_[shard].depth.load(std::memory_order_acquire) == 0;
+  };
   bool any_queued = false;
   for (int shard = 0; shard < options_.num_shards; ++shard) {
-    if (shard_items[static_cast<size_t>(shard)].empty()) continue;
-    if (OwnerReactor(shard) != r.index ||
-        shard_state_[shard].depth.load(std::memory_order_acquire) != 0) {
+    if (!(*shard_items)[static_cast<size_t>(shard)].empty() && !inline_ok(shard)) {
       any_queued = true;
     }
   }
@@ -1778,11 +1729,9 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
   }
   const int64_t dispatch_nanos = MonotonicNanos();
   for (int shard = 0; shard < options_.num_shards; ++shard) {
-    auto& items = shard_items[static_cast<size_t>(shard)];
+    auto& items = (*shard_items)[static_cast<size_t>(shard)];
     if (items.empty()) continue;
-    const bool inline_ok = OwnerReactor(shard) == r.index &&
-                           shard_state_[shard].depth.load(std::memory_order_acquire) == 0;
-    if (inline_ok) {
+    if (inline_ok(shard)) {
       ExecuteShardItems(shard, dispatch_nanos, pending.get(), items);
       pending->remaining.fetch_sub(1, std::memory_order_acq_rel);
       continue;
@@ -1799,15 +1748,13 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
 
 void Server::Impl::DispatchReplicated(Reactor& r,
                                       const std::shared_ptr<PendingRequest>& pending,
-                                      std::vector<std::vector<ShardWorkItem>>* shard_items) {
-  // Every sub-batch goes through the queues (inline execution could overtake
-  // an older queued op for the same shard), so own every field first.
+                                      ShardItems* shard_items, size_t tasks) {
+  // Subscribed: sequence assignment and the per-shard pushes happen under
+  // one lock so queue order equals sequence order everywhere. Every
+  // sub-batch goes through the queues (inline execution could overtake an
+  // older queued op for the same shard), so own every field first.
   for (OpRequest& op : pending->ops) {
     op.MaterializeRefs();
-  }
-  size_t tasks = 0;
-  for (const auto& items : *shard_items) {
-    if (!items.empty()) ++tasks;
   }
   pending->remaining.store(tasks + 1, std::memory_order_relaxed);
 
@@ -1818,7 +1765,7 @@ void Server::Impl::DispatchReplicated(Reactor& r,
     if (replica_conn_id_ != 0) {
       RequestMessage fwd;
       for (const OpRequest& op : pending->ops) {
-        if (IsForwardedOp(op.type)) {
+        if (OpInfoOf(op.type).forwarded) {
           fwd.ops.push_back(op);
         }
       }
@@ -2714,7 +2661,7 @@ Status Server::Impl::ShipSnapshot(Reactor& r) {
       if (stop_requested_.load(std::memory_order_relaxed)) {
         return Status::FailedPrecondition("server stopping");
       }
-      const size_t n = std::min(options_.repl_chunk_bytes, data.size() - offset);
+      const size_t n = std::min(kReplChunkBytes, data.size() - offset);
       RequestMessage m;
       OpRequest op;
       op.type = OpType::kSnapshotFile;
@@ -3256,16 +3203,7 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
       out->status = Status::Ok();
       break;
     }
-    case OpType::kPing:
-    case OpType::kOpenStore:
-    case OpType::kRestoreStore:
-    case OpType::kReplicaSubscribe:
-    case OpType::kSnapshotFile:
-    case OpType::kSnapshotDone:
-    case OpType::kStats:
-    case OpType::kPushChunk:
-    case OpType::kClusterInfo:
-    case OpType::kClusterAdmin:
+    default:
       out->status = Status::Internal("op routed to shard unexpectedly");
       break;
   }

@@ -68,7 +68,6 @@ struct ServerOptions {
   // Restore the latest committed epoch at startup when one exists.
   bool restore = true;
 
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Outbox budget per connection before reads are paused (backpressure).
   size_t max_outbox_bytes = 4u << 20;
   // How long a drain waits for client outboxes to flush before
@@ -82,10 +81,8 @@ struct ServerOptions {
 
   // Replication (active once a standby subscribes; see src/net/replica.h):
   // how long parked client responses wait for a standby ack before the
-  // replica is dropped and the responses released, and the chunk size used
-  // when shipping snapshot files.
+  // replica is dropped and the responses released.
   int repl_ack_timeout_ms = 5000;
-  size_t repl_chunk_bytes = 1u << 20;
 
   // Slow-request log: a finished request whose end-to-end latency meets this
   // threshold is recorded — with its queue-wait / execution breakdown and

@@ -103,6 +103,29 @@ TEST_F(NetLoopbackTest, PingAndUnknownStore) {
   EXPECT_FALSE(client->RmwGet(99, "k", Window(0, 1000), &acc).ok());
 }
 
+TEST_F(NetLoopbackTest, OpsThatAreNeverRequestsAreRefusedPerOp) {
+  // Replication frames, the server-push frame, and kReplicaSubscribe inside
+  // a batch are refused op by op; the rest of the batch and the connection
+  // carry on.
+  auto client = MakeClient();
+  std::vector<OpRequest> ops(5);
+  ops[0].type = OpType::kPing;
+  ops[1].type = OpType::kSnapshotFile;
+  ops[2].type = OpType::kSnapshotDone;
+  ops[3].type = OpType::kPushChunk;
+  ops[4].type = OpType::kReplicaSubscribe;
+  std::vector<OpResult> results;
+  ASSERT_TRUE(client->ExecuteRaw(ops, &results).ok());
+  ASSERT_EQ(results.size(), ops.size());
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].type, ops[i].type);
+    EXPECT_EQ(results[i].status.code(), StatusCode::kInvalidArgument)
+        << OpTypeName(ops[i].type) << ": " << results[i].status.ToString();
+  }
+  EXPECT_TRUE(client->Ping().ok());
+}
+
 TEST_F(NetLoopbackTest, RmwPutGetRemove) {
   auto client = MakeClient();
   uint64_t h = 0;

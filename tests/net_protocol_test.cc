@@ -680,6 +680,168 @@ TEST(NetWireVersionTest, OpIdsArePinnedByTheWireVersion) {
   EXPECT_EQ(kPushRequestId, 0u);
 }
 
+// ----- golden wire bytes -----
+//
+// One request per op type and one response per result-carrying type, with
+// every OpRequest / OpResult member set to a distinct value, so each encoding
+// shows exactly which fields the op puts on the wire and in which order. The
+// round-trip tests above pass for any field order encoder and decoder agree
+// on; these fixed strings pin the order itself. They are literals captured
+// from a known-good encoder, never derived from the op table.
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+RequestMessage GoldenRequest(OpType type) {
+  RequestMessage msg;
+  msg.request_id = 77;
+  msg.deadline_ms = 1000;
+  msg.epoch = 3;
+  OpRequest op;
+  op.type = type;
+  op.store_id = 5;
+  op.ns = "ns";
+  op.spec.name = "op";
+  op.spec.window_kind = WindowKind::kSession;
+  op.spec.incremental = true;
+  op.spec.window_size_ms = 60;
+  op.spec.session_gap_ms = 9;
+  op.spec.alignment_hint = ReadAlignmentHint::kUnaligned;
+  op.key = "k";
+  op.value = "val";
+  op.window = Window(10, 20);
+  op.sources = {Window(1, 2), Window(3, 4)};
+  op.timestamp = -7;
+  op.path = "p";
+  msg.ops.push_back(op);
+  return msg;
+}
+
+OpResult GoldenResult(OpType type, Status status) {
+  OpResult r;
+  r.type = type;
+  r.status = std::move(status);
+  r.store_id = 9;
+  r.pattern = StorePattern::kAppendUnaligned;
+  r.done = true;
+  r.chunk = {{"ck", {"v1", "v2"}}};
+  r.values = {"u1"};
+  r.accumulator = "acc";
+  r.stat_fields = {{"f", -3}};
+  r.stats_json = "{}";
+  r.window = Window(30, 40);
+  r.push_seq = 6;
+  return r;
+}
+
+TEST(NetGoldenWireTest, EveryRequestOpEncodesToItsFixedBytes) {
+  const char* const kGolden[] = {
+      /* 0 ping */ "014de80703000000000100",
+      /* 1 open_store */ "014de80703000000000101026e73026f700201781202",
+      /* 2 append_aligned */ "014de8070300000000010205016b0376616c1428",
+      /* 3 get_window_chunk */ "014de80703000000000103051428",
+      /* 4 append_unaligned */ "014de8070300000000010405016b0376616c14280d",
+      /* 5 get_unaligned */ "014de8070300000000010505016b1428",
+      /* 6 merge_windows */ "014de8070300000000010605016b02020406081428",
+      /* 7 rmw_get */ "014de8070300000000010705016b1428",
+      /* 8 rmw_put */ "014de8070300000000010805016b14280376616c",
+      /* 9 rmw_remove */ "014de8070300000000010905016b1428",
+      /* 10 checkpoint */ "014de8070300000000010a050170",
+      /* 11 gather_stats */ "014de8070300000000010b05",
+      /* 12 replica_subscribe */ "014de8070300000000010c0d",
+      /* 13 snapshot_file */ "014de8070300000000010d01700d0376616c",
+      /* 14 snapshot_done */ "014de8070300000000010e0170",
+      /* 15 restore_store */ "014de8070300000000010f05026e73026f7002017812020170",
+      /* 16 stats */ "014de80703000000000110",
+      /* 17 ett_register */ "014de807030000000001110514280d",
+      /* 18 push_chunk */ "014de80703000000000112",
+      /* 19 drop_window */ "014de80703000000000113051428",
+      /* 20 cluster_info */ "014de80703000000000114",
+      /* 21 cluster_admin */ "014de8070300000000011501700d",
+  };
+  static_assert(sizeof(kGolden) / sizeof(kGolden[0]) == kMaxOpType + 1);
+  for (uint32_t t = 0; t <= kMaxOpType; ++t) {
+    const OpType type = static_cast<OpType>(t);
+    std::string payload;
+    EncodeRequest(GoldenRequest(type), &payload);
+    EXPECT_EQ(Hex(payload), kGolden[t]) << OpTypeName(type);
+
+    // Decoding back yields, per member, either the golden value or the
+    // default (off-wire), and re-encodes to the same bytes.
+    for (const bool borrowed : {false, true}) {
+      RequestMessage decoded;
+      ASSERT_TRUE((borrowed ? DecodeRequestBorrowed(payload, &decoded)
+                            : DecodeRequest(payload, &decoded))
+                      .ok())
+          << OpTypeName(type);
+      ASSERT_EQ(decoded.ops.size(), 1u);
+      const OpRequest& op = decoded.ops[0];
+      EXPECT_EQ(op.type, type);
+      EXPECT_TRUE(op.store_id == 0 || op.store_id == 5);
+      EXPECT_TRUE(op.ns.empty() || op.ns == "ns");
+      EXPECT_TRUE(op.spec.name.empty() || op.spec.name == "op");
+      EXPECT_TRUE(op.key_view().empty() || op.key_view() == Slice("k"));
+      EXPECT_TRUE(op.value_view().empty() || op.value_view() == Slice("val"));
+      EXPECT_TRUE(op.window == Window() || op.window == Window(10, 20));
+      EXPECT_TRUE(op.sources.empty() || op.sources.size() == 2u);
+      EXPECT_TRUE(op.timestamp == 0 || op.timestamp == -7);
+      EXPECT_TRUE(op.path.empty() || op.path == "p");
+      std::string again;
+      EncodeRequest(decoded, &again);
+      EXPECT_EQ(Hex(again), kGolden[t]) << OpTypeName(type);
+    }
+  }
+}
+
+TEST(NetGoldenWireTest, EveryResultShapeEncodesToItsFixedBytes) {
+  struct Case {
+    OpType type;
+    Status status;
+    const char* hex;
+  };
+  const Case kGolden[] = {
+      {OpType::kOpenStore, Status::Ok(), "014d010100000901"},
+      {OpType::kGetWindowChunk, Status::Ok(), "014d01030000010102636b02027631027632"},
+      {OpType::kGetUnaligned, Status::Ok(), "014d0105000001027531"},
+      {OpType::kRmwGet, Status::Ok(), "014d0107000003616363"},
+      {OpType::kRmwGet, Status::NotFound("nf"), "014d010701026e6603616363"},
+      {OpType::kGatherStats, Status::Ok(), "014d010b000001016605"},
+      {OpType::kStats, Status::Ok(), "014d01100000027b7d"},
+      {OpType::kPushChunk, Status::Ok(), "014d01120000093c5006010102636b02027631027632"},
+      {OpType::kClusterInfo, Status::Ok(), "014d0114000001016605"},
+      {OpType::kClusterAdmin, Status::Ok(), "014d0115000001016605"},
+      // No result fields: the status alone.
+      {OpType::kRmwPut, Status::Ok(), "014d01080000"},
+      // No payload after a failed status, whatever the type carries.
+      {OpType::kGetUnaligned, Status::InvalidArgument("bad"), "014d01050203626164"},
+  };
+  for (const Case& c : kGolden) {
+    ResponseMessage msg;
+    msg.request_id = 77;
+    msg.results.push_back(GoldenResult(c.type, c.status));
+    std::string payload;
+    EncodeResponse(msg, &payload);
+    EXPECT_EQ(Hex(payload), c.hex) << OpTypeName(c.type) << " " << c.status.ToString();
+
+    ResponseMessage decoded;
+    ASSERT_TRUE(DecodeResponse(payload, &decoded).ok()) << OpTypeName(c.type);
+    ASSERT_EQ(decoded.results.size(), 1u);
+    EXPECT_EQ(decoded.results[0].type, c.type);
+    EXPECT_EQ(decoded.results[0].status.code(), c.status.code());
+    std::string again;
+    EncodeResponse(decoded, &again);
+    EXPECT_EQ(Hex(again), c.hex) << OpTypeName(c.type);
+  }
+}
+
 TEST(NetMessageTest, GarbagePayloadNeverCrashes) {
   Random rng(37);
   int rejected = 0;

@@ -1,5 +1,5 @@
-// flowkv-lint: a dependency-free, token-level checker for the two FlowKV
-// contracts the compiler cannot see end to end (docs/STATIC_ANALYSIS.md):
+// flowkv-lint: a dependency-free, token-level checker for the FlowKV
+// contract the compiler cannot see end to end (docs/STATIC_ANALYSIS.md):
 //
 //  [flowkv-borrowed-slice-escape]
 //    A RequestMessage filled by DecodeRequestBorrowed() aliases the
@@ -9,21 +9,14 @@
 //    outlive the buffer. Passing the message as a plain call argument —
 //    including std::move(x) — is allowed: the handoff stays on this stack.
 //
-//  [flowkv-unchecked-status]
-//    An expression statement whose trailing call returns flowkv::Status
-//    silently drops an error. The compiler enforces this via [[nodiscard]]
-//    on Status; this check re-implements it so the lint fixtures can assert
-//    diagnostics without a compiler, and so the CI gate reports both checks
-//    in one format. Status-returning names are collected from the input
-//    files themselves; a name also declared with a non-Status return type
-//    (e.g. Counter::Add vs SstWriter::Add) is ambiguous at token level and
-//    is skipped — [[nodiscard]] remains the backstop.
+// A dropped flowkv::Status needs no lint: it is a compile error
+// ([[nodiscard]] on Status plus -Werror=unused-result).
 //
 // Suppression: a line containing NOLINT(<check-name>) (or bare NOLINT)
 // silences findings on that line. Every suppression in the real tree must be
 // listed in docs/STATIC_ANALYSIS.md.
 //
-// Usage: flowkv_lint [--no-borrow] [--no-status] file...
+// Usage: flowkv_lint file...
 // Exit status: 0 = clean, 1 = findings, 2 = usage/io error.
 // Diagnostic format (one per line, stable, asserted by the fixtures):
 //   <file>:<line>: [<check-name>] <message>
@@ -32,7 +25,6 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -424,216 +416,31 @@ void CheckBorrowedEscape(const CleanedFile& f, std::vector<Finding>* findings) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Check 2: flowkv-unchecked-status
-// ---------------------------------------------------------------------------
-
-const char kStatusCheck[] = "flowkv-unchecked-status";
-
-const char* const kDeclKeywords[] = {
-    "return", "if",     "while",  "for",     "switch", "case",   "goto",
-    "else",   "new",    "delete", "sizeof",  "throw",  "using",  "typedef",
-    "catch",  "assert", "defined", "alignof", "co_return", "co_await", "main"};
-
-bool IsDeclKeyword(const std::string& word) {
-  for (const char* k : kDeclKeywords) {
-    if (word == k) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Collect function names by return type across all files. Returns the set of
-// names declared returning `Status` and never anything else.
-std::set<std::string> CollectStatusReturning(const std::vector<CleanedFile>& files) {
-  std::map<std::string, int> status_names;  // name -> 1 = status only, 0 = ambiguous
-  static const std::regex decl_re(
-      R"((?:^|[;{}]|\)\s|(?:public|private|protected)\s*:)\s*)"
-      R"((?:(?:static|virtual|inline|constexpr|explicit|friend)\s+)*)"
-      R"((?:const\s+)?([A-Za-z_][\w]*(?:::[A-Za-z_]\w*)*(?:<[^;(){}]*>)?)\s*([&*]*)\s+)"
-      R"(([A-Za-z_]\w*(?:::[A-Za-z_]\w*)*)\s*\()");
-  for (const CleanedFile& f : files) {
-    auto begin = std::sregex_iterator(f.text.begin(), f.text.end(), decl_re);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      const std::string rettype = (*it)[1];
-      const std::string refptr = (*it)[2];
-      std::string name = (*it)[3];
-      const size_t sep = name.rfind("::");
-      if (sep != std::string::npos) {
-        name = name.substr(sep + 2);
-      }
-      if (IsDeclKeyword(rettype) || IsDeclKeyword(name)) {
-        continue;
-      }
-      const bool is_status =
-          refptr.empty() && (rettype == "Status" || rettype == "flowkv::Status");
-      auto ins = status_names.emplace(name, is_status ? 1 : 0);
-      if (!ins.second && ins.first->second == 1 && !is_status) {
-        ins.first->second = 0;  // also declared with another return type
-      }
-    }
-  }
-  std::set<std::string> result;
-  for (const auto& kv : status_names) {
-    if (kv.second == 1) {
-      result.insert(kv.first);
-    }
-  }
-  return result;
-}
-
-// Returns the name of the trailing call in an expression statement ending in
-// ");": the identifier directly before the '(' matching the final ')'.
-std::string TrailingCallName(const std::string& text) {
-  size_t end = text.find_last_not_of(" ;");
-  if (end == std::string::npos || text[end] != ')') {
-    return "";
-  }
-  int depth = 0;
-  size_t open = std::string::npos;
-  for (size_t i = end + 1; i-- > 0;) {
-    if (text[i] == ')') {
-      ++depth;
-    } else if (text[i] == '(') {
-      if (--depth == 0) {
-        open = i;
-        break;
-      }
-    }
-  }
-  if (open == std::string::npos) {
-    return "";
-  }
-  size_t name_end = open;
-  while (name_end > 0 && text[name_end - 1] == ' ') {
-    --name_end;
-  }
-  size_t name_begin = name_end;
-  while (name_begin > 0 && IsIdentChar(text[name_begin - 1])) {
-    --name_begin;
-  }
-  return text.substr(name_begin, name_end - name_begin);
-}
-
-// True if the statement is a declaration: (qualified) type name followed by a
-// second identifier before the first '(' — e.g. "Status Open(" or
-// "MutexLock lock(".
-bool LooksLikeDeclaration(const std::string& text) {
-  static const std::regex decl_re(
-      R"(^\s*(?:(?:static|virtual|inline|constexpr|explicit|friend|const)\s+)*)"
-      R"([A-Za-z_][\w]*(?:::[A-Za-z_]\w*)*(?:<[^;(){}]*>)?[&*\s]+[A-Za-z_]\w*(?:::[A-Za-z_]\w*)*\s*\()");
-  return std::regex_search(text, decl_re);
-}
-
-bool HasTopLevelAssign(const std::string& text) {
-  int depth = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '(' || c == '[' || c == '{') {
-      ++depth;
-    } else if (c == ')' || c == ']' || c == '}') {
-      --depth;
-    } else if (depth == 0 && c == '=') {
-      const char prev = i > 0 ? text[i - 1] : ' ';
-      const char next = i + 1 < text.size() ? text[i + 1] : ' ';
-      if (next != '=' && prev != '=' && prev != '!' && prev != '<' && prev != '>') {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void CheckUncheckedStatus(const CleanedFile& f,
-                          const std::set<std::string>& status_names,
-                          std::vector<Finding>* findings) {
-  const std::vector<Statement> stmts = SplitStatements(f);
-  for (const Statement& s : stmts) {
-    if (s.terminator != ';' || s.depth < 1) {
-      continue;  // only expression statements inside a body
-    }
-    // Strip leading labels ("public:", "private:", "done:") — the splitter
-    // glues them onto the following declaration since they carry no ';'.
-    static const std::regex label_re(R"(^\s*[A-Za-z_]\w*\s*:(?!:))");
-    std::string text = s.text;
-    std::smatch lm;
-    while (std::regex_search(text, lm, label_re)) {
-      text = text.substr(static_cast<size_t>(lm.position(0) + lm.length(0)));
-    }
-    const size_t first = text.find_first_not_of(" \t");
-    if (first == std::string::npos || !IsIdentChar(text[first])) {
-      continue;
-    }
-    size_t word_end = first;
-    while (word_end < text.size() && IsIdentChar(text[word_end])) {
-      ++word_end;
-    }
-    const std::string head = text.substr(first, word_end - first);
-    if (IsDeclKeyword(head) || head == "return") {
-      continue;
-    }
-    if (HasTopLevelAssign(text) || LooksLikeDeclaration(text)) {
-      continue;
-    }
-    const std::string callee = TrailingCallName(text);
-    if (callee.empty() || status_names.count(callee) == 0) {
-      continue;
-    }
-    const int line = LineOfWord(s, callee);
-    if (!Suppressed(f, line, kStatusCheck)) {
-      findings->push_back({f.path, line, kStatusCheck,
-                           "result of '" + callee +
-                               "' (returns flowkv::Status) is silently dropped; check "
-                               "it or call .IgnoreError() with a justification"});
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool run_borrow = true;
-  bool run_status = true;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-borrow") {
-      run_borrow = false;
-    } else if (arg == "--no-status") {
-      run_status = false;
-    } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr, "usage: flowkv_lint [--no-borrow] [--no-status] file...\n");
+    if (arg == "--help" || arg == "-h") {
+      std::fprintf(stderr, "usage: flowkv_lint file...\n");
       return 2;
-    } else {
-      paths.push_back(arg);
     }
+    paths.push_back(arg);
   }
   if (paths.empty()) {
     std::fprintf(stderr, "flowkv_lint: no input files\n");
     return 2;
   }
 
-  std::vector<CleanedFile> files;
+  std::vector<Finding> findings;
   for (const std::string& path : paths) {
     CleanedFile f;
     if (!CleanSource(path, &f)) {
       std::fprintf(stderr, "flowkv_lint: cannot read %s\n", path.c_str());
       return 2;
     }
-    files.push_back(std::move(f));
-  }
-
-  std::vector<Finding> findings;
-  const std::set<std::string> status_names =
-      run_status ? CollectStatusReturning(files) : std::set<std::string>{};
-  for (const CleanedFile& f : files) {
-    if (run_borrow) {
-      CheckBorrowedEscape(f, &findings);
-    }
-    if (run_status) {
-      CheckUncheckedStatus(f, status_names, &findings);
-    }
+    CheckBorrowedEscape(f, &findings);
   }
 
   for (const Finding& fi : findings) {
