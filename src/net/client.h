@@ -3,9 +3,9 @@
 // removes) are buffered into a batch that is sent when it fills, when
 // Flush() is called, or with the next read. A read carries the pending writes
 // in its own frame — writes first, the read last — so it costs one round
-// trip, not a flush plus a read. Per-key op order is preserved end to end: a
-// key always maps to the same server shard, and a batch executes in op order
-// per shard, so the read observes every write before it. A failed write in
+// trip, not a flush plus a read. Per-store op order is preserved end to end:
+// a store lives on one server shard, and a batch executes in op order per
+// shard, so the read observes every write before it. A failed write in
 // that frame surfaces as the read's status.
 //
 // Buffered writes are never dropped on a transport failure: when a batch

@@ -219,8 +219,9 @@ void ReadAheadCache::OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
   if (entry.chunk.empty()) {
     entry.chunk = std::move(chunk);
   } else {
-    // Keys hash to exactly one shard, so shard chunks never share keys and a
-    // plain concatenation stays key-complete.
+    // A second push for one window is not sent by the server (a store's one
+    // shard pushes each window once); appending keeps the count check the
+    // judge.
     for (WindowChunkEntry& e : chunk) {
       entry.chunk.push_back(std::move(e));
     }

@@ -25,7 +25,8 @@
 //
 //  - ReadAheadCache (client side, confined to the Client's caller thread,
 //    which reads pushes inline ahead of its own responses): entries are keyed by
-//    (store handle, window) and accumulate pushed shard chunks. The caller
+//    (store handle, window) and hold the pushed chunk — a store lives on one
+//    server shard, whose scheduler pushes each window once, whole. The caller
 //    records every local append; a read is served from the cache only when
 //    the number of pushed values exactly equals the number of local appends
 //    (> 0) — any hazard (late local write, duplicated at-least-once replay,
@@ -188,7 +189,9 @@ class ReadAheadCache {
   // One logical local append to (handle, w).
   void OnLocalAppend(uint64_t handle, const Window& w) EXCLUDES(mu_);
 
-  // A pushed shard chunk for (handle, w) arrived.
+  // A pushed chunk for (handle, w) arrived. Another push for the same window
+  // (the server sends none) would be appended to it; the count check still
+  // decides.
   void OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
               std::vector<WindowChunkEntry> chunk) EXCLUDES(mu_);
 
@@ -201,9 +204,9 @@ class ReadAheadCache {
   // A remote read of (handle, w) returned a chunk, so the
   // window drains remotely from here on — forget the local count and discard
   // (as waste) any entry that never got served. Called on every chunk, not
-  // just the last: once one shard's slice has been read remotely, serving
-  // the window whole from a push that completes mid-drain would deliver
-  // that slice twice.
+  // just the last: once one chunk of the window has been read remotely,
+  // serving the window whole from a push that lands mid-drain would deliver
+  // that chunk twice.
   void OnRemoteRead(uint64_t handle, const Window& w) EXCLUDES(mu_);
 
   // Drop every cached entry (reconnect/failover). Local append counts are

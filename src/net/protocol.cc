@@ -50,29 +50,27 @@ using enum OpAddress;
 // promoted standby starts with no subscribers and clients re-register.
 // fenced: the forwarded ops plus kRestoreStore.
 //
-// kStore ops span every shard because a store's keys hash across all of them:
-// a push subscription must reach every shard's scheduler, and a window drop
-// must discard every shard's slice of the window.
+// A store lives on one shard, so every store-addressed op runs there.
 constexpr OpInfo kOpTable[] = {
     {OpType::kPing, "ping", {}, {}, kServer, false, false},
     {OpType::kOpenStore, "open_store", {Q::kNs, Q::kSpec}, {A::kStoreId, A::kPattern},
      kStore, true, true},
     {OpType::kAppendAligned, "append_aligned",
-     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow}, {}, kKey, true, true},
+     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow}, {}, kStore, true, true},
     {OpType::kGetWindowChunk, "get_window_chunk", {Q::kStoreId, Q::kWindow}, {A::kChunk},
-     kScan, true, true},
+     kStore, true, true},
     {OpType::kAppendUnaligned, "append_unaligned",
-     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow, Q::kTimestamp}, {}, kKey, true, true},
+     {Q::kStoreId, Q::kKey, Q::kValue, Q::kWindow, Q::kTimestamp}, {}, kStore, true, true},
     {OpType::kGetUnaligned, "get_unaligned", {Q::kStoreId, Q::kKey, Q::kWindow},
-     {A::kValues}, kKey, true, true},
+     {A::kValues}, kStore, true, true},
     {OpType::kMergeWindows, "merge_windows",
-     {Q::kStoreId, Q::kKey, Q::kSources, Q::kWindow}, {}, kKey, true, true},
+     {Q::kStoreId, Q::kKey, Q::kSources, Q::kWindow}, {}, kStore, true, true},
     {OpType::kRmwGet, "rmw_get", {Q::kStoreId, Q::kKey, Q::kWindow}, {A::kAccumulator},
-     kKey, false, false},
-    {OpType::kRmwPut, "rmw_put", {Q::kStoreId, Q::kKey, Q::kWindow, Q::kValue}, {}, kKey,
+     kStore, false, false},
+    {OpType::kRmwPut, "rmw_put", {Q::kStoreId, Q::kKey, Q::kWindow, Q::kValue}, {}, kStore,
      true, true},
-    {OpType::kRmwRemove, "rmw_remove", {Q::kStoreId, Q::kKey, Q::kWindow}, {}, kKey, true,
-     true},
+    {OpType::kRmwRemove, "rmw_remove", {Q::kStoreId, Q::kKey, Q::kWindow}, {}, kStore,
+     true, true},
     {OpType::kCheckpoint, "checkpoint", {Q::kStoreId, Q::kPath}, {}, kStore, false, false},
     {OpType::kGatherStats, "gather_stats", {Q::kStoreId}, {A::kStatFields}, kStore, false,
      false},
@@ -215,8 +213,7 @@ constexpr uint32_t kStoresMetaMagic = 0x464b564d;  // "FKVM"
 std::string EncodeStoresMeta(const StoresMeta& meta) {
   std::string out;
   PutFixed32(&out, kStoresMetaMagic);
-  PutVarint32(&out, 1);  // version
-  PutVarint32(&out, static_cast<uint32_t>(meta.num_shards));
+  PutVarint32(&out, kStoresMetaVersion);
   PutVarint32(&out, static_cast<uint32_t>(meta.stores.size()));
   for (const StoreMetaEntry& store : meta.stores) {
     PutVarint64(&out, store.id);
@@ -237,16 +234,22 @@ Status DecodeStoresMeta(const Slice& data, StoresMeta* meta) {
     return Status::Corruption("stores.meta checksum mismatch");
   }
   Slice input(data.data(), data.size() - 4);
-  uint32_t magic = 0, version = 0, num_shards = 0, num_stores = 0;
+  uint32_t magic = 0, version = 0, num_stores = 0;
   if (!GetFixed32(&input, &magic) || magic != kStoresMetaMagic ||
-      !GetVarint32(&input, &version) || version != 1 ||
-      !GetVarint32(&input, &num_shards) || !GetVarint32(&input, &num_stores)) {
+      !GetVarint32(&input, &version)) {
+    return Status::Corruption("malformed stores.meta header");
+  }
+  if (version != kStoresMetaVersion) {
+    return Status::FailedPrecondition("stores.meta of version " + std::to_string(version) +
+                                      ", this server reads version " +
+                                      std::to_string(kStoresMetaVersion));
+  }
+  if (!GetVarint32(&input, &num_stores)) {
     return Status::Corruption("malformed stores.meta header");
   }
   if (num_stores > input.size()) {
     return Status::Corruption("malformed stores.meta store count");
   }
-  meta->num_shards = static_cast<int>(num_shards);
   meta->stores.reserve(num_stores);
   for (uint32_t i = 0; i < num_stores; ++i) {
     StoreMetaEntry entry;

@@ -12,7 +12,7 @@
 // trigger an unbounded allocation.
 //
 // A payload is either a RequestMessage (a pipelined batch of ops, executed
-// in op order per key shard) or a ResponseMessage (one OpResult per op, in
+// in op order per store) or a ResponseMessage (one OpResult per op, in
 // the same order). request_id correlates the two; responses to different
 // requests may interleave on a pipelined connection.
 //
@@ -75,7 +75,7 @@ enum class OpType : uint32_t {
   kRmwGet = 7,
   kRmwPut = 8,
   kRmwRemove = 9,
-  // Checkpoints the store's shards under a server-local directory.
+  // Checkpoints the store into a server-local directory.
   kCheckpoint = 10,
   // Returns the store's aggregated StoreStats counters as (name, value).
   kGatherStats = 11,
@@ -91,10 +91,10 @@ enum class OpType : uint32_t {
   kSnapshotFile = 13,
   // Primary -> standby: the shipped epoch is complete; path = epoch name.
   kSnapshotDone = 14,
-  // Standby-internal fan-out op (loopback client -> own server): open the
-  // store for `ns`/`spec` under the given id, restoring each shard from the
-  // shipped checkpoint under `path`. Requires ids assigned in order, which
-  // holds because the primary's stores.meta lists dense ids.
+  // Standby-internal op (loopback client -> own server): open the store for
+  // `ns`/`spec` under the given id, restoring it from the shipped checkpoint
+  // `path`/st<id>. Requires ids assigned in order, which holds because the
+  // primary's stores.meta lists dense ids.
   kRestoreStore = 15,
   // Admin op: a server-level introspection snapshot (per-shard queue depth,
   // req/s, op latency percentiles, bytes in/out, replication lag, connection
@@ -107,23 +107,23 @@ enum class OpType : uint32_t {
   // AAR store. Carries the store id, the first window the client expects to
   // read (`window`) and the next estimated trigger time (`timestamp`, an ETT
   // hint — informational; the server's scheduler fires on observed event-time
-  // progress). Fans out to every shard so each shard's scheduler starts
-  // shadowing appends for the (connection, store) pair. Clients send it only
-  // when the handshake's ClusterView reports prefetch_push.
+  // progress). The push scheduler of the store's shard starts shadowing
+  // appends for the (connection, store) pair. Clients send it only when the
+  // handshake's ClusterView reports prefetch_push.
   kEttRegister = 17,
   // Server -> client ONLY, and never as a request op: one materialized window
   // chunk pushed ahead of the client's read. Appears as an OpResult (type
   // kPushChunk) inside an unsolicited ResponseMessage whose request_id is
   // kPushRequestId (0) — client request ids start at 1, so pushes demux
   // unambiguously from responses on the same socket. The result carries the
-  // store id, the window boundary, a per-(store, window) shard sequence
-  // number (`push_seq`) and the chunk payload. A server never decodes this as
-  // a request op (kInvalidArgument).
+  // store id, the window boundary, a per-store push sequence number
+  // (`push_seq`) and the chunk payload. A server never decodes this as a
+  // request op (kInvalidArgument).
   kPushChunk = 18,
-  // Client -> server: discards a window's AAR state on every shard without
-  // reading it — how a client consumes server-side state after serving the
-  // window from its read-ahead cache. A write op (buffered, ordered with
-  // appends, forwarded to a standby like other writes).
+  // Client -> server: discards a window's AAR state without reading it — how
+  // a client consumes server-side state after serving the window from its
+  // read-ahead cache. A write op (buffered, ordered with appends, forwarded
+  // to a standby like other writes).
   kDropWindow = 19,
   // ----- cluster failover (docs/NETWORK.md "Cluster roles, epochs") -----
   // Returns the server's ClusterView (below) as (name, value) stat_fields.
@@ -216,9 +216,7 @@ enum class ResultField : uint8_t {
 // Where the server sends a request op.
 enum class OpAddress : uint8_t {
   kServer,   // answered on the reactor that read it
-  kKey,      // the one shard its key hashes to
-  kStore,    // every shard of the store
-  kScan,     // the shard the store's aligned-scan cursor points at
+  kStore,    // the one shard the store lives on
   kRefused,  // never valid as a request op (kInvalidArgument)
 };
 
@@ -366,7 +364,7 @@ struct OpResult {
   std::vector<std::pair<std::string, int64_t>> stat_fields;  // kGatherStats
   std::string stats_json;                      // kStats introspection document
   Window window;                               // kPushChunk: pushed boundary
-  uint64_t push_seq = 0;                       // kPushChunk: shard sequence
+  uint64_t push_seq = 0;                       // kPushChunk: push sequence
 };
 
 // The request header: every field is on the wire in every request, in this
@@ -446,8 +444,10 @@ bool DecodeStateSpec(Slice* input, OperatorStateSpec* spec);
 //
 // Written by the server's drain checkpoint and shipped verbatim to a standby
 // during snapshot replication, so both sides share one codec. The encoding is
-// magic + version + num_shards + per-store (id, ns, spec), wrapped in a
-// trailing Checksum32.
+// magic + version (kStoresMetaVersion) + per-store (id, ns, spec), wrapped in
+// a trailing Checksum32. Each store's checkpoint sits beside it in st<id>.
+// Version 1 also carried the shard count its keys were hashed across; it is
+// refused with kFailedPrecondition naming both versions.
 
 struct StoreMetaEntry {
   uint64_t id = 0;
@@ -455,8 +455,9 @@ struct StoreMetaEntry {
   OperatorStateSpec spec;
 };
 
+constexpr uint32_t kStoresMetaVersion = 2;
+
 struct StoresMeta {
-  int num_shards = 0;
   std::vector<StoreMetaEntry> stores;  // ids are dense: stores[i].id == i
 };
 

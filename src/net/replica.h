@@ -10,7 +10,7 @@
 //                                      ←  RequestMessage{forwarded ops}*   (seq ...)
 //   ResponseMessage{request_id=seq}    →                     (ack, per frame)
 //
-// On subscribe the primary runs a barrier checkpoint of every store shard,
+// On subscribe the primary runs a barrier checkpoint of every store,
 // ships the staged files, then forwards every mutating op it dispatches, in
 // dispatch order, tagged with a dense sequence. Every frame the primary sends
 // carries its cluster epoch in the request header. Replication is synchronous:

@@ -28,7 +28,6 @@
 #include "src/common/coding.h"
 #include "src/common/env.h"
 #include "src/common/file.h"
-#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/thread_annotations.h"
 #include "src/flowkv/flowkv_store.h"
@@ -70,20 +69,9 @@ constexpr uint64_t kUnixListenTag = ~0ull - 2;
 // already owns the connection.
 thread_local int tl_reactor = -1;
 
-// Jump consistent hash (Lamping & Veach): maps a key hash onto one of
-// `num_buckets` shards with minimal movement when the count changes.
-int JumpConsistentHash(uint64_t key, int num_buckets) {
-  int64_t b = -1;
-  int64_t j = 0;
-  while (j < num_buckets) {
-    b = j;
-    key = key * 2862933555777941757ULL + 1;
-    j = static_cast<int64_t>(
-        static_cast<double>(b + 1) *
-        (static_cast<double>(1LL << 31) / static_cast<double>((key >> 33) + 1)));
-  }
-  return static_cast<int>(b);
-}
+// A store's checkpoint directory under a drain epoch or a replication
+// snapshot.
+std::string StoreCheckpointName(uint64_t store_id) { return "st" + std::to_string(store_id); }
 
 // Injective: distinct namespaces always map to distinct directory names.
 // Disallowed bytes (and the escape char itself) become %XX hex escapes.
@@ -113,8 +101,9 @@ Status SetNonBlocking(int fd) {
 }
 
 // Lock-free running maximum, for reactors folding per-shard timings into the
-// shared PendingRequest (the critical-path shard defines the request's
-// queue-wait and execution windows).
+// shared PendingRequest (a batch over stores on several shards: the
+// critical-path shard defines the request's queue-wait and execution
+// windows).
 void AtomicMaxRelaxed(std::atomic<int64_t>* target, int64_t value) {
   int64_t cur = target->load(std::memory_order_relaxed);
   while (value > cur &&
@@ -184,33 +173,29 @@ class Server::Impl {
 
   struct StoreEntry {
     uint64_t id = 0;
+    // The one shard the store lives on; set at creation, never changed.
+    int shard = 0;
     std::string ns;
     OperatorStateSpec spec;
     StorePattern pattern = StorePattern::kReadModifyWrite;
     // Open lifecycle, guarded by stores_mu_ (any reactor can route an open).
-    // A failed fan-out open leaves some shard slots null; a later kOpenStore
-    // for the same ns re-dispatches the per-shard opens (shards already open
-    // are skipped) instead of taking the idempotent OK path against a
-    // half-open store.
+    // A failed open leaves `kv` null; a later kOpenStore for the same ns
+    // re-dispatches the open instead of taking the idempotent OK path
+    // against a store that is not there.
     enum class OpenState { kOpening, kOpen, kFailed };
     OpenState open_state = OpenState::kOpening;
-    // Slot i is owned by shard i's owning reactor after dispatch; the vector
-    // itself is sized once at creation (or by the pre-thread restore path)
-    // and never resized.
-    std::vector<std::unique_ptr<FlowKvStore>> shards;
+    // Owned by the shard's reactor once the open is dispatched (by the
+    // pre-thread restore path before that).
+    std::unique_ptr<FlowKvStore> kv;
 
-    // Per-shard cached instruments, labeled (worker=shard, op=spec.name);
-    // slot i only ever touched by shard i's owning reactor.
+    // Cached instruments, labeled (worker=shard, op=spec.name); touched only
+    // by the shard's reactor.
     struct ShardObs {
       obs::Counter* ops = nullptr;
       obs::Counter* errors = nullptr;
       obs::HistogramMetric* latency_ms = nullptr;
     };
-    std::vector<ShardObs> shard_obs;
-
-    // Which shard an aligned window scan is draining; guarded by stores_mu_
-    // (routing and cursor advance can run on different reactors).
-    std::unordered_map<Window, size_t, WindowHash> chunk_cursor;
+    ShardObs shard_obs;
   };
 
   struct PendingRequest {
@@ -240,11 +225,9 @@ class Server::Impl {
     std::atomic<int64_t> queue_wait_nanos{0};
     std::atomic<int64_t> exec_nanos{0};
     std::vector<OpRequest> ops;
-    // Final result per op. Slots for shard-routed ops are written by exactly
-    // one reactor; fan-out ops are assembled by the owner from
-    // `fanout_partials[op][shard]` after completion.
+    // Result per op, each slot written by exactly one reactor: the one that
+    // answered the op, or the one owning its store's shard.
     std::vector<OpResult> results;
-    std::vector<std::vector<OpResult>> fanout_partials;
     std::atomic<size_t> remaining{0};  // outstanding shard tasks (+1 dispatcher ref)
     // Set by a shard that posted a push to another reactor while executing
     // this request; the ack must then queue behind it (CompleteRequest).
@@ -290,14 +273,14 @@ class Server::Impl {
       kSendResponse,     // deliver a released parked response
       kReplicaSend,      // write a pre-encoded frame to the replica conn
       kCloseConn,        // close a connection owned by this reactor
-      kCheckpointShard,  // checkpoint one store's shard, then Done(barrier)
+      kCheckpointStore,  // checkpoint one store on its shard, then Done(barrier)
       kAttachResume,     // replay deferred requests after a snapshot attach
       kPushSend,         // queue a pre-encoded kPushChunk frame on a conn
       kPrefetchUnsub,    // drop a closed conn's push subscriptions
     };
     Kind kind = Kind::kShardOps;
     std::shared_ptr<Connection> conn;  // kAdoptConn
-    int shard = 0;                     // kShardOps, kCheckpointShard
+    int shard = 0;                     // kShardOps
     int64_t enqueue_nanos = 0;         // kShardOps: queue-wait start
     std::shared_ptr<PendingRequest> pending;  // kShardOps, kFinish, kSendResponse
     std::vector<ShardWorkItem> items;         // kShardOps
@@ -305,9 +288,9 @@ class Server::Impl {
                                               // kPrefetchUnsub
     std::string frame_header;                 // kReplicaSend, kPushSend
     std::string frame_payload;                // kReplicaSend, kPushSend
-    StoreEntry* store = nullptr;              // kCheckpointShard
-    std::string checkpoint_dir;               // kCheckpointShard
-    std::shared_ptr<Barrier> barrier;         // kCheckpointShard
+    StoreEntry* store = nullptr;              // kCheckpointStore
+    std::string checkpoint_dir;               // kCheckpointStore
+    std::shared_ptr<Barrier> barrier;         // kCheckpointStore
   };
 
   // Counters are RelaxedCounter (single-writer): each reactor gets its own
@@ -374,6 +357,9 @@ class Server::Impl {
     std::atomic<size_t> depth{0};
     // Single-writer (the owning reactor), created under WorkerScope(shard).
     obs::Counter* shed_deadline = nullptr;
+    // kShardOps tasks this shard ran for a connection on another reactor:
+    // ops for a store that another connection's reactor placed here.
+    obs::Counter* cross_reactor_dispatches = nullptr;
     // Push scheduler; same reactor-confined contract as the shard's stores
     // (only the owning reactor touches it). Idle when prefetch is disabled:
     // kEttRegister never subscribes anyone.
@@ -415,18 +401,19 @@ class Server::Impl {
   // Answers every op with `status`. Callers refuse a batch whole before
   // anything dispatches or forwards, so the batch executed nowhere.
   void FailBatch(const std::shared_ptr<PendingRequest>& pending, const Status& status);
-  // Answers op `i` in place, or appends its work items to the shards its
-  // table row addresses.
+  // Answers op `i` in place (server-addressed, refused, or unresolvable),
+  // or appends it to the work items of its store's shard.
   void RouteOp(Reactor& r, PendingRequest* pending, size_t i, ShardItems* shard_items);
   // Ops addressed to the server, answered on the reactor that read them.
   void AnswerOnReactor(Reactor& r, const OpRequest& op, OpResult* result);
   // The store `op` addresses, or null with result->status set when the op
   // needs no shard (an error, or an idempotent re-open's answer).
-  // kOpenStore and kRestoreStore create or reset the store by namespace;
-  // every other op names an existing store by id.
-  StoreEntry* ResolveStore(const OpRequest& op, OpResult* result);
-  StoreEntry* PrepareOpen(const OpRequest& op, OpResult* result);
-  StoreEntry* PrepareRestore(const OpRequest& op, OpResult* result);
+  // kOpenStore and kRestoreStore create or reset the store by namespace (a
+  // store they create is placed on a shard of `reactor`); every other op
+  // names an existing store by id.
+  StoreEntry* ResolveStore(const OpRequest& op, int reactor, OpResult* result);
+  StoreEntry* PrepareOpen(const OpRequest& op, int reactor, OpResult* result);
+  StoreEntry* PrepareRestore(const OpRequest& op, int reactor, OpResult* result);
   // Run or queue the routed sub-batches (`tasks` non-empty shards); the
   // replicated path forwards the batch to the standby first.
   void DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
@@ -521,29 +508,36 @@ class Server::Impl {
   // PromoteInternal (non-null = the calling reactor resumes inline).
   void ReleaseAttachGateAndResume(Reactor* r);
 
-  int ShardForKey(const Slice& key) const {
-    return JumpConsistentHash(Hash64(key), options_.num_shards);
-  }
   int OwnerReactor(int shard) const { return shard % num_reactors_; }
+  // The shard a new store lives on: one owned by `reactor`, spread by id
+  // when it owns several; id % num_shards when it owns none (more reactors
+  // than shards, or reactor -1: the startup restore).
+  int PlaceStore(int reactor, uint64_t id) const {
+    const int owned =
+        reactor < 0 ? 0 : (options_.num_shards - reactor + num_reactors_ - 1) / num_reactors_;
+    if (owned == 0) {
+      return static_cast<int>(id % static_cast<uint64_t>(options_.num_shards));
+    }
+    return reactor + num_reactors_ * static_cast<int>(id % static_cast<uint64_t>(owned));
+  }
   StoreEntry* FindStore(uint64_t id) {
     MutexLock lock(&stores_mu_);
     return id < stores_.size() ? stores_[id].get() : nullptr;
   }
   StoreEntry* FindOrCreateStore(const std::string& ns, const OperatorStateSpec& spec,
-                                bool* created);
+                                int reactor, bool* created);
   Status DrainCheckpoint();
-  // Checkpoints every shard of every store into `staged` (layout
-  // s<shard>_st<id>) and writes the stores.meta manifest there. Owned shards
-  // checkpoint on the calling reactor, the rest via kCheckpointShard tasks
-  // joined by a barrier; after the pool is joined everything runs direct.
+  // Checkpoints every store into `staged` (layout st<id>) and writes the
+  // stores.meta manifest there. Stores on shards this reactor owns
+  // checkpoint here, the rest via kCheckpointStore tasks joined by a
+  // barrier; after the pool is joined everything runs direct.
   Status CheckpointStoresTo(const std::string& staged);
 
-  // ----- shard execution (shard's owner thread only) -----
+  // ----- shard execution (the store's shard owner thread only) -----
 
-  void ExecuteShardOp(int shard, StoreEntry* store, const OpRequest& op, uint64_t conn_id,
-                      OpResult* out);
-  Status OpenShardStore(int shard, StoreEntry* store,
-                        const std::string& restore_from = std::string());
+  void ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64_t conn_id, OpResult* out);
+  Status OpenStoreOnShard(StoreEntry* store, const std::string& restore_from = std::string());
+  Status CheckpointStore(StoreEntry* store, const std::string& staged);
 
   std::string ShardStoreDir(int shard, const std::string& ns) const {
     return JoinPath(JoinPath(options_.data_dir, "s" + std::to_string(shard)),
@@ -609,11 +603,11 @@ class Server::Impl {
   Status final_status_ GUARDED_BY(status_mu_);
   Mutex join_mu_;  // serializes concurrent Join() callers; guards no data
 
-  // Store registry; the mutex covers the vector/map shape, open lifecycle,
-  // and chunk cursors (any reactor routes). StoreEntry::open_state and
-  // StoreEntry::chunk_cursor are guarded by it too — a nested struct's
-  // fields cannot name the enclosing object's mutex in a GUARDED_BY, so
-  // those two keep comment-only guards (docs/STATIC_ANALYSIS.md).
+  // Store registry; the mutex covers the vector/map shape and the open
+  // lifecycle (any reactor routes). StoreEntry::open_state is guarded by it
+  // too — a nested struct's fields cannot name the enclosing object's mutex
+  // in a GUARDED_BY, so it keeps a comment-only guard
+  // (docs/STATIC_ANALYSIS.md).
   mutable Mutex stores_mu_;
   std::vector<std::unique_ptr<StoreEntry>> stores_ GUARDED_BY(stores_mu_);
   std::map<std::string, uint64_t> store_ids_ GUARDED_BY(stores_mu_);
@@ -723,6 +717,8 @@ Status Server::Impl::Init(const ServerOptions& options) {
     // of the per-shard execution metrics.
     obs::WorkerScope worker_scope(s);
     shard_state_[s].shed_deadline = metrics_.GetCounter("server.shed_deadline");
+    shard_state_[s].cross_reactor_dispatches =
+        metrics_.GetCounter("shard.cross_reactor_dispatches");
     shard_state_[s].prefetch = std::make_unique<ShardPrefetchScheduler>(
         options_.prefetch_shadow_bytes, &metrics_);
   }
@@ -860,7 +856,6 @@ Status Server::Impl::Init(const ServerOptions& options) {
 
 std::string Server::Impl::SerializeStoresMeta() {
   StoresMeta meta;
-  meta.num_shards = options_.num_shards;
   MutexLock lock(&stores_mu_);
   for (const auto& store : stores_) {
     meta.stores.push_back({store->id, store->ns, store->spec});
@@ -884,32 +879,41 @@ Status Server::Impl::RestoreFromLatestCheckpoint() {
       ReadFileToString(JoinPath(epoch_dir, kStoresMetaName), &meta_bytes));
   StoresMeta meta;
   FLOWKV_RETURN_IF_ERROR(DecodeStoresMeta(meta_bytes, &meta));
-  if (meta.num_shards != options_.num_shards) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(meta.num_shards) +
-        " shards, server configured with " + std::to_string(options_.num_shards));
+
+  // A store restores onto shard id % num_shards, which need not be the
+  // shard it lived on (placement follows the opening connection's reactor,
+  // and the shard count may differ). Its live directory on any other shard
+  // is stale: an AAR store opened there later would read its window logs.
+  std::vector<std::string> names;
+  FLOWKV_RETURN_IF_ERROR(ListDir(options_.data_dir, &names));
+  std::vector<std::string> shard_dirs;
+  for (const std::string& name : names) {
+    if (name.size() > 1 && name[0] == 's' &&
+        name.find_first_not_of("0123456789", 1) == std::string::npos) {
+      shard_dirs.push_back(JoinPath(options_.data_dir, name));
+    }
   }
 
-  // Pre-thread startup path: no reactors run yet, so restoring every shard's
-  // store on this thread keeps the single-writer contract. The registry lock
-  // is uncontended here; holding it across the per-shard opens is harmless
-  // and keeps the guarded-field accesses below analyzable.
+  // Pre-thread startup path: no reactors run yet, so restoring every store
+  // on this thread keeps the single-writer contract. No key is hashed, so
+  // any shard count restores. The registry lock is uncontended here; holding
+  // it across the opens is harmless and keeps the guarded-field accesses
+  // below analyzable.
   MutexLock lock(&stores_mu_);
   for (const StoreMetaEntry& e : meta.stores) {
+    for (const std::string& shard_dir : shard_dirs) {
+      FLOWKV_RETURN_IF_ERROR(RemoveDirRecursively(JoinPath(shard_dir, SanitizeNs(e.ns))));
+    }
     auto entry = std::make_unique<StoreEntry>();
     entry->id = stores_.size();  // == e.id: DecodeStoresMeta enforces density
+    entry->shard = PlaceStore(-1, entry->id);
     entry->ns = e.ns;
     entry->spec = e.spec;
     entry->pattern =
         ClassifyPattern(e.spec.incremental, e.spec.window_kind, e.spec.alignment_hint);
     entry->open_state = StoreEntry::OpenState::kOpen;
-    entry->shards.resize(static_cast<size_t>(options_.num_shards));
-    entry->shard_obs.resize(static_cast<size_t>(options_.num_shards));
-    for (int shard = 0; shard < options_.num_shards; ++shard) {
-      const std::string src = JoinPath(
-          epoch_dir, "s" + std::to_string(shard) + "_st" + std::to_string(e.id));
-      FLOWKV_RETURN_IF_ERROR(OpenShardStore(shard, entry.get(), src));
-    }
+    FLOWKV_RETURN_IF_ERROR(
+        OpenStoreOnShard(entry.get(), JoinPath(epoch_dir, StoreCheckpointName(e.id))));
     store_ids_[entry->ns] = entry->id;
     stores_.push_back(std::move(entry));
   }
@@ -918,9 +922,8 @@ Status Server::Impl::RestoreFromLatestCheckpoint() {
   return Status::Ok();
 }
 
-Status Server::Impl::OpenShardStore(int shard, StoreEntry* store,
-                                    const std::string& restore_from) {
-  const std::string dir = ShardStoreDir(shard, store->ns);
+Status Server::Impl::OpenStoreOnShard(StoreEntry* store, const std::string& restore_from) {
+  const std::string dir = ShardStoreDir(store->shard, store->ns);
   obs::OperatorScope op_scope(store->spec.name);
   std::unique_ptr<FlowKvStore> kv;
   Status s;
@@ -932,9 +935,17 @@ Status Server::Impl::OpenShardStore(int shard, StoreEntry* store,
     s = FlowKvStore::Open(dir, options_.store_options, store->spec, &kv);
   }
   if (s.ok()) {
-    store->shards[static_cast<size_t>(shard)] = std::move(kv);
+    store->kv = std::move(kv);
   }
   return s;
+}
+
+Status Server::Impl::CheckpointStore(StoreEntry* store, const std::string& staged) {
+  obs::WorkerScope worker_scope(store->shard);
+  if (store->kv == nullptr) {
+    return Status::FailedPrecondition("store " + store->ns + " not open");
+  }
+  return store->kv->CheckpointTo(JoinPath(staged, StoreCheckpointName(store->id)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1478,7 +1489,6 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
   pending->span_id = request.span_id;
   pending->ops = std::move(request.ops);
   pending->results.resize(pending->ops.size());
-  pending->fanout_partials.resize(pending->ops.size());
   obs::TraceInstant("server_dispatch", "server", "trace_id",
                     static_cast<int64_t>(pending->trace_id), "ops",
                     static_cast<int64_t>(pending->ops.size()));
@@ -1553,7 +1563,6 @@ void Server::Impl::FailBatch(const std::shared_ptr<PendingRequest>& pending,
     pending->results[i] = OpResult{};
     pending->results[i].type = pending->ops[i].type;
     pending->results[i].status = status;
-    pending->fanout_partials[i].clear();
   }
   FinishPending(pending);
 }
@@ -1573,23 +1582,9 @@ void Server::Impl::RouteOp(Reactor& r, PendingRequest* pending, size_t i,
         Status::InvalidArgument(std::string(info.name) + " is not valid in a request batch");
     return;
   }
-  StoreEntry* store = ResolveStore(op, &result);
-  if (store == nullptr) {
-    return;
-  }
-  if (info.address == OpAddress::kKey) {
-    (*shard_items)[static_cast<size_t>(ShardForKey(op.key_view()))].push_back({i, store});
-  } else if (info.address == OpAddress::kScan) {
-    // Aligned scans drain the shards in turn: route to the shard the cursor
-    // points at; FinishPending advances it on `done`.
-    MutexLock lock(&stores_mu_);
-    (*shard_items)[store->chunk_cursor.try_emplace(op.window, 0).first->second].push_back(
-        {i, store});
-  } else {
-    pending->fanout_partials[i].resize(static_cast<size_t>(options_.num_shards));
-    for (auto& items : *shard_items) {
-      items.push_back({i, store});
-    }
+  StoreEntry* store = ResolveStore(op, r.index, &result);
+  if (store != nullptr) {
+    (*shard_items)[static_cast<size_t>(store->shard)].push_back({i, store});
   }
 }
 
@@ -1629,32 +1624,29 @@ void Server::Impl::AnswerOnReactor(Reactor& r, const OpRequest& op, OpResult* re
   }
 }
 
-Server::Impl::StoreEntry* Server::Impl::ResolveStore(const OpRequest& op, OpResult* result) {
+Server::Impl::StoreEntry* Server::Impl::ResolveStore(const OpRequest& op, int reactor,
+                                                     OpResult* result) {
   if (op.type == OpType::kOpenStore) {
-    return PrepareOpen(op, result);
+    return PrepareOpen(op, reactor, result);
   }
   if (op.type == OpType::kRestoreStore) {
-    return PrepareRestore(op, result);
+    return PrepareRestore(op, reactor, result);
   }
   StoreEntry* store = FindStore(op.store_id);
   if (store == nullptr) {
     result->status = Status::InvalidArgument("unknown store id " + std::to_string(op.store_id));
-  } else if (op.type == OpType::kDropWindow) {
-    // The window's state is going away on every shard; a stale aligned-scan
-    // cursor would otherwise resume a dead scan mid-shard.
-    MutexLock lock(&stores_mu_);
-    store->chunk_cursor.erase(op.window);
   }
   return store;
 }
 
-Server::Impl::StoreEntry* Server::Impl::PrepareOpen(const OpRequest& op, OpResult* result) {
+Server::Impl::StoreEntry* Server::Impl::PrepareOpen(const OpRequest& op, int reactor,
+                                                    OpResult* result) {
   if (op.ns.empty()) {
     result->status = Status::InvalidArgument("empty store namespace");
     return nullptr;
   }
   bool created = false;
-  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
+  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, reactor, &created);
   if (created) {
     return store;
   }
@@ -1674,20 +1666,21 @@ Server::Impl::StoreEntry* Server::Impl::PrepareOpen(const OpRequest& op, OpResul
     result->pattern = store->pattern;
     return nullptr;
   }
-  // Previous open failed (or is still in flight): retry the per-shard opens.
-  // Shards whose slot is already populated return OK without touching it, so
-  // a concurrent or repeated open is harmless.
+  // Previous open failed (or is still in flight): retry the open. A store
+  // already open on its shard answers OK without being touched, so a
+  // concurrent or repeated open is harmless.
   store->open_state = StoreEntry::OpenState::kOpening;
   return store;
 }
 
-Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, OpResult* result) {
+Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, int reactor,
+                                                       OpResult* result) {
   if (op.ns.empty() || op.path.empty()) {
     result->status = Status::InvalidArgument("kRestoreStore needs ns and path");
     return nullptr;
   }
   bool created = false;
-  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, &created);
+  StoreEntry* store = FindOrCreateStore(op.ns, op.spec, reactor, &created);
   if (store->id != op.store_id) {
     result->status = Status::InvalidArgument(
         "restore id mismatch for " + op.ns + ": have " + std::to_string(store->id) +
@@ -1699,7 +1692,6 @@ Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, OpRe
   store->pattern =
       ClassifyPattern(op.spec.incremental, op.spec.window_kind, op.spec.alignment_hint);
   store->open_state = StoreEntry::OpenState::kOpening;
-  store->chunk_cursor.clear();  // cursors referred to the replaced state
   return store;
 }
 
@@ -1800,7 +1792,7 @@ void Server::Impl::DispatchReplicated(Reactor& r,
 
 Server::Impl::StoreEntry* Server::Impl::FindOrCreateStore(const std::string& ns,
                                                           const OperatorStateSpec& spec,
-                                                          bool* created) {
+                                                          int reactor, bool* created) {
   MutexLock lock(&stores_mu_);
   auto it = store_ids_.find(ns);
   if (it != store_ids_.end()) {
@@ -1813,9 +1805,8 @@ Server::Impl::StoreEntry* Server::Impl::FindOrCreateStore(const std::string& ns,
   entry->ns = ns;
   entry->spec = spec;
   entry->pattern = ClassifyPattern(spec.incremental, spec.window_kind, spec.alignment_hint);
-  entry->shards.resize(static_cast<size_t>(options_.num_shards));
-  entry->shard_obs.resize(static_cast<size_t>(options_.num_shards));
   entry->id = stores_.size();
+  entry->shard = PlaceStore(reactor, entry->id);
   store_ids_[ns] = entry->id;
   stores_.push_back(std::move(entry));
   return raw;
@@ -1885,7 +1876,11 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
       AdoptConn(r, std::move(task.conn));
       break;
     case ReactorTask::Kind::kShardOps: {
-      shard_state_[task.shard].depth.fetch_sub(1, std::memory_order_release);
+      ShardState& state = shard_state_[task.shard];
+      state.depth.fetch_sub(1, std::memory_order_release);
+      if (task.pending->conn_reactor != r.index) {
+        state.cross_reactor_dispatches->Add(1);
+      }
       ExecuteShardItems(task.shard, task.enqueue_nanos, task.pending.get(), task.items);
       if (task.pending->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         CompleteRequest(task.pending);
@@ -1919,14 +1914,9 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
     case ReactorTask::Kind::kCloseConn:
       CloseConnLocal(r, task.conn_id);
       break;
-    case ReactorTask::Kind::kCheckpointShard: {
-      obs::WorkerScope worker_scope(task.shard);
-      FlowKvStore* kv = task.store->shards[static_cast<size_t>(task.shard)].get();
-      task.barrier->Done(kv == nullptr
-                             ? Status::FailedPrecondition("store not open on shard")
-                             : kv->CheckpointTo(task.checkpoint_dir));
+    case ReactorTask::Kind::kCheckpointStore:
+      task.barrier->Done(CheckpointStore(task.store, task.checkpoint_dir));
       break;
-    }
     case ReactorTask::Kind::kAttachResume:
       ResumeAfterAttach(r);
       break;
@@ -1948,7 +1938,7 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
 
 void Server::Impl::AbortTask(ReactorTask& task) {
   switch (task.kind) {
-    case ReactorTask::Kind::kCheckpointShard:
+    case ReactorTask::Kind::kCheckpointStore:
       // Someone is blocked in Barrier::Wait; a silent drop would hang them.
       task.barrier->Done(Status::FailedPrecondition("server stopping"));
       break;
@@ -2000,15 +1990,13 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
   }
   for (const ShardWorkItem& item : items) {
     const OpRequest& op = pending->ops[item.op_index];
-    OpResult* out = pending->fanout_partials[item.op_index].empty()
-                        ? &pending->results[item.op_index]
-                        : &pending->fanout_partials[item.op_index][static_cast<size_t>(shard)];
+    OpResult* out = &pending->results[item.op_index];
     if (shed) {
       out->type = op.type;
       out->status = Status::TimedOut("deadline expired before execution");
       continue;
     }
-    ExecuteShardOp(shard, item.store, op, pending->conn_id, out);
+    ExecuteShardOp(item.store, op, pending->conn_id, out);
   }
   // Fired windows go out before the caller posts kFinish for this request,
   // so on any one connection the push precedes the triggering append's ack.
@@ -2023,8 +2011,8 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
 }
 
 void Server::Impl::CompleteRequest(const std::shared_ptr<PendingRequest>& pending) {
-  // Fan-out assembly, cursor advance, parking and the response encode all
-  // belong to the connection's owner thread. On that thread, finish inline
+  // Parking and the response encode belong to the connection's owner
+  // thread. On that thread, finish inline
   // unless another reactor posted a push here for this request: that
   // kPushSend is still in our task queue, and posting kFinish to ourselves
   // queues the ack behind it (push before ack, DispatchFiredPushes).
@@ -2137,108 +2125,6 @@ void Server::Impl::SendPushLocal(Reactor& r, uint64_t conn_id, std::string heade
 // ---------------------------------------------------------------------------
 
 void Server::Impl::FinishPending(const std::shared_ptr<PendingRequest>& pending) {
-  struct ChunkHop {
-    size_t op_index;
-    StoreEntry* store;
-    size_t shard;
-  };
-  std::vector<ChunkHop> redispatch;
-
-  // Assemble fan-out results and advance aligned-scan cursors.
-  for (size_t i = 0; i < pending->ops.size(); ++i) {
-    const OpRequest& op = pending->ops[i];
-    OpResult& result = pending->results[i];
-    auto& partials = pending->fanout_partials[i];
-    if (!partials.empty()) {
-      result.type = op.type;
-      result.status = Status::Ok();
-      for (const OpResult& partial : partials) {
-        if (!partial.status.ok() && result.status.ok()) {
-          result.status = partial.status;
-        }
-      }
-      if (op.type == OpType::kOpenStore || op.type == OpType::kRestoreStore) {
-        MutexLock lock(&stores_mu_);
-        auto sit = store_ids_.find(op.ns);
-        if (sit != store_ids_.end()) {
-          stores_[sit->second]->open_state = result.status.ok()
-                                                 ? StoreEntry::OpenState::kOpen
-                                                 : StoreEntry::OpenState::kFailed;
-        }
-      }
-      if (result.status.ok()) {
-        switch (op.type) {
-          case OpType::kOpenStore:
-          case OpType::kRestoreStore:
-            result.store_id = partials[0].store_id;
-            result.pattern = partials[0].pattern;
-            break;
-          case OpType::kGatherStats: {
-            std::map<std::string, int64_t> merged;
-            for (const OpResult& partial : partials) {
-              for (const auto& [name, value] : partial.stat_fields) {
-                merged[name] += value;
-              }
-            }
-            result.stat_fields.assign(merged.begin(), merged.end());
-            break;
-          }
-          default:
-            break;  // kCheckpoint: status only
-        }
-      }
-    }
-
-    if (op.type == OpType::kGetWindowChunk && result.status.ok()) {
-      MutexLock lock(&stores_mu_);
-      StoreEntry* store =
-          op.store_id < stores_.size() ? stores_[op.store_id].get() : nullptr;
-      if (store != nullptr && result.done) {
-        auto it = store->chunk_cursor.find(op.window);
-        size_t cursor = (it != store->chunk_cursor.end()) ? it->second : 0;
-        ++cursor;
-        if (cursor < static_cast<size_t>(options_.num_shards)) {
-          store->chunk_cursor[op.window] = cursor;
-          if (result.chunk.empty()) {
-            // The shard had nothing for this window: keep the request in
-            // flight on the next shard rather than burn a round trip on an
-            // empty reply. Bounded: each hop advances the cursor.
-            redispatch.push_back({i, store, cursor});
-          } else {
-            // This shard is drained; the next call continues on the next one.
-            result.done = false;
-          }
-        } else {
-          store->chunk_cursor.erase(op.window);
-        }
-      }
-    }
-  }
-
-  if (!redispatch.empty()) {
-    // The request stays pending (and keeps its pending_count_ unit) across
-    // the hop. All hops go through the queues — even to a shard this reactor
-    // owns — because the redispatch originates outside the dispatch path and
-    // the inline-ordering gate does not apply here.
-    for (OpRequest& op : pending->ops) {
-      op.MaterializeRefs();
-    }
-    pending->remaining.store(redispatch.size() + 1, std::memory_order_relaxed);
-    for (const auto& rd : redispatch) {
-      pending->results[rd.op_index] = OpResult{};
-      pending->results[rd.op_index].type = OpType::kGetWindowChunk;
-      std::vector<ShardWorkItem> items;
-      items.push_back({rd.op_index, rd.store});
-      if (!PostShardOps(static_cast<int>(rd.shard), pending, std::move(items))) {
-        pending->remaining.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-    if (pending->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      CompleteRequest(pending);
-    }
-    return;  // reply deferred until the hop completes
-  }
-
   const int64_t finish_nanos = MonotonicNanos();
   const double total_ms =
       static_cast<double>(finish_nanos - pending->start_nanos) / 1e6;
@@ -3021,7 +2907,7 @@ Status Server::Impl::DrainCheckpoint() {
 
   FLOWKV_RETURN_IF_ERROR(CheckpointStoresTo(staged));
   // Commit point, exactly as Pipeline::Checkpoint: CURRENT flips only after
-  // every shard's checkpoint and the store manifest are durable.
+  // every store's checkpoint and the store manifest are durable.
   FLOWKV_RETURN_IF_ERROR(WriteFileDurably(current_path, epoch_name));
   FLOWKV_LOG(kInfo) << "drain checkpoint committed " << LogKv("epoch", epoch_name);
   return Status::Ok();
@@ -3040,50 +2926,33 @@ Status Server::Impl::CheckpointStoresTo(const std::string& staged) {
     // Post-join epilogue (drain checkpoint): no pool left, run everything
     // here.
     for (StoreEntry* store : entries) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        obs::WorkerScope worker_scope(shard);
-        FlowKvStore* kv = store->shards[static_cast<size_t>(shard)].get();
-        if (kv == nullptr) {
-          return Status::FailedPrecondition("store not open on shard");
-        }
-        FLOWKV_RETURN_IF_ERROR(kv->CheckpointTo(JoinPath(
-            staged, "s" + std::to_string(shard) + "_st" + std::to_string(store->id))));
-      }
+      FLOWKV_RETURN_IF_ERROR(CheckpointStore(store, staged));
     }
     return WriteFileDurably(JoinPath(staged, kStoresMetaName), SerializeStoresMeta());
   }
 
-  // Live pool (snapshot attach): every shard checkpoints on its owning
-  // reactor — owned shards right here, the rest via tasks joined by a
-  // barrier. Single-writer access to the stores is preserved either way.
+  // Live pool (snapshot attach): every store checkpoints on its shard's
+  // owning reactor — here when this reactor owns it, via tasks joined by a
+  // barrier otherwise. Single-writer access to the stores is preserved
+  // either way.
   auto barrier = std::make_shared<Barrier>();
-  barrier->remaining = entries.size() * static_cast<size_t>(options_.num_shards);
-  if (barrier->remaining > 0) {
-    for (StoreEntry* store : entries) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        const std::string dir = JoinPath(
-            staged, "s" + std::to_string(shard) + "_st" + std::to_string(store->id));
-        if (OwnerReactor(shard) == tl_reactor) {
-          obs::WorkerScope worker_scope(shard);
-          FlowKvStore* kv = store->shards[static_cast<size_t>(shard)].get();
-          barrier->Done(kv == nullptr
-                            ? Status::FailedPrecondition("store not open on shard")
-                            : kv->CheckpointTo(dir));
-          continue;
-        }
-        ReactorTask task;
-        task.kind = ReactorTask::Kind::kCheckpointShard;
-        task.shard = shard;
-        task.store = store;
-        task.checkpoint_dir = dir;
-        task.barrier = barrier;
-        if (!PostTask(OwnerReactor(shard), std::move(task))) {
-          barrier->Done(Status::FailedPrecondition("server stopping"));
-        }
-      }
+  barrier->remaining = entries.size();
+  for (StoreEntry* store : entries) {
+    const int owner = OwnerReactor(store->shard);
+    if (owner == tl_reactor) {
+      barrier->Done(CheckpointStore(store, staged));
+      continue;
     }
-    FLOWKV_RETURN_IF_ERROR(barrier->Wait());
+    ReactorTask task;
+    task.kind = ReactorTask::Kind::kCheckpointStore;
+    task.store = store;
+    task.checkpoint_dir = staged;
+    task.barrier = barrier;
+    if (!PostTask(owner, std::move(task))) {
+      barrier->Done(Status::FailedPrecondition("server stopping"));
+    }
   }
+  FLOWKV_RETURN_IF_ERROR(barrier->Wait());
   return WriteFileDurably(JoinPath(staged, kStoresMetaName), SerializeStoresMeta());
 }
 
@@ -3091,16 +2960,24 @@ Status Server::Impl::CheckpointStoresTo(const std::string& staged) {
 // Shard execution
 // ---------------------------------------------------------------------------
 
-void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest& op,
-                                  uint64_t conn_id, OpResult* out) {
+void Server::Impl::ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64_t conn_id,
+                                  OpResult* out) {
   out->type = op.type;
 
-  if (op.type == OpType::kOpenStore) {
-    // Retried opens only fill shards a previous attempt left null; this
-    // reactor owns its slot, so the check is race-free.
-    out->status = store->shards[static_cast<size_t>(shard)] != nullptr
-                      ? Status::Ok()
-                      : OpenShardStore(shard, store);
+  if (op.type == OpType::kOpenStore || op.type == OpType::kRestoreStore) {
+    if (op.type == OpType::kRestoreStore) {
+      // Replace the store from the shipped snapshot. The old store (if any)
+      // must close before OpenStoreOnShard wipes its directory.
+      store->kv.reset();
+      out->status = OpenStoreOnShard(store, JoinPath(op.path, StoreCheckpointName(store->id)));
+    } else {
+      // A retried open only fills a store a previous attempt left null; this
+      // reactor owns the store, so the check is race-free.
+      out->status = store->kv != nullptr ? Status::Ok() : OpenStoreOnShard(store);
+    }
+    MutexLock lock(&stores_mu_);
+    store->open_state =
+        out->status.ok() ? StoreEntry::OpenState::kOpen : StoreEntry::OpenState::kFailed;
     if (out->status.ok()) {
       out->store_id = store->id;
       out->pattern = store->pattern;
@@ -3108,29 +2985,15 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
     return;
   }
 
-  if (op.type == OpType::kRestoreStore) {
-    // Replace this shard's slot from the shipped snapshot. The old store (if
-    // any) must close before OpenShardStore wipes its directory.
-    store->shards[static_cast<size_t>(shard)].reset();
-    out->status = OpenShardStore(
-        shard, store,
-        JoinPath(op.path, "s" + std::to_string(shard) + "_st" + std::to_string(store->id)));
-    if (out->status.ok()) {
-      out->store_id = store->id;
-      out->pattern = store->pattern;
-    }
-    return;
-  }
-
-  FlowKvStore* kv = store->shards[static_cast<size_t>(shard)].get();
+  FlowKvStore* kv = store->kv.get();
   if (kv == nullptr) {
     out->status = Status::FailedPrecondition("store " + store->ns + " not open on shard " +
-                                             std::to_string(shard));
+                                             std::to_string(store->shard));
     return;
   }
 
   // Per-operator request metrics, labeled (worker=shard, op=operator name).
-  StoreEntry::ShardObs& so = store->shard_obs[static_cast<size_t>(shard)];
+  StoreEntry::ShardObs& so = store->shard_obs;
   if (so.ops == nullptr) {
     obs::OperatorScope op_scope(store->spec.name);
     so.ops = metrics_.GetCounter("shard.ops");
@@ -3142,7 +3005,7 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
   // key_view()/value_view() hand the store borrowed slices directly — on the
   // inline path these still point into the connection's rx buffer; the store
   // API is Slice-in, so no copy happens until the store itself keeps data.
-  ShardPrefetchScheduler* sched = shard_state_[shard].prefetch.get();
+  ShardPrefetchScheduler* sched = shard_state_[store->shard].prefetch.get();
   switch (op.type) {
     case OpType::kAppendAligned:
       out->status = kv->Append(op.key_view(), op.value_view(), op.window);
@@ -3193,7 +3056,7 @@ void Server::Impl::ExecuteShardOp(int shard, StoreEntry* store, const OpRequest&
       out->status = kv->Remove(op.key_view(), op.window);
       break;
     case OpType::kCheckpoint:
-      out->status = kv->CheckpointTo(JoinPath(op.path, "s" + std::to_string(shard)));
+      out->status = kv->CheckpointTo(op.path);
       break;
     case OpType::kGatherStats: {
       StoreStats stats = kv->GatherStats();

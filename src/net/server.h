@@ -1,24 +1,24 @@
 // The FlowKV state server: an epoll-based, thread-per-core reactor pool
 // accepting length-prefixed protocol frames (docs/NETWORK.md). Each of the
 // `reactor_threads` reactors owns one epoll instance; accepted connections
-// are pinned round-robin to a reactor for life, and shard `s` of every store
-// is owned by reactor `s % reactor_threads`.
+// are pinned round-robin to a reactor for life, and shard `s` is owned by
+// reactor `s % reactor_threads`.
 //
-// Sharding model: keys consistent-hash to one of `num_shards` shards (the
-// same Hash64 the stores use), so the paper's single-writer-per-partition
-// contract holds end to end — a (key, store) pair is only ever touched by
-// its owning reactor thread. When a request arrives on the reactor that owns
-// the target shard, it executes inline with no queue hop; requests for
-// shards owned by another reactor keep the single-writer queue path (a FIFO
-// task posted to the owning reactor). A request batch is split into
-// per-shard sub-batches executed in op order; aligned window scans drain the
-// shards one at a time through a cursor.
+// Placement: a store lives on one shard, chosen when the store is created —
+// a shard owned by the reactor whose connection opened (or restored) it. The
+// paper's one single-threaded store per operator holds end to end: a store
+// is only ever touched by its shard's owning reactor thread. A connection
+// that opens its own stores (the remote backend opens one connection per
+// operator) finds them on its own reactor, so its requests execute inline
+// with no queue hop. Ops for a store on another reactor's shard take the
+// single-writer queue path (a FIFO task posted to the owning reactor). A
+// request batch is split into per-shard sub-batches executed in op order.
 //
 // Backpressure: per-connection bounded outboxes (reads pause while a
 // connection's responses back up). Shutdown: RequestDrain() — what the
 // flowkv_server binary's SIGTERM handler triggers — stops accepting, lets
 // in-flight requests finish, flushes outboxes, joins the reactor pool,
-// checkpoints every shard of every store through CheckpointWriter, commits
+// checkpoints every store through CheckpointWriter, commits
 // the epoch via CURRENT, and stops. A server started on the same directories
 // restores the committed epoch, so no acknowledged state is lost across a
 // drain/restart cycle.
@@ -50,13 +50,14 @@ struct ServerOptions {
   // disables.
   std::string unix_socket_path;
 
-  // Key shards; shard s is owned by reactor s % reactor_threads, which runs
-  // that shard's single-threaded FlowKvStore instances.
+  // Store shards; shard s is owned by reactor s % reactor_threads, which runs
+  // the single-threaded FlowKvStore of every store placed on it.
   int num_shards = 2;
 
   // Reactor (event-loop) threads. 0 = min(num_shards, hardware threads).
   // Values above num_shards are allowed: the extra reactors own no shards
-  // and serve pure connection I/O.
+  // and serve pure connection I/O; a store their connections create lives
+  // on shard id % num_shards.
   int reactor_threads = 0;
 
   // Live store data lives under data_dir/s<shard>/<store-ns>.

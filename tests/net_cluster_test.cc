@@ -337,7 +337,7 @@ class NetClusterTest : public ::testing::Test {
     popts_.lease_ms = kLeaseMs;
     ASSERT_TRUE(net::Server::Start(popts_, &primary_).ok());
 
-    sopts_.num_shards = 2;  // must match the primary for kRestoreStore fan-out
+    sopts_.num_shards = 2;
     sopts_.data_dir = JoinPath(dir_, "standby_data");
     sopts_.checkpoint_dir = JoinPath(dir_, "standby_ckpt");
     sopts_.start_as_standby = true;

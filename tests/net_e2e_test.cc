@@ -2,8 +2,8 @@
 // the embedded FlowKV backend and once through RemoteBackend → loopback
 // flowkv_server, and must produce the identical multiset of results. This is
 // the acceptance test for the state-server subsystem: the wire protocol,
-// sharding, batching, reads carrying pending writes, cross-shard window
-// drains, and the RMW accumulator cache (at its default budget and at one
+// store placement, batching, reads carrying pending writes, multi-chunk
+// window drains, and the RMW accumulator cache (at its default budget and at one
 // too small to hold a query's live windows) are all on the path.
 #include <gtest/gtest.h>
 

@@ -110,7 +110,7 @@ class NetFailoverTest : public ::testing::Test {
     ASSERT_TRUE(net::Server::Start(popts, &primary_).ok());
 
     net::ServerOptions sopts;
-    sopts.num_shards = 2;  // must match the primary for kRestoreStore fan-out
+    sopts.num_shards = 2;
     sopts.data_dir = JoinPath(dir_, "standby_data");
     sopts.checkpoint_dir = JoinPath(dir_, "standby_ckpt");
     ASSERT_TRUE(net::Server::Start(sopts, &standby_).ok());

@@ -1,11 +1,12 @@
 // Loopback server/client integration: a real flowkv_server::net::Server on
 // 127.0.0.1 exercised through the blocking client across all three store
-// patterns, multi-shard window drains, write batching, reads carrying the
-// pending writes, server-side metrics, error passthrough, timeouts,
+// patterns, multi-chunk window drains, write batching, reads carrying the
+// pending writes, store placement on the opening connection's reactor,
+// server-side metrics, error passthrough, timeouts,
 // oversized-frame protection, refusal of a foreign wire version on both
 // sides, server pushes read inline ahead of a response (scripted peers), and
 // the graceful drain → checkpoint → restart → resume
-// cycle (no acknowledged state lost).
+// cycle (no acknowledged state lost, whatever the restarted shard count).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -26,6 +27,7 @@
 
 #include "src/common/coding.h"
 #include "src/common/env.h"
+#include "src/flowkv/flowkv_store.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
@@ -62,11 +64,41 @@ OperatorStateSpec AurSpec(const std::string& name) {
   return spec;
 }
 
+// The kStats document of the server `client` is connected to.
+tools::JsonValue FetchStats(Client* client) {
+  std::string json;
+  EXPECT_TRUE(client->Stats(&json).ok());
+  tools::JsonValue doc;
+  EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
+  return doc;
+}
+
+// A per-shard counter from kStats, in shard order.
+std::vector<int64_t> ShardCounter(const tools::JsonValue& stats, const std::string& field) {
+  std::vector<int64_t> values;
+  if (const tools::JsonValue* shards = stats.Get("shards")) {
+    for (const tools::JsonValue& shard : shards->arr) {
+      values.push_back(static_cast<int64_t>(shard.Num(field)));
+    }
+  }
+  return values;
+}
+
+int64_t TotalShardOps(const tools::JsonValue& stats) {
+  int64_t ops = 0;
+  for (const int64_t v : ShardCounter(stats, "ops")) ops += v;
+  return ops;
+}
+
 class NetLoopbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = MakeTempDir("net_loopback");
+    // One reactor per shard: a store lives on a shard of the reactor whose
+    // connection opened it, so stores opened on consecutive connections sit
+    // on different reactors.
     options_.num_shards = 3;
+    options_.reactor_threads = 3;
     options_.data_dir = JoinPath(dir_, "data");
     options_.checkpoint_dir = JoinPath(dir_, "ckpt");
     options_.drain_grace_ms = 5000;
@@ -162,7 +194,7 @@ TEST_F(NetLoopbackTest, RmwPutGetRemove) {
   EXPECT_EQ(acc, "v2");
 }
 
-TEST_F(NetLoopbackTest, AarAppendAndMultiShardDrain) {
+TEST_F(NetLoopbackTest, AarAppendAndMultiChunkDrain) {
   auto client = MakeClient();
   uint64_t h = 0;
   StorePattern pattern;
@@ -179,9 +211,11 @@ TEST_F(NetLoopbackTest, AarAppendAndMultiShardDrain) {
   }
   ASSERT_TRUE(client->Flush().ok());
 
-  // Drain the window: the server walks all 3 shards behind one cursor.
+  // Drain the window: the store's one shard hands it back in chunks, one
+  // store partition (FlowKvOptions::num_partitions, 2 by default) at a time.
   std::map<std::string, std::vector<std::string>> got;
   int chunks = 0;
+  int data_chunks = 0;
   while (true) {
     std::vector<WindowChunkEntry> chunk;
     bool done = false;
@@ -191,11 +225,16 @@ TEST_F(NetLoopbackTest, AarAppendAndMultiShardDrain) {
       dst.insert(dst.end(), entry.values.begin(), entry.values.end());
     }
     ++chunks;
+    data_chunks += chunk.empty() ? 0 : 1;
     if (done) break;
     ASSERT_LT(chunks, 10'000) << "drain did not terminate";
   }
   // Per-key append order is preserved; key order is not.
   EXPECT_EQ(got, expected);
+  EXPECT_GE(data_chunks, 2) << "60 keys over 2 partitions drain in at least 2 chunks";
+  // Every append and every chunk ran on one shard.
+  const std::vector<int64_t> ops = ShardCounter(FetchStats(client.get()), "ops");
+  EXPECT_EQ(std::count_if(ops.begin(), ops.end(), [](int64_t v) { return v > 0; }), 1);
 
   // A second drain sees nothing: the read was fetch-and-remove.
   std::vector<WindowChunkEntry> chunk;
@@ -248,43 +287,54 @@ class NetPiggybackTest : public NetLoopbackTest {
     EXPECT_NE(shards, nullptr);
     if (server != nullptr && shards != nullptr) {
       counts.requests = static_cast<int64_t>(server->Num("requests"));
-      for (const tools::JsonValue& shard : shards->arr) {
-        counts.shard_ops.push_back(static_cast<int64_t>(shard.Num("ops")));
-      }
+      counts.shard_ops = ShardCounter(doc, "ops");
     }
     return counts;
   }
 };
 
 TEST_F(NetPiggybackTest, ReadCarriesBufferedWritesInOneRequest) {
+  // Two stores on two reactors: each is opened first by a connection of its
+  // own, so it lives on a shard of that connection's reactor.
   auto client = MakeClient();
+  auto other = MakeClient();
   uint64_t h = 0;
+  uint64_t far = 0;
   ASSERT_TRUE(client->OpenStore("t.piggy.h0", RmwSpec("piggy-op"), &h, nullptr).ok());
+  ASSERT_TRUE(other->OpenStore("t.piggy.h1", RmwSpec("piggy-far"), &far, nullptr).ok());
+  ASSERT_TRUE(client->OpenStore("t.piggy.h1", RmwSpec("piggy-far"), &far, nullptr).ok());
   const Window w(0, 1000);
 
   const Counts before = FetchCounts(client.get());
   for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(client->RmwPut(h, "key" + std::to_string(i), w, "v" + std::to_string(i)).ok());
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(client->RmwPut(h, key, w, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(client->RmwPut(far, key, w, "f" + std::to_string(i)).ok());
   }
   std::string acc;
   ASSERT_TRUE(client->RmwGet(h, "key0", w, &acc).ok());
   EXPECT_EQ(acc, "v0");
   const Counts after = FetchCounts(client.get());
-  // The read and the second kStats: the 24 puts rode the read's frame.
+  // The read and the second kStats: the 48 puts rode the read's frame.
   EXPECT_EQ(after.requests - before.requests, 2);
   ASSERT_EQ(after.shard_ops.size(), 3u);
+  int shards_written = 0;
   for (size_t s = 0; s < after.shard_ops.size(); ++s) {
-    EXPECT_GT(after.shard_ops[s], before.shard_ops[s]) << "no write landed on shard " << s;
+    shards_written += after.shard_ops[s] > before.shard_ops[s] ? 1 : 0;
   }
+  EXPECT_EQ(shards_written, 2) << "the batch should run on both stores' shards";
+  ASSERT_TRUE(client->RmwGet(far, "key7", w, &acc).ok());
+  EXPECT_EQ(acc, "f7");
 
-  // Read-your-writes in one frame, on whichever shard each key maps to.
+  // Read-your-writes in one frame.
+  const Counts before_rw = FetchCounts(client.get());
   for (int i = 0; i < 24; ++i) {
     const std::string key = "key" + std::to_string(i);
     ASSERT_TRUE(client->RmwPut(h, key, w, "w" + std::to_string(i)).ok());
     ASSERT_TRUE(client->RmwGet(h, key, w, &acc).ok());
     EXPECT_EQ(acc, "w" + std::to_string(i));
   }
-  EXPECT_EQ(FetchCounts(client.get()).requests - after.requests, 24 + 1);
+  EXPECT_EQ(FetchCounts(client.get()).requests - before_rw.requests, 24 + 1);
 }
 
 TEST_F(NetPiggybackTest, FailedWriteSurfacesFromTheRead) {
@@ -346,25 +396,6 @@ TEST_F(NetLoopbackTest, ServerMetricsAreLabeled) {
     }
   }
   EXPECT_TRUE(found_latency_hist) << "no request-latency histogram snapshot";
-}
-
-// The kStats document of the server `client` is connected to.
-tools::JsonValue FetchStats(Client* client) {
-  std::string json;
-  EXPECT_TRUE(client->Stats(&json).ok());
-  tools::JsonValue doc;
-  EXPECT_TRUE(tools::ParseJson(json, &doc)) << json;
-  return doc;
-}
-
-int64_t TotalShardOps(const tools::JsonValue& stats) {
-  int64_t ops = 0;
-  if (const tools::JsonValue* shards = stats.Get("shards")) {
-    for (const tools::JsonValue& shard : shards->arr) {
-      ops += static_cast<int64_t>(shard.Num("ops"));
-    }
-  }
-  return ops;
 }
 
 // Sends 200 puts to the server `client` is connected to.
@@ -507,12 +538,19 @@ TEST_F(NetLoopbackTest, GatherStatsAndServerSideCheckpoint) {
   }
   EXPECT_GE(writes, 50) << "aggregated shard stats must count every put";
 
+  // The checkpoint is written at the given path itself, and an embedded
+  // store restores every put from it.
   const std::string ckpt = JoinPath(dir_, "manual_ckpt");
   ASSERT_TRUE(client->Checkpoint(h, ckpt).ok());
-  // One checkpoint directory per shard.
-  std::vector<std::string> entries;
-  ASSERT_TRUE(ListDir(ckpt, &entries).ok());
-  EXPECT_EQ(entries.size(), 3u);
+  std::unique_ptr<FlowKvStore> restored;
+  ASSERT_TRUE(FlowKvStore::RestoreFrom(ckpt, JoinPath(dir_, "restored"), options_.store_options,
+                                       RmwSpec("stats-op"), &restored)
+                  .ok());
+  for (int i = 0; i < 50; ++i) {
+    std::string acc;
+    ASSERT_TRUE(restored->Get("k" + std::to_string(i), Window(0, 1000), &acc).ok()) << i;
+    EXPECT_EQ(acc, "v");
+  }
 }
 
 TEST_F(NetLoopbackTest, DrainCheckpointRestartResume) {
@@ -549,6 +587,77 @@ TEST_F(NetLoopbackTest, DrainCheckpointRestartResume) {
         << "acked key k" << i << " lost across drain/restart";
     EXPECT_EQ(acc, "v" + std::to_string(i));
   }
+}
+
+// Restarting with another shard count restores every store: a store's
+// checkpoint is one directory, and no key is hashed across shards. Stores
+// opened on three connections sit on three shards; the restart has two.
+TEST_F(NetLoopbackTest, DrainCheckpointRestoresIntoAnotherShardCount) {
+  const Window w(0, 1000);
+  {
+    std::vector<std::unique_ptr<Client>> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.push_back(MakeClient());
+      Client* client = clients.back().get();
+      uint64_t h = 0;
+      const std::string ns = "reshard_h" + std::to_string(c);
+      ASSERT_TRUE(client->OpenStore(ns, RmwSpec(ns), &h, nullptr).ok());
+      for (int i = 0; i < 50; ++i) {
+        const std::string suffix = std::to_string(c) + "." + std::to_string(i);
+        ASSERT_TRUE(client->RmwPut(h, "k" + std::to_string(i), w, "v" + suffix).ok());
+      }
+      ASSERT_TRUE(client->Flush().ok());
+    }
+    uint64_t aar = 0;
+    ASSERT_TRUE(clients[0]->OpenStore("reshard_aar", AarSpec("reshard-aar"), &aar, nullptr).ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(clients[0]->AppendAligned(aar, "a" + std::to_string(i % 5), "x", w).ok());
+    }
+    ASSERT_TRUE(clients[0]->Flush().ok());
+    std::vector<int64_t> ops = ShardCounter(FetchStats(clients[0].get()), "ops");
+    EXPECT_EQ(std::count_if(ops.begin(), ops.end(), [](int64_t v) { return v > 0; }), 3)
+        << "three connections should place their stores on three shards";
+    ASSERT_TRUE(server_->DrainAndStop().ok());
+    server_.reset();
+  }
+
+  options_.num_shards = 2;
+  options_.reactor_threads = 2;
+  ASSERT_TRUE(Server::Start(options_, &server_).ok());
+  auto client = MakeClient();
+  for (int c = 0; c < 3; ++c) {
+    uint64_t h = 0;
+    const std::string ns = "reshard_h" + std::to_string(c);
+    ASSERT_TRUE(client->OpenStore(ns, RmwSpec(ns), &h, nullptr).ok());
+    for (int i = 0; i < 50; ++i) {
+      std::string acc;
+      ASSERT_TRUE(client->RmwGet(h, "k" + std::to_string(i), w, &acc).ok())
+          << ns << " lost k" << i << " across a restart with another shard count";
+      EXPECT_EQ(acc, "v" + std::to_string(c) + "." + std::to_string(i));
+    }
+  }
+  // Each store's live directory is on its new shard only: a copy left on
+  // the shard it lived on before would be stale data an AAR open reads back.
+  // (These namespaces need no escaping, so they are their directory names.)
+  for (const char* ns : {"reshard_h0", "reshard_h1", "reshard_h2", "reshard_aar"}) {
+    int copies = 0;
+    for (int s = 0; s < 3; ++s) {
+      copies += FileExists(JoinPath(JoinPath(options_.data_dir, "s" + std::to_string(s)), ns))
+                    ? 1
+                    : 0;
+    }
+    EXPECT_EQ(copies, 1) << ns;
+  }
+  uint64_t aar = 0;
+  ASSERT_TRUE(client->OpenStore("reshard_aar", AarSpec("reshard-aar"), &aar, nullptr).ok());
+  int64_t values = 0;
+  bool done = false;
+  while (!done) {
+    std::vector<WindowChunkEntry> chunk;
+    ASSERT_TRUE(client->GetWindowChunk(aar, w, &chunk, &done).ok());
+    for (const WindowChunkEntry& entry : chunk) values += static_cast<int64_t>(entry.values.size());
+  }
+  EXPECT_EQ(values, 20);
 }
 
 TEST_F(NetLoopbackTest, ClientReconnectsAcrossRestart) {
@@ -590,27 +699,43 @@ TEST_F(NetLoopbackTest, DistinctNamespacesDoNotCollideOnDisk) {
   ASSERT_TRUE(client->RmwGet(h2, "k", w, &acc).ok());
   EXPECT_EQ(acc, "from-underscored");
 
-  // And the two stores occupy two distinct directories on every shard.
-  std::vector<std::string> entries;
-  ASSERT_TRUE(ListDir(JoinPath(options_.data_dir, "s0"), &entries).ok());
-  EXPECT_EQ(entries.size(), 2u) << "namespaces collided onto one directory";
+  // And the two stores occupy two distinct directories on their shard: both
+  // were opened on this client's reactor, so they share one shard.
+  std::vector<size_t> dirs_per_shard;
+  for (int s = 0; s < options_.num_shards; ++s) {
+    const std::string shard_dir = JoinPath(options_.data_dir, "s" + std::to_string(s));
+    std::vector<std::string> entries;
+    if (FileExists(shard_dir)) {
+      ASSERT_TRUE(ListDir(shard_dir, &entries).ok());
+    }
+    dirs_per_shard.push_back(entries.size());
+  }
+  std::sort(dirs_per_shard.begin(), dirs_per_shard.end());
+  EXPECT_EQ(dirs_per_shard, (std::vector<size_t>{0, 0, 2}))
+      << "namespaces collided onto one directory, or the stores split across shards";
 }
 
 TEST_F(NetLoopbackTest, FailedOpenIsRetriableNotPoisoned) {
-  // Plant a regular file where shard 0's store directory would go, so its
-  // per-shard open fails while the other shards succeed.
-  ASSERT_TRUE(CreateDirs(JoinPath(options_.data_dir, "s0")).ok());
-  const std::string blocker = JoinPath(JoinPath(options_.data_dir, "s0"), "failstore");
-  ASSERT_TRUE(WriteStringToFile(blocker, "in the way").ok());
+  // Plant a regular file where the store's directory would go on every
+  // shard, so the open fails on whichever shard the store is placed.
+  std::vector<std::string> blockers;
+  for (int s = 0; s < options_.num_shards; ++s) {
+    const std::string shard_dir = JoinPath(options_.data_dir, "s" + std::to_string(s));
+    ASSERT_TRUE(CreateDirs(shard_dir).ok());
+    blockers.push_back(JoinPath(shard_dir, "failstore"));
+    ASSERT_TRUE(WriteStringToFile(blockers.back(), "in the way").ok());
+  }
 
   auto client = MakeClient();
   uint64_t h = 0;
   EXPECT_FALSE(client->OpenStore("failstore", RmwSpec("fail-op"), &h, nullptr).ok());
 
-  // A half-open entry must not satisfy a later open idempotently: once the
-  // obstruction is gone, re-opening the same namespace retries the failed
-  // shards and the store becomes fully usable.
-  ASSERT_EQ(::unlink(blocker.c_str()), 0);
+  // A failed entry must not satisfy a later open idempotently: once the
+  // obstruction is gone, re-opening the same namespace retries the open on
+  // the store's shard and the store becomes usable.
+  for (const std::string& blocker : blockers) {
+    ASSERT_EQ(::unlink(blocker.c_str()), 0);
+  }
   ASSERT_TRUE(client->OpenStore("failstore", RmwSpec("fail-op"), &h, nullptr).ok());
   const Window w(0, 1000);
   for (int i = 0; i < 50; ++i) {
@@ -1111,7 +1236,7 @@ TEST_P(NetReactorThreadsTest, ConcurrentClientsAcrossShards) {
       }
       const Window w(0, 1000);
       for (int i = 0; i < kOpsPerClient; ++i) {
-        const std::string key = "k" + std::to_string(i);  // spreads over shards
+        const std::string key = "k" + std::to_string(i);
         if (!client->RmwPut(h, key, w, "v" + std::to_string(i)).ok()) {
           ++failures;
           return;
@@ -1140,6 +1265,67 @@ TEST_P(NetReactorThreadsTest, ConcurrentClientsAcrossShards) {
 
 INSTANTIATE_TEST_SUITE_P(ReactorPoolSizes, NetReactorThreadsTest,
                          ::testing::Values(1, 3, 5));
+
+// A connection that opened its stores finds them on its own reactor: its
+// RMW and AAR traffic runs inline, and shard.cross_reactor_dispatches stays
+// 0. A second connection using the same store from the other reactor posts
+// its ops to the store's shard, which the counter shows.
+TEST(NetPlacementTest, OwnStoresNeverCrossReactors) {
+  const std::string dir = MakeTempDir("net_placement");
+  ServerOptions sopts;
+  sopts.num_shards = 2;
+  sopts.reactor_threads = 2;
+  sopts.data_dir = JoinPath(dir, "data");
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Start(sopts, &server).ok());
+  ClientOptions copts;
+  copts.port = server->port();
+  copts.request_timeout_ms = 20'000;
+  const auto cross_reactor = [](Client* client) {
+    int64_t total = 0;
+    for (const int64_t v : ShardCounter(FetchStats(client), "cross_reactor_dispatches")) {
+      total += v;
+    }
+    return total;
+  };
+
+  std::unique_ptr<Client> owner;
+  ASSERT_TRUE(Client::Connect(copts, &owner).ok());
+  uint64_t rmw = 0;
+  uint64_t aar = 0;
+  ASSERT_TRUE(owner->OpenStore("t.place.rmw", RmwSpec("place-rmw"), &rmw, nullptr).ok());
+  ASSERT_TRUE(owner->OpenStore("t.place.aar", AarSpec("place-aar"), &aar, nullptr).ok());
+  const Window w(0, 1000);
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(owner->RmwPut(rmw, key, w, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(owner->AppendAligned(aar, key, "a", w).ok());
+    std::string acc;
+    ASSERT_TRUE(owner->RmwGet(rmw, key, w, &acc).ok());
+  }
+  bool done = false;
+  while (!done) {
+    std::vector<WindowChunkEntry> chunk;
+    ASSERT_TRUE(owner->GetWindowChunk(aar, w, &chunk, &done).ok());
+  }
+  const tools::JsonValue stats = FetchStats(owner.get());
+  ASSERT_EQ(ShardCounter(stats, "cross_reactor_dispatches").size(), 2u);
+  EXPECT_GT(TotalShardOps(stats), 300);
+  EXPECT_EQ(cross_reactor(owner.get()), 0);
+
+  // Round-robin accept puts the next connection on the other reactor.
+  std::unique_ptr<Client> visitor;
+  ASSERT_TRUE(Client::Connect(copts, &visitor).ok());
+  uint64_t shared = 0;
+  ASSERT_TRUE(visitor->OpenStore("t.place.rmw", RmwSpec("place-rmw"), &shared, nullptr).ok());
+  std::string acc;
+  ASSERT_TRUE(visitor->RmwGet(shared, "k7", w, &acc).ok());
+  EXPECT_EQ(acc, "v7");
+  EXPECT_GT(cross_reactor(visitor.get()), 0);
+
+  server->Stop();
+  RemoveDirRecursively(dir).IgnoreError();
+}
 
 // The AF_UNIX transport speaks the exact same protocol as TCP: a client
 // connected over the socket file and one connected over 127.0.0.1 see each

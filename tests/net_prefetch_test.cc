@@ -102,8 +102,8 @@ TEST(ReadAheadCacheTest, PushWithoutLocalAppendsIsStale) {
 }
 
 TEST(ReadAheadCacheTest, ShardChunksAccumulatePerWindow) {
-  // One push per server shard for the same window; the entry must
-  // accumulate values until the total equals the local count.
+  // Two pushes for the same window; the entry must accumulate values until
+  // the total equals the local count.
   obs::MetricsRegistry metrics;
   ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
@@ -147,7 +147,7 @@ TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
 
 // A window whose drain has started remotely is never served from the cache,
 // even when the pushes complete mid-drain and the counts then match: the
-// slices already read would be delivered twice.
+// chunks already read would be delivered twice.
 TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
   obs::MetricsRegistry metrics;
   ReadAheadCache cache(1u << 20, &metrics);
@@ -163,7 +163,7 @@ TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
   EXPECT_FALSE(cache.TryServe(1, w, &chunk));
   cache.OnRemoteRead(1, w);
 
-  // The other shard's push lands before the drain's next call.
+  // A second push lands before the drain's next call.
   std::vector<WindowChunkEntry> shard1;
   shard1.push_back(WindowChunkEntry{"b", {"v1"}});
   cache.OnPush(1, w, 2, std::move(shard1));
@@ -424,9 +424,9 @@ TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
     ASSERT_TRUE(client->AppendAligned(h, key, value, w0).ok());
     expected[key].push_back(value);
   }
-  // The same keys in the next window advance every involved shard's
-  // event-time high-water mark past w0.end, so each shard fires its w0
-  // shadow — and queues the push BEFORE acking these appends.
+  // The same keys in the next window advance the store's event-time
+  // high-water mark past w0.end, so its shard fires the w0 shadow — and
+  // queues the push BEFORE acking these appends.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(client->AppendAligned(h, "k" + std::to_string(i), "next", w1).ok());
   }
@@ -454,10 +454,12 @@ TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
   EXPECT_TRUE(after_drop.empty()) << "kDropWindow did not consume server state";
 }
 
-// Push before ack must hold when the shards sit on different reactors: a
-// shard on another reactor posts its push to the connection's reactor, and
-// the ack must not overtake it when the request completes there. Every
-// window closed by an acked flush is then a hit, never a miss.
+// Push before ack must hold when the store's shard sits on another reactor
+// than the connection: the shard posts its push to the connection's
+// reactor, and the ack must not overtake it when the request completes
+// there. The store is opened by a connection on one reactor, so it lives
+// there, and appended from a connection on the other. Every window closed by
+// an acked flush is then a hit, never a miss.
 TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
   net::ServerOptions options;
   options.num_shards = 2;
@@ -465,6 +467,14 @@ TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
   options.data_dir = JoinPath(dir_, "server_data");
   options.enable_prefetch_push = true;
   ASSERT_TRUE(net::Server::Start(options, &server_).ok());
+  net::ClientOptions oopts;
+  oopts.port = server_->port();
+  std::unique_ptr<net::Client> opener;
+  ASSERT_TRUE(net::Client::Connect(oopts, &opener).ok());
+  uint64_t opened = 0;
+  ASSERT_TRUE(
+      opener->OpenStore("t.reactors.h0", AarSpec("reactors-op"), &opened, nullptr).ok());
+  // Round-robin accept puts the next connection on the other reactor.
   std::unique_ptr<net::Client> client = PushClientTo(server_->port());
   ASSERT_NE(client, nullptr);
   uint64_t h = 0;
@@ -487,6 +497,17 @@ TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
   }
   EXPECT_EQ(client->cache_counters().hits, kWindows);
   EXPECT_EQ(client->cache_counters().misses, 0);
+
+  // Every append was posted across reactors to the store's shard.
+  std::string json;
+  ASSERT_TRUE(client->Stats(&json).ok());
+  tools::JsonValue stats;
+  ASSERT_TRUE(tools::ParseJson(json, &stats)) << json;
+  int64_t cross_reactor = 0;
+  for (const tools::JsonValue& shard : stats.Get("shards")->arr) {
+    cross_reactor += static_cast<int64_t>(shard.Num("cross_reactor_dispatches"));
+  }
+  EXPECT_GE(cross_reactor, kWindows);
 }
 
 TEST_F(NetPrefetchE2ETest, CrossClientPushIsStaleWithoutLocalHistory) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/coding.h"
+#include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/net/protocol.h"
 
@@ -889,7 +890,6 @@ TEST(NetMessageTest, TrailingBytesRejected) {
 
 StoresMeta RandomStoresMeta(Random* rng) {
   StoresMeta meta;
-  meta.num_shards = static_cast<int>(1 + rng->Uniform(8));
   const uint64_t n = rng->Uniform(5);
   for (uint64_t i = 0; i < n; ++i) {
     StoreMetaEntry entry;
@@ -912,7 +912,6 @@ TEST(StoresMetaTest, RoundTripProperty) {
     const std::string blob = EncodeStoresMeta(meta);
     StoresMeta decoded;
     ASSERT_TRUE(DecodeStoresMeta(blob, &decoded).ok());
-    ASSERT_EQ(decoded.num_shards, meta.num_shards);
     ASSERT_EQ(decoded.stores.size(), meta.stores.size());
     for (size_t i = 0; i < meta.stores.size(); ++i) {
       EXPECT_EQ(decoded.stores[i].id, meta.stores[i].id);
@@ -1050,6 +1049,27 @@ TEST(NetFuzzTest, BitFlippedMessageBodiesNeverCrash) {
       DecodeAllWays(damaged, &rejections);  // must terminate, never crash/OOM
     }
   }
+}
+
+// A version-1 manifest (it carried the shard count keys were hashed
+// across) is refused with a status naming both versions, not misread.
+TEST(StoresMetaTest, VersionOneIsRefusedNamingBothVersions) {
+  std::string v1;
+  PutFixed32(&v1, 0x464b564d);  // "FKVM"
+  PutVarint32(&v1, 1);          // version
+  PutVarint32(&v1, 3);          // num_shards
+  PutVarint32(&v1, 1);          // one store
+  PutVarint64(&v1, 0);
+  PutLengthPrefixed(&v1, "w0.q7");
+  EncodeStateSpec(&v1, OperatorStateSpec{});
+  PutFixed32(&v1, Checksum32(v1));
+  StoresMeta decoded;
+  const Status s = DecodeStoresMeta(v1, &decoded);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.ToString().find("version 1"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.ToString().find("version " + std::to_string(kStoresMetaVersion)),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST(NetFuzzTest, StoresMetaCatchesEverySingleBitFlip) {

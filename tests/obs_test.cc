@@ -5,9 +5,7 @@
 // compaction spans, ETT prediction outcomes, and monotonic report samples.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,156 +26,12 @@
 namespace flowkv {
 namespace {
 
-// Minimal recursive-descent JSON well-formedness checker — no values are
-// materialized; it only verifies the grammar, which is what the trace/JSONL
-// consumers (Perfetto, jq) require.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : p_(text.data()), end_(p_ + text.size()) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) {
-      return false;
-    }
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWs() {
-    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) {
-      ++p_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (static_cast<size_t>(end_ - p_) < n || std::strncmp(p_, lit, n) != 0) {
-      return false;
-    }
-    p_ += n;
-    return true;
-  }
-
-  bool String() {
-    if (p_ >= end_ || *p_ != '"') {
-      return false;
-    }
-    ++p_;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ >= end_) {
-          return false;
-        }
-      }
-      ++p_;
-    }
-    if (p_ >= end_) {
-      return false;
-    }
-    ++p_;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    const char* start = p_;
-    if (p_ < end_ && *p_ == '-') {
-      ++p_;
-    }
-    while (p_ < end_ && (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '.' ||
-                         *p_ == 'e' || *p_ == 'E' || *p_ == '+' || *p_ == '-')) {
-      ++p_;
-    }
-    return p_ > start;
-  }
-
-  bool Value() {
-    SkipWs();
-    if (p_ >= end_) {
-      return false;
-    }
-    switch (*p_) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ < end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) {
-        return false;
-      }
-      SkipWs();
-      if (p_ >= end_ || *p_ != ':') {
-        return false;
-      }
-      ++p_;
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (p_ < end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      break;
-    }
-    if (p_ >= end_ || *p_ != '}') {
-      return false;
-    }
-    ++p_;
-    return true;
-  }
-
-  bool Array() {
-    ++p_;  // '['
-    SkipWs();
-    if (p_ < end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (p_ < end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      break;
-    }
-    if (p_ >= end_ || *p_ != ']') {
-      return false;
-    }
-    ++p_;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
+// Whether `text` is one well-formed JSON value with nothing after it — what
+// the trace and JSONL consumers (Perfetto, jq) require.
+bool IsJson(const std::string& text) {
+  tools::JsonValue value;
+  return tools::ParseJson(text, &value);
+}
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -279,7 +133,7 @@ TEST_F(ObsEndToEndTest, TwoWorkerJobEmitsTraceAndMetrics) {
   std::string trace;
   ASSERT_TRUE(ReadWholeFile(trace_path, &trace));
   ASSERT_FALSE(trace.empty());
-  EXPECT_TRUE(JsonChecker(trace).Valid()) << "trace output is not well-formed JSON";
+  EXPECT_TRUE(IsJson(trace)) << "trace output is not well-formed JSON";
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
 
   // >= 1 prefetch span (predictive batch read) and >= 1 compaction span.
@@ -305,7 +159,7 @@ TEST_F(ObsEndToEndTest, TwoWorkerJobEmitsTraceAndMetrics) {
   bool saw_trace_health = false;
   std::vector<std::string> worker_lines;
   for (const std::string& line : lines) {
-    EXPECT_TRUE(JsonChecker(line).Valid()) << "bad JSONL line: " << line;
+    EXPECT_TRUE(IsJson(line)) << "bad JSONL line: " << line;
     int64_t ts = 0, worker = -1, events_in = 0;
     ASSERT_TRUE(ExtractInt(line, "ts_ms", &ts)) << line;
     EXPECT_GE(ts, last_ts) << "report timestamps must be non-decreasing";
@@ -362,7 +216,7 @@ TEST_F(ObsEndToEndTest, TraceRingOverwritesOldest) {
   ASSERT_TRUE(obs::Tracing::ExportChromeTrace(path));
   std::string trace;
   ASSERT_TRUE(ReadWholeFile(path, &trace));
-  EXPECT_TRUE(JsonChecker(trace).Valid());
+  EXPECT_TRUE(IsJson(trace));
   // The most recent event survived; the first was overwritten.
   EXPECT_NE(trace.find("\"i\":99"), std::string::npos);
   EXPECT_EQ(trace.find("\"i\":0}"), std::string::npos);
@@ -381,7 +235,7 @@ TEST_F(ObsEndToEndTest, RegistrySnapshotJsonIsWellFormed) {
   EXPECT_EQ(gauge->Value(), -5);
 
   const std::string json = registry.SnapshotJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_TRUE(IsJson(json)) << json;
   EXPECT_NE(json.find("\"obs_test_counter\""), std::string::npos);
   EXPECT_NE(json.find("\"worker\":7"), std::string::npos);
   EXPECT_NE(json.find("\"partition\":3"), std::string::npos);

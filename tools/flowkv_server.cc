@@ -8,7 +8,7 @@
 //                 [--standby-of=HOST:PORT]
 //
 // SIGTERM / SIGINT trigger a graceful drain: in-flight requests finish,
-// responses flush, every shard of every store checkpoints, and the epoch
+// responses flush, every store checkpoints, and the epoch
 // commits — a server restarted on the same directories resumes from it.
 //
 // SIGUSR1 triggers an on-demand flight-recorder dump (full metrics snapshot
