@@ -237,7 +237,7 @@ inline BenchResult ExecuteBench(const BenchRun& run) {
       },
       factory.get());
 
-  result.wall_seconds = report.MaxWallSeconds();
+  result.wall_seconds = report.wall_seconds;
   result.stats = report.AggregateStoreStats();
   if (!report.status.ok()) {
     const std::string& msg = report.status.message();

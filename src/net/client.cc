@@ -517,7 +517,7 @@ Status Client::AcceptPush(ResponseMessage push) {
     // the read degrades to a remote miss.
     return Status::Ok();
   }
-  cache_.OnPush(route->second, chunk.window, chunk.push_seq, std::move(chunk.chunk));
+  cache_.OnPush(route->second, chunk.window, std::move(chunk.chunk));
   return Status::Ok();
 }
 

@@ -45,8 +45,7 @@ class Connection {
   // Bytes currently buffered but not yet parsed into frames.
   Slice buffered() const { return Slice(inbuf_.data() + consumed_, inbuf_.size() - consumed_); }
   // Marks `n` leading buffered bytes as parsed. May compact the buffer, which
-  // invalidates any Slice borrowed from buffered() — decode-and-execute must
-  // finish with borrowed data before calling this.
+  // invalidates any Slice taken from buffered().
   void Consume(size_t n);
 
   // Queues one contiguous encoded frame for writing.

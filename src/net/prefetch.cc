@@ -199,35 +199,26 @@ void ReadAheadCache::OnLocalAppend(uint64_t handle, const Window& w) {
   ++local_counts_[Key{handle, w}];
 }
 
-void ReadAheadCache::OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
+void ReadAheadCache::OnPush(uint64_t handle, const Window& w,
                             std::vector<WindowChunkEntry> chunk) {
-  (void)push_seq;  // ordering/debug only; coherence is by counting
   const size_t cost = ChunkCost(chunk);
   const int64_t values = ChunkValues(chunk);
   MutexLock lock(&mu_);
   const Key key{handle, w};
   auto count_it = local_counts_.find(key);
-  if (count_it == local_counts_.end() || count_it->second == 0) {
-    // A push for a window this client never appended to: either the window
-    // was already consumed locally or the server is confused. Either way the
-    // entry could never pass the count check — drop it now.
+  if (count_it == local_counts_.end() || count_it->second == 0 || entries_.contains(key)) {
+    // A push for a window this client never appended to (already consumed
+    // locally, or a confused server), or a second push for a window already
+    // cached (the server pushes each window once). Either way the entry
+    // could never pass the count check — drop it now.
     m_stale_->Add(1);
     return;
   }
   m_pushes_->Add(1);
   Entry& entry = entries_[key];
-  if (entry.chunk.empty()) {
-    entry.chunk = std::move(chunk);
-  } else {
-    // A second push for one window is not sent by the server (a store's one
-    // shard pushes each window once); appending keeps the count check the
-    // judge.
-    for (WindowChunkEntry& e : chunk) {
-      entry.chunk.push_back(std::move(e));
-    }
-  }
-  entry.values += values;
-  entry.bytes += cost;
+  entry.chunk = std::move(chunk);
+  entry.values = values;
+  entry.bytes = cost;
   entry.last_push_nanos = MonotonicNanos();
   entry.lru_tick = ++lru_tick_;
   bytes_ += cost;

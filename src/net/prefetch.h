@@ -160,7 +160,7 @@ struct ReadAheadCounters {
   int64_t hits = 0;        // reads served from pushed chunks
   int64_t misses = 0;      // reads with local appends that went remote
   int64_t waste = 0;       // pushed entries discarded unserved
-  int64_t stale = 0;       // pushes for windows with no local appends
+  int64_t stale = 0;       // pushes dropped: no local appends, or already cached
   int64_t evictions = 0;   // entries evicted at the capacity bound
   int64_t pushes = 0;      // push frames accepted
 };
@@ -189,11 +189,10 @@ class ReadAheadCache {
   // One logical local append to (handle, w).
   void OnLocalAppend(uint64_t handle, const Window& w) EXCLUDES(mu_);
 
-  // A pushed chunk for (handle, w) arrived. Another push for the same window
-  // (the server sends none) would be appended to it; the count check still
-  // decides.
-  void OnPush(uint64_t handle, const Window& w, uint64_t push_seq,
-              std::vector<WindowChunkEntry> chunk) EXCLUDES(mu_);
+  // A pushed chunk for (handle, w) arrived. A second push for a window that
+  // already has an entry (the server sends none) is dropped as stale.
+  void OnPush(uint64_t handle, const Window& w, std::vector<WindowChunkEntry> chunk)
+      EXCLUDES(mu_);
 
   // Serves a window read from the cache when the counts match.
   // On a hit the full chunk moves to `*chunk` and the entry and count are

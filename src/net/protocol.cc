@@ -283,10 +283,10 @@ void PutRequestField(std::string* dst, RequestField field, const OpRequest& op) 
       EncodeStateSpec(dst, op.spec);
       break;
     case RequestField::kKey:
-      PutLengthPrefixed(dst, op.key_view());
+      PutLengthPrefixed(dst, op.key);
       break;
     case RequestField::kValue:
-      PutLengthPrefixed(dst, op.value_view());
+      PutLengthPrefixed(dst, op.value);
       break;
     case RequestField::kWindow:
       PutWindow(dst, op.window);
@@ -311,9 +311,8 @@ void PutRequestField(std::string* dst, RequestField field, const OpRequest& op) 
 // remaining bytes cannot hold, checked before the list is read so a corrupt
 // count cannot trigger a huge allocation.
 
-// Key and value land in the caller's slices, which it adopts or copies.
-const char* GetRequestField(Slice* in, RequestField field, const char* op_name,
-                            OpRequest* op, Slice* key, Slice* value) {
+// Every field is copied into `op`, which owns it past the payload's life.
+const char* GetRequestField(Slice* in, RequestField field, const char* op_name, OpRequest* op) {
   bool ok = true;
   Slice s;
   switch (field) {
@@ -330,10 +329,12 @@ const char* GetRequestField(Slice* in, RequestField field, const char* op_name,
       ok = DecodeStateSpec(in, &op->spec);
       break;
     case RequestField::kKey:
-      ok = GetLengthPrefixed(in, key);
+      ok = GetLengthPrefixed(in, &s);
+      op->key = s.ToString();
       break;
     case RequestField::kValue:
-      ok = GetLengthPrefixed(in, value);
+      ok = GetLengthPrefixed(in, &s);
+      op->value = s.ToString();
       break;
     case RequestField::kWindow:
       ok = GetWindow(in, &op->window);
@@ -497,7 +498,9 @@ const char* GetResultField(Slice* in, ResultField field, const char* op_name, Op
 // No payload follows a failed status; NotFound still carries the op's shape.
 bool CarriesResultFields(const Status& status) { return status.ok() || status.IsNotFound(); }
 
-Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
+}  // namespace
+
+Status DecodeRequest(Slice payload, RequestMessage* msg) {
   msg->ops.clear();
   FLOWKV_RETURN_IF_ERROR(CheckWireVersion(&payload, "request"));
   uint32_t internal_apply = 0;
@@ -520,7 +523,7 @@ Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
   }
   msg->ops.reserve(num_ops);
   for (uint32_t i = 0; i < num_ops; ++i) {
-    OpRequest op;
+    OpRequest& op = msg->ops.emplace_back();
     uint32_t type = 0;
     if (!GetVarint32(&payload, &type)) {
       return Truncated("op type");
@@ -530,28 +533,17 @@ Status DecodeRequestInternal(Slice payload, RequestMessage* msg, bool borrow) {
     }
     op.type = static_cast<OpType>(type);
     const OpInfo& info = OpInfoOf(op.type);
-    Slice key, value;
     for (const RequestField field : info.request) {
-      if (const char* what = GetRequestField(&payload, field, info.name, &op, &key, &value)) {
+      if (const char* what = GetRequestField(&payload, field, info.name, &op)) {
         return Truncated(what);
       }
     }
-    if (borrow) {
-      op.SetKeyBorrowed(key);
-      op.SetValueBorrowed(value);
-    } else {
-      op.key = key.ToString();
-      op.value = value.ToString();
-    }
-    msg->ops.push_back(std::move(op));
   }
   if (!payload.empty()) {
     return Status::Corruption("trailing bytes after request body");
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 void EncodeRequest(const RequestMessage& msg, std::string* payload) {
   PutVarint32(payload, kWireVersion);
@@ -569,14 +561,6 @@ void EncodeRequest(const RequestMessage& msg, std::string* payload) {
       PutRequestField(payload, field, op);
     }
   }
-}
-
-Status DecodeRequest(Slice payload, RequestMessage* msg) {
-  return DecodeRequestInternal(payload, msg, /*borrow=*/false);
-}
-
-Status DecodeRequestBorrowed(Slice payload, RequestMessage* msg) {
-  return DecodeRequestInternal(payload, msg, /*borrow=*/true);
 }
 
 void EncodeResponse(const ResponseMessage& msg, std::string* payload) {

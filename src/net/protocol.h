@@ -24,7 +24,6 @@
 #define SRC_NET_PROTOCOL_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,14 +47,6 @@ constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 
 // Bytes of framing overhead preceding every payload.
 constexpr size_t kFrameHeaderBytes = 8;
-
-// Zero-copy decode: key/value fields no longer than this are copied into the
-// OpRequest's inline arrays (no heap allocation); longer fields stay as
-// Slices aliasing the decode buffer until MaterializeRefs() is called. 64 B
-// covers the overwhelming majority of stream-processing keys and small
-// accumulators. This is a decoder-side representation choice only — the
-// bytes on the wire are unchanged.
-constexpr size_t kInlineFieldBytes = 64;
 
 enum class OpType : uint32_t {
   kPing = 0,
@@ -249,22 +240,9 @@ const OpInfo& OpInfoOf(OpType type);
 const char* OpTypeName(OpType type);
 
 // One operation of a request batch. A single struct covers every op type;
-// only the fields its table row lists are on the wire.
-//
-// The key and value fields have three representations so the server's hot
-// path can decode without copying (DecodeRequestBorrowed):
-//   - owned: the `key`/`value` strings (what setters and the owning decoder
-//     produce; always safe).
-//   - inline: fields of at most kInlineFieldBytes bytes land in the inline
-//     arrays — no heap allocation, no external lifetime.
-//   - borrowed: longer fields alias the decode buffer through `key_ref` /
-//     `value_ref`, valid only until that buffer is mutated.
-// Readers must go through key_view()/value_view(); an op that may outlive
-// the decode buffer (cross-thread handoff, parking, re-encode later) must
-// call MaterializeRefs() first.
+// only the fields its table row lists are on the wire. The op owns every
+// field: the decoder copies key and value out of the payload.
 struct OpRequest {
-  enum class FieldRep : uint8_t { kOwned, kInline, kBorrowed };
-
   OpType type = OpType::kPing;
   uint64_t store_id = 0;     // the store's server-assigned id
   std::string ns;            // kOpenStore: unique store key, e.g. "w0.q7.h0"
@@ -276,79 +254,6 @@ struct OpRequest {
   int64_t timestamp = 0;        // kAppendUnaligned ETT hint
   std::string path;             // kCheckpoint target directory
   // Other ops reuse these members; their table rows (protocol.cc) say how.
-
-  // Zero-copy decode state (see the struct comment). Only the borrowed
-  // decoder writes these; default-constructed ops are plain owned strings.
-  Slice key_ref;
-  Slice value_ref;
-  char key_inline[kInlineFieldBytes];
-  char value_inline[kInlineFieldBytes];
-  uint8_t key_inline_len = 0;
-  uint8_t value_inline_len = 0;
-  FieldRep key_rep = FieldRep::kOwned;
-  FieldRep value_rep = FieldRep::kOwned;
-
-  Slice key_view() const {
-    switch (key_rep) {
-      case FieldRep::kInline:
-        return Slice(key_inline, key_inline_len);
-      case FieldRep::kBorrowed:
-        return key_ref;
-      default:
-        return Slice(key);
-    }
-  }
-  Slice value_view() const {
-    switch (value_rep) {
-      case FieldRep::kInline:
-        return Slice(value_inline, value_inline_len);
-      case FieldRep::kBorrowed:
-        return value_ref;
-      default:
-        return Slice(value);
-    }
-  }
-
-  // Adopts a decoded field without copying when possible: small fields are
-  // inlined, larger ones alias `s`'s storage (borrowed).
-  void SetKeyBorrowed(const Slice& s) {
-    if (s.size() <= kInlineFieldBytes) {
-      std::memcpy(key_inline, s.data(), s.size());
-      key_inline_len = static_cast<uint8_t>(s.size());
-      key_rep = FieldRep::kInline;
-    } else {
-      key_ref = s;
-      key_rep = FieldRep::kBorrowed;
-    }
-  }
-  void SetValueBorrowed(const Slice& s) {
-    if (s.size() <= kInlineFieldBytes) {
-      std::memcpy(value_inline, s.data(), s.size());
-      value_inline_len = static_cast<uint8_t>(s.size());
-      value_rep = FieldRep::kInline;
-    } else {
-      value_ref = s;
-      value_rep = FieldRep::kBorrowed;
-    }
-  }
-
-  // True when any field still aliases the decode buffer.
-  bool borrows_buffer() const {
-    return key_rep == FieldRep::kBorrowed || value_rep == FieldRep::kBorrowed;
-  }
-
-  // Copies borrowed fields into owned storage so the op no longer references
-  // the decode buffer. Inline fields are already self-contained.
-  void MaterializeRefs() {
-    if (key_rep == FieldRep::kBorrowed) {
-      key.assign(key_ref.data(), key_ref.size());
-      key_rep = FieldRep::kOwned;
-    }
-    if (value_rep == FieldRep::kBorrowed) {
-      value.assign(value_ref.data(), value_ref.size());
-      value_rep = FieldRep::kOwned;
-    }
-  }
 };
 
 // One operation's outcome; the op's table row lists the fields on the wire.
@@ -423,14 +328,6 @@ Status TryDecodeFrame(Slice* input, Slice* payload, bool* complete,
 // version and kCorruption for a malformed one.
 void EncodeRequest(const RequestMessage& msg, std::string* payload);
 Status DecodeRequest(Slice payload, RequestMessage* msg);
-
-// Zero-copy variant of DecodeRequest: key/value fields come back inline (at
-// most kInlineFieldBytes) or as Slices aliasing `payload`'s storage. The
-// decoded ops are valid only while that buffer is unmodified; call
-// OpRequest::MaterializeRefs() on any op that must outlive it. The wire
-// format is byte-identical to DecodeRequest — this changes only the decoded
-// representation.
-Status DecodeRequestBorrowed(Slice payload, RequestMessage* msg);
 
 void EncodeResponse(const ResponseMessage& msg, std::string* payload);
 Status DecodeResponse(Slice payload, ResponseMessage* msg);

@@ -1340,14 +1340,10 @@ bool Server::Impl::ProcessBufferedFrames(Reactor& r, uint64_t conn_id) {
       continue;
     }
 
-    // Zero-copy decode: key/value fields either inline into the OpRequest
-    // (<= kInlineFieldBytes) or borrow from the connection buffer. Borrowed
-    // slices stay valid until Consume() below, so dispatch must either
-    // finish inline or materialize before queueing.
     RequestMessage request;
-    const Status decode_status = DecodeRequestBorrowed(payload, &request);
+    const Status decode_status = DecodeRequest(payload, &request);
+    conn->Consume(frame_bytes);
     if (!decode_status.ok()) {
-      conn->Consume(frame_bytes);
       r.metrics.protocol_errors->Add(1);
       if (decode_status.IsFailedPrecondition()) {
         // A peer of another wire version (the status names both numbers).
@@ -1357,41 +1353,11 @@ bool Server::Impl::ProcessBufferedFrames(Reactor& r, uint64_t conn_id) {
       CloseConnLocal(r, conn_id);
       return false;
     }
-    bool consume_before_dispatch =
-        request.ops.size() == 1 && request.ops[0].type == OpType::kReplicaSubscribe;
-    for (const OpRequest& op : request.ops) {
-      if (op.type == OpType::kClusterAdmin) {
-        consume_before_dispatch = true;
-      }
-    }
-    if (consume_before_dispatch) {
-      // Consume the frame BEFORE dispatching. Both of these ops finish by
-      // re-entering ProcessBufferedFrames on this very connection:
-      //   - kReplicaSubscribe: HandleReplicaSubscribe runs the whole attach
-      //     inline, and by then the connection is flagged as the replica, so
-      //     a still-buffered subscribe frame would decode as a corrupt ack;
-      //   - kClusterAdmin "promote": the attach-gate release replays buffered
-      //     frames, and a still-buffered admin frame would re-dispatch and
-      //     self-deadlock on the (non-recursive) cluster mutex.
-      // Neither op borrows key/value bytes, so consuming first is safe.
-      for (OpRequest& op : request.ops) {
-        op.MaterializeRefs();
-      }
-      conn->Consume(frame_bytes);
-      HandleRequest(r, conn, std::move(request));
-      if (r.conns.find(conn_id) == r.conns.end()) {
-        return false;
-      }
-      continue;
-    }
+    // The frame is consumed before dispatch: a subscribe makes the next
+    // buffered frame an ack, and a promote replays the buffered frames.
     HandleRequest(r, conn, std::move(request));
     // HandleRequest may have closed (and freed) the connection on a fatal
-    // error; re-check liveness by id, never through `conn`.
-    auto it2 = r.conns.find(conn_id);
-    if (it2 == r.conns.end()) {
-      return false;
-    }
-    it2->second.conn->Consume(frame_bytes);
+    // error; the loop re-checks liveness by id, never through `conn`.
   }
 }
 
@@ -1439,10 +1405,6 @@ void Server::Impl::CloseConnLocal(Reactor& r, uint64_t conn_id) {
 // ---------------------------------------------------------------------------
 
 void Server::Impl::DeferForAttach(Reactor& r, Connection* conn, RequestMessage request) {
-  // The rx buffer will be consumed before the replay; own every field now.
-  for (OpRequest& op : request.ops) {
-    op.MaterializeRefs();
-  }
   r.attach_deferred.emplace_back(conn->id(), std::move(request));
 }
 
@@ -1697,28 +1659,15 @@ Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, int 
 
 void Server::Impl::DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
                                  ShardItems* shard_items, size_t tasks) {
-  // Shards owned by this reactor whose queue is empty execute inline — no
-  // queue hop, no materialization, borrowed slices read straight from the rx
-  // buffer. Everything else takes the single-writer queue path. The
+  // Shards owned by this reactor whose queue is empty execute inline, with
+  // no queue hop. Everything else takes the single-writer queue path. The
   // dispatcher holds one unit of `remaining` so a queued shard finishing
   // first cannot race FinishPending against the inline execution.
   const auto inline_ok = [&](int shard) {
     return OwnerReactor(shard) == r.index &&
            shard_state_[shard].depth.load(std::memory_order_acquire) == 0;
   };
-  bool any_queued = false;
-  for (int shard = 0; shard < options_.num_shards; ++shard) {
-    if (!(*shard_items)[static_cast<size_t>(shard)].empty() && !inline_ok(shard)) {
-      any_queued = true;
-    }
-  }
   pending->remaining.store(tasks + 1, std::memory_order_relaxed);
-  if (any_queued) {
-    // Queued sub-batches outlive this stack frame (and the rx buffer).
-    for (OpRequest& op : pending->ops) {
-      op.MaterializeRefs();
-    }
-  }
   const int64_t dispatch_nanos = MonotonicNanos();
   for (int shard = 0; shard < options_.num_shards; ++shard) {
     auto& items = (*shard_items)[static_cast<size_t>(shard)];
@@ -1744,10 +1693,7 @@ void Server::Impl::DispatchReplicated(Reactor& r,
   // Subscribed: sequence assignment and the per-shard pushes happen under
   // one lock so queue order equals sequence order everywhere. Every
   // sub-batch goes through the queues (inline execution could overtake an
-  // older queued op for the same shard), so own every field first.
-  for (OpRequest& op : pending->ops) {
-    op.MaterializeRefs();
-  }
+  // older queued op for the same shard).
   pending->remaining.store(tasks + 1, std::memory_order_relaxed);
 
   ReplicaDropActions drop;
@@ -3002,18 +2948,15 @@ void Server::Impl::ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64
   }
   const int64_t start = MonotonicNanos();
 
-  // key_view()/value_view() hand the store borrowed slices directly — on the
-  // inline path these still point into the connection's rx buffer; the store
-  // API is Slice-in, so no copy happens until the store itself keeps data.
   ShardPrefetchScheduler* sched = shard_state_[store->shard].prefetch.get();
   switch (op.type) {
     case OpType::kAppendAligned:
-      out->status = kv->Append(op.key_view(), op.value_view(), op.window);
+      out->status = kv->Append(op.key, op.value, op.window);
       if (out->status.ok()) {
         // Shadow-copy for the push scheduler (no-op without subscribers) and
         // advance the store's event-time high-water mark, possibly firing
         // closed windows (drained by DispatchFiredPushes after the batch).
-        sched->OnAppend(store->id, op.key_view(), op.value_view(), op.window);
+        sched->OnAppend(store->id, op.key, op.value, op.window);
       }
       break;
     case OpType::kGetWindowChunk:
@@ -3038,22 +2981,22 @@ void Server::Impl::ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64
       out->status = Status::Ok();
       break;
     case OpType::kAppendUnaligned:
-      out->status = kv->Append(op.key_view(), op.value_view(), op.window, op.timestamp);
+      out->status = kv->Append(op.key, op.value, op.window, op.timestamp);
       break;
     case OpType::kGetUnaligned:
-      out->status = kv->Get(op.key_view(), op.window, &out->values);
+      out->status = kv->Get(op.key, op.window, &out->values);
       break;
     case OpType::kMergeWindows:
-      out->status = kv->MergeWindows(op.key_view(), op.sources, op.window);
+      out->status = kv->MergeWindows(op.key, op.sources, op.window);
       break;
     case OpType::kRmwGet:
-      out->status = kv->Get(op.key_view(), op.window, &out->accumulator);
+      out->status = kv->Get(op.key, op.window, &out->accumulator);
       break;
     case OpType::kRmwPut:
-      out->status = kv->Put(op.key_view(), op.window, op.value_view());
+      out->status = kv->Put(op.key, op.window, op.value);
       break;
     case OpType::kRmwRemove:
-      out->status = kv->Remove(op.key_view(), op.window);
+      out->status = kv->Remove(op.key, op.window);
       break;
     case OpType::kCheckpoint:
       out->status = kv->CheckpointTo(op.path);

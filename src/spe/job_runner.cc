@@ -1,6 +1,7 @@
 #include "src/spe/job_runner.h"
 
 #include <algorithm>
+#include <barrier>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -44,24 +45,32 @@ class SinkCollector : public Collector {
   uint64_t count_ = 0;
 };
 
+// Starts the job clock once the last worker has opened its pipeline.
+struct StartJobClock {
+  int64_t* start_ns;
+  void operator()() noexcept { *start_ns = MonotonicNanos(); }
+};
+using OpenBarrier = std::barrier<StartJobClock>;
+
 WorkerReport RunWorker(const JobConfig& config, int worker, const SourceFactory& source_factory,
                        const PipelineFactory& pipeline_factory,
                        StateBackendFactory* backend_factory,
-                       obs::WorkerProgress* progress) {
+                       obs::WorkerProgress* progress, OpenBarrier* opened) {
   // Labels everything this thread creates/records (stores opened by
   // pipeline.Open below, trace events, metrics) with the worker id.
   obs::WorkerScope obs_scope(worker);
   WorkerReport report;
   Pipeline pipeline;
-  report.status = pipeline_factory(worker, &pipeline);
-  if (!report.status.ok()) {
-    return report;
-  }
-
   const bool fixed_rate = config.target_rate > 0;
   int64_t current_ideal_ns = MonotonicNanos();
   SinkCollector sink(&report.latency_ms, &current_ideal_ns, fixed_rate);
-  report.status = pipeline.Open(backend_factory, worker, &sink);
+  report.status = pipeline_factory(worker, &pipeline);
+  if (report.status.ok()) {
+    report.status = pipeline.Open(backend_factory, worker, &sink);
+  }
+  // A worker that failed to open still arrives, or the others would wait
+  // for it forever.
+  opened->arrive_and_wait();
   if (!report.status.ok()) {
     return report;
   }
@@ -164,17 +173,8 @@ double JobReport::TotalCpuSeconds() const {
   return total;
 }
 
-double JobReport::MaxWallSeconds() const {
-  double max_wall = 0;
-  for (const auto& w : workers) {
-    max_wall = std::max(max_wall, w.wall_seconds);
-  }
-  return max_wall;
-}
-
 double JobReport::Throughput() const {
-  const double wall = MaxWallSeconds();
-  return wall <= 0 ? 0 : static_cast<double>(TotalEventsIn()) / wall;
+  return wall_seconds <= 0 ? 0 : static_cast<double>(TotalEventsIn()) / wall_seconds;
 }
 
 StoreStats JobReport::AggregateStoreStats() const {
@@ -213,22 +213,25 @@ JobReport RunJob(const JobConfig& config, const SourceFactory& source_factory,
     }
   }
 
+  int64_t start_ns = MonotonicNanos();
+  OpenBarrier opened(config.workers, StartJobClock{&start_ns});
   if (config.workers == 1) {
-    report.workers[0] =
-        RunWorker(config, 0, source_factory, pipeline_factory, backend_factory, progress[0]);
+    report.workers[0] = RunWorker(config, 0, source_factory, pipeline_factory, backend_factory,
+                                  progress[0], &opened);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(config.workers);
     for (int w = 0; w < config.workers; ++w) {
       threads.emplace_back([&, w] {
-        report.workers[w] =
-            RunWorker(config, w, source_factory, pipeline_factory, backend_factory, progress[w]);
+        report.workers[w] = RunWorker(config, w, source_factory, pipeline_factory,
+                                      backend_factory, progress[w], &opened);
       });
     }
     for (auto& t : threads) {
       t.join();
     }
   }
+  report.wall_seconds = static_cast<double>(MonotonicNanos() - start_ns) / 1e9;
   reporter.Stop();
   if (tracing) {
     obs::Tracing::Disable();

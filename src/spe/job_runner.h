@@ -88,12 +88,14 @@ struct WorkerReport {
 struct JobReport {
   Status status;  // first failure, or OK
   std::vector<WorkerReport> workers;
+  // The job clock: from the moment every worker has opened its pipeline
+  // to the last worker's join.
+  double wall_seconds = 0;
 
   uint64_t TotalEventsIn() const;
   double TotalCpuSeconds() const;
   uint64_t TotalResults() const;
-  double MaxWallSeconds() const;
-  // Aggregate throughput: total events / slowest worker's wall time.
+  // Aggregate throughput: total events / the job clock.
   double Throughput() const;
   StoreStats AggregateStoreStats() const;
   Histogram AggregateLatency() const;

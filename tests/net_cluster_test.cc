@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -67,6 +68,23 @@ OperatorStateSpec RmwSpec(const std::string& name) {
   spec.incremental = true;
   spec.window_size_ms = 1000;
   return spec;
+}
+
+OperatorStateSpec AarSpec(const std::string& name) {
+  OperatorStateSpec spec = RmwSpec(name);
+  spec.incremental = false;
+  return spec;
+}
+
+// A 100 B key and a 300 B value, distinct per `i`: longer than the NEXMark
+// fields the other tests send.
+std::string LongKey(int i) { return std::string(96, 'k') + std::to_string(1000 + i); }
+std::string LongValue(int i) {
+  std::string value(300, '\0');
+  for (size_t b = 0; b < value.size(); ++b) {
+    value[b] = static_cast<char>('a' + (b + static_cast<size_t>(i)) % 26);
+  }
+  return value;
 }
 
 class ResultCollector : public Collector {
@@ -420,11 +438,26 @@ TEST_F(NetClusterTest, KilledPrimaryTriggersSelfPromotionAndFencesRevival) {
   uint64_t handle = 0;
   StorePattern pattern;
   ASSERT_TRUE(client->OpenStore("cluster.fo.h0", RmwSpec("fo"), &handle, &pattern).ok());
+  uint64_t aar = 0;
+  ASSERT_TRUE(client->OpenStore("cluster.fo.aar", AarSpec("fo-aar"), &aar, &pattern).ok());
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(client->RmwPut(handle, "a" + std::to_string(i), w, "va").ok());
   }
+  // Long fields go through DispatchReplicated: forwarded to the standby and
+  // queued to the shard.
+  constexpr int kLong = 4;
+  for (int i = 0; i < kLong; ++i) {
+    ASSERT_TRUE(client->RmwPut(handle, LongKey(i), w, LongValue(i)).ok());
+    ASSERT_TRUE(client->AppendAligned(aar, LongKey(i), LongValue(i), w).ok());
+    ASSERT_TRUE(client->AppendAligned(aar, LongKey(i), LongValue(i + 1), w).ok());
+  }
   ASSERT_TRUE(client->Flush().ok());
   EXPECT_EQ(client->cluster_epoch(), 1u);
+  std::string value;
+  for (int i = 0; i < kLong; ++i) {
+    ASSERT_TRUE(client->RmwGet(handle, LongKey(i), w, &value).ok());
+    EXPECT_EQ(value, LongValue(i)) << "primary, long key " << i;
+  }
 
   // Kill the primary: the standby's lease expires, its election finds no
   // live primary, and it self-promotes under epoch 2. The bound is lease +
@@ -449,13 +482,30 @@ TEST_F(NetClusterTest, KilledPrimaryTriggersSelfPromotionAndFencesRevival) {
   }
   ASSERT_TRUE(client->Flush().ok());
   EXPECT_EQ(client->cluster_epoch(), 2u) << "client never adopted the new epoch";
-  std::string value;
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(client->RmwGet(handle, "a" + std::to_string(i), w, &value).ok())
         << "acked pre-kill write a" << i << " lost across promotion";
     EXPECT_EQ(value, "va");
     ASSERT_TRUE(client->RmwGet(handle, "b" + std::to_string(i), w, &value).ok());
     EXPECT_EQ(value, "vb");
+  }
+  for (int i = 0; i < kLong; ++i) {
+    ASSERT_TRUE(client->RmwGet(handle, LongKey(i), w, &value).ok());
+    EXPECT_EQ(value, LongValue(i)) << "promoted standby, long key " << i;
+  }
+  std::map<std::string, std::vector<std::string>> drained;
+  for (bool done = false; !done;) {
+    std::vector<WindowChunkEntry> chunk;
+    ASSERT_TRUE(client->GetWindowChunk(aar, w, &chunk, &done).ok());
+    for (WindowChunkEntry& entry : chunk) {
+      auto& values = drained[entry.key];
+      values.insert(values.end(), entry.values.begin(), entry.values.end());
+    }
+  }
+  ASSERT_EQ(drained.size(), static_cast<size_t>(kLong));
+  for (int i = 0; i < kLong; ++i) {
+    EXPECT_EQ(drained[LongKey(i)], (std::vector<std::string>{LongValue(i), LongValue(i + 1)}))
+        << "promoted standby, long AAR key " << i;
   }
 
   // Revive the dead primary on its old port and data dir. It comes back as

@@ -2,10 +2,10 @@
 // 127.0.0.1 exercised through the blocking client across all three store
 // patterns, multi-chunk window drains, write batching, reads carrying the
 // pending writes, store placement on the opening connection's reactor,
-// server-side metrics, error passthrough, timeouts,
-// oversized-frame protection, refusal of a foreign wire version on both
-// sides, server pushes read inline ahead of a response (scripted peers), and
-// the graceful drain → checkpoint → restart → resume
+// long fields pipelined across reactors, server-side metrics, error
+// passthrough, timeouts, oversized-frame protection, refusal of a foreign
+// wire version on both sides, server pushes read inline ahead of a response
+// (scripted peers), and the graceful drain → checkpoint → restart → resume
 // cycle (no acknowledged state lost, whatever the restarted shard count).
 #include <gtest/gtest.h>
 
@@ -751,16 +751,25 @@ TEST_F(NetLoopbackTest, FailedOpenIsRetriableNotPoisoned) {
   }
 }
 
-TEST_F(NetLoopbackTest, OversizedFrameDropsConnection) {
-  // Handshake-free raw socket: claim a payload far beyond the server's limit.
+// A handshake-free blocking socket connected to 127.0.0.1:`port`, or -1.
+int ConnectRaw(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST_F(NetLoopbackTest, OversizedFrameDropsConnection) {
+  // Claim a payload far beyond the server's limit.
+  const int fd = ConnectRaw(server_->port());
+  ASSERT_GE(fd, 0);
 
   unsigned char header[8] = {0};
   const uint32_t huge = 1u << 30;  // 1 GiB claimed payload
@@ -803,14 +812,8 @@ TEST_F(NetLoopbackTest, ForeignWireVersionRequestIsRefused) {
   auto bystander = MakeClient();
   const int64_t errors_before = ProtocolErrors(bystander.get());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // A well-framed ping whose header names the next wire version.
   RequestMessage ping;
@@ -1323,6 +1326,159 @@ TEST(NetPlacementTest, OwnStoresNeverCrossReactors) {
   EXPECT_EQ(acc, "v7");
   EXPECT_GT(cross_reactor(visitor.get()), 0);
 
+  server->Stop();
+  RemoveDirRecursively(dir).IgnoreError();
+}
+
+// A 100 B key and a 300 B value, distinct per `i`: longer than the NEXMark
+// fields the other tests send.
+std::string LongKey(int i) { return std::string(96, 'k') + std::to_string(1000 + i); }
+std::string LongValue(int i) {
+  std::string value(300, '\0');
+  for (size_t b = 0; b < value.size(); ++b) {
+    value[b] = static_cast<char>('a' + (b + static_cast<size_t>(i)) % 26);
+  }
+  return value;
+}
+
+// Reads `count` response frames off a blocking socket.
+bool ReadResponses(int fd, size_t count, std::vector<ResponseMessage>* out) {
+  std::string buf;
+  char chunk[4096];
+  while (out->size() < count) {
+    Slice input(buf);
+    Slice payload;
+    bool complete = false;
+    if (!TryDecodeFrame(&input, &payload, &complete).ok()) {
+      return false;
+    }
+    if (complete) {
+      ResponseMessage response;
+      if (!DecodeResponse(payload, &response).ok()) {
+        return false;
+      }
+      out->push_back(std::move(response));
+      buf.erase(0, buf.size() - input.size());
+      continue;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      return false;
+    }
+    buf.append(chunk, static_cast<size_t>(n));
+  }
+  return true;
+}
+
+TEST(NetPlacementTest, LongFieldsPipelinedAcrossReactorsReadBackByteExact) {
+  // Two frames of long fields, sent in one write, from a connection on the
+  // other reactor than the stores': both frames sit in one rx buffer, and
+  // every op takes the queued cross-reactor path. The first frame is over
+  // the rx buffer's 256 KiB compaction threshold, so consuming it moves the
+  // second frame to the front of the buffer while the first frame's ops may
+  // still wait in the shard queue: an op that aliased the buffer would
+  // read the second frame's bytes.
+  const std::string dir = MakeTempDir("net_long_fields");
+  ServerOptions sopts;
+  sopts.num_shards = 2;
+  sopts.reactor_threads = 2;
+  sopts.data_dir = JoinPath(dir, "data");
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Start(sopts, &server).ok());
+  ClientOptions copts;
+  copts.port = server->port();
+  copts.request_timeout_ms = 20'000;
+  std::unique_ptr<Client> owner;
+  ASSERT_TRUE(Client::Connect(copts, &owner).ok());
+  uint64_t rmw = 0;
+  uint64_t aar = 0;
+  ASSERT_TRUE(owner->OpenStore("t.long.rmw", RmwSpec("long-rmw"), &rmw, nullptr).ok());
+  ASSERT_TRUE(owner->OpenStore("t.long.aar", AarSpec("long-aar"), &aar, nullptr).ok());
+  const auto cross_reactor = [&] {
+    int64_t total = 0;
+    for (const int64_t v : ShardCounter(FetchStats(owner.get()), "cross_reactor_dispatches")) {
+      total += v;
+    }
+    return total;
+  };
+  EXPECT_EQ(cross_reactor(), 0);
+
+  // Round-robin accept puts this connection on the other reactor.
+  const int fd = ConnectRaw(server->port());
+  ASSERT_GE(fd, 0);
+
+  const Window w(0, 1000);
+  const int kFrameKeys[2] = {330, 8};  // ~270 KiB and ~6.5 KiB of fields
+  const int kKeys = kFrameKeys[0] + kFrameKeys[1];
+  std::string frames;
+  for (int f = 0, i = 0; f < 2; ++f) {
+    RequestMessage request;
+    request.request_id = static_cast<uint64_t>(f + 1);
+    for (int j = 0; j < kFrameKeys[f]; ++j, ++i) {
+      OpRequest put;
+      put.type = OpType::kRmwPut;
+      put.store_id = rmw;
+      put.key = LongKey(i);
+      put.value = LongValue(i);
+      put.window = w;
+      request.ops.push_back(put);
+      OpRequest append = put;
+      append.type = OpType::kAppendAligned;
+      append.store_id = aar;
+      request.ops.push_back(append);
+    }
+    // A read of a key written by the first frame, answered from the queue.
+    OpRequest get;
+    get.type = OpType::kRmwGet;
+    get.store_id = rmw;
+    get.key = LongKey(0);
+    get.window = w;
+    request.ops.push_back(get);
+    std::string payload;
+    EncodeRequest(request, &payload);
+    AppendFrame(&frames, payload);
+  }
+  ASSERT_EQ(::send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frames.size()));
+  std::vector<ResponseMessage> responses;
+  ASSERT_TRUE(ReadResponses(fd, 2, &responses));
+  ::close(fd);
+  std::sort(responses.begin(), responses.end(),
+            [](const ResponseMessage& a, const ResponseMessage& b) {
+              return a.request_id < b.request_id;
+            });
+  for (int f = 0; f < 2; ++f) {
+    const ResponseMessage& response = responses[static_cast<size_t>(f)];
+    EXPECT_EQ(response.request_id, static_cast<uint64_t>(f + 1));
+    ASSERT_EQ(response.results.size(), static_cast<size_t>(2 * kFrameKeys[f] + 1));
+    for (const OpResult& result : response.results) {
+      EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    }
+    EXPECT_EQ(response.results.back().accumulator, LongValue(0));
+  }
+  EXPECT_GT(cross_reactor(), 0);
+
+  // Every field reads back byte-exact from the stores' own reactor.
+  std::string acc;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(owner->RmwGet(rmw, LongKey(i), w, &acc).ok()) << "long key " << i;
+    EXPECT_EQ(acc, LongValue(i)) << "long key " << i;
+  }
+  std::map<std::string, std::vector<std::string>> drained;
+  for (bool done = false; !done;) {
+    std::vector<WindowChunkEntry> chunk;
+    ASSERT_TRUE(owner->GetWindowChunk(aar, w, &chunk, &done).ok());
+    for (WindowChunkEntry& entry : chunk) {
+      auto& values = drained[entry.key];
+      values.insert(values.end(), entry.values.begin(), entry.values.end());
+    }
+  }
+  ASSERT_EQ(drained.size(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(drained[LongKey(i)], std::vector<std::string>{LongValue(i)}) << "long key " << i;
+  }
+
+  owner.reset();
   server->Stop();
   RemoveDirRecursively(dir).IgnoreError();
 }

@@ -45,7 +45,7 @@ TEST(ReadAheadCacheTest, HitRequiresExactCountMatch) {
 
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v0", "v1"}});
-  cache.OnPush(1, w, 1, std::move(pushed));
+  cache.OnPush(1, w, std::move(pushed));
 
   std::vector<WindowChunkEntry> chunk;
   ASSERT_TRUE(cache.TryServe(1, w, &chunk));
@@ -71,7 +71,7 @@ TEST(ReadAheadCacheTest, CountMismatchIsSafeMiss) {
   // The push lost a value (backpressure shed, partial fire): 1 != 2.
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v0"}});
-  cache.OnPush(7, w, 1, std::move(pushed));
+  cache.OnPush(7, w, std::move(pushed));
 
   std::vector<WindowChunkEntry> chunk;
   EXPECT_FALSE(cache.TryServe(7, w, &chunk));
@@ -84,7 +84,7 @@ TEST(ReadAheadCacheTest, CountMismatchIsSafeMiss) {
   cache.OnLocalAppend(7, w2);
   std::vector<WindowChunkEntry> pushed2;
   pushed2.push_back(WindowChunkEntry{"k", {"v0"}});
-  cache.OnPush(7, w2, 2, std::move(pushed2));
+  cache.OnPush(7, w2, std::move(pushed2));
   cache.OnLocalAppend(7, w2);
   EXPECT_FALSE(cache.TryServe(7, w2, &chunk));
   EXPECT_EQ(cache.counters().misses, 2);
@@ -95,15 +95,16 @@ TEST(ReadAheadCacheTest, PushWithoutLocalAppendsIsStale) {
   ReadAheadCache cache(1u << 20, &metrics);
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v"}});
-  cache.OnPush(3, Window(0, 1000), 1, std::move(pushed));
+  cache.OnPush(3, Window(0, 1000), std::move(pushed));
   EXPECT_EQ(cache.counters().stale, 1);
   EXPECT_EQ(cache.counters().pushes, 0);
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
 TEST(ReadAheadCacheTest, ShardChunksAccumulatePerWindow) {
-  // Two pushes for the same window; the entry must accumulate values until
-  // the total equals the local count.
+  // The server pushes each window once: a second push for a window that
+  // already has an entry is dropped as stale, and the first push alone
+  // decides the count check.
   obs::MetricsRegistry metrics;
   ReadAheadCache cache(1u << 20, &metrics);
   const Window w(0, 1000);
@@ -112,19 +113,18 @@ TEST(ReadAheadCacheTest, ShardChunksAccumulatePerWindow) {
   }
   std::vector<WindowChunkEntry> shard0;
   shard0.push_back(WindowChunkEntry{"a", {"v0", "v1"}});
-  cache.OnPush(1, w, 1, std::move(shard0));
-
-  std::vector<WindowChunkEntry> probe;
-  EXPECT_FALSE(cache.TryServe(1, w, &probe));  // 2 of 4 so far
+  cache.OnPush(1, w, std::move(shard0));
+  const size_t bytes_after_first = cache.bytes();
 
   std::vector<WindowChunkEntry> shard1;
   shard1.push_back(WindowChunkEntry{"b", {"v2", "v3"}});
-  cache.OnPush(1, w, 1, std::move(shard1));
+  cache.OnPush(1, w, std::move(shard1));
 
+  EXPECT_EQ(cache.counters().pushes, 1);
+  EXPECT_EQ(cache.counters().stale, 1);
+  EXPECT_EQ(cache.bytes(), bytes_after_first);
   std::vector<WindowChunkEntry> chunk;
-  ASSERT_TRUE(cache.TryServe(1, w, &chunk));
-  EXPECT_EQ(chunk.size(), 2u);
-  EXPECT_EQ(cache.counters().pushes, 2);
+  EXPECT_FALSE(cache.TryServe(1, w, &chunk));  // 2 of 4 values, never completed
 }
 
 TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
@@ -134,7 +134,7 @@ TEST(ReadAheadCacheTest, RemoteReadDoneDiscardsEntryAsWaste) {
   cache.OnLocalAppend(1, w);
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v0", "v1"}});  // 2 != 1: unservable
-  cache.OnPush(1, w, 1, std::move(pushed));
+  cache.OnPush(1, w, std::move(pushed));
 
   cache.OnRemoteRead(1, w);
   EXPECT_EQ(cache.counters().waste, 2);
@@ -156,7 +156,7 @@ TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
   cache.OnLocalAppend(1, w);
   std::vector<WindowChunkEntry> shard0;
   shard0.push_back(WindowChunkEntry{"a", {"v0"}});
-  cache.OnPush(1, w, 1, std::move(shard0));
+  cache.OnPush(1, w, std::move(shard0));
 
   // Miss (1 of 2 values pushed): the first remote chunk is read.
   std::vector<WindowChunkEntry> chunk;
@@ -166,7 +166,7 @@ TEST(ReadAheadCacheTest, PushCompletingMidRemoteDrainIsNotServed) {
   // A second push lands before the drain's next call.
   std::vector<WindowChunkEntry> shard1;
   shard1.push_back(WindowChunkEntry{"b", {"v1"}});
-  cache.OnPush(1, w, 2, std::move(shard1));
+  cache.OnPush(1, w, std::move(shard1));
   EXPECT_FALSE(cache.TryServe(1, w, &chunk));
   EXPECT_EQ(cache.counters().hits, 0);
 }
@@ -178,7 +178,7 @@ TEST(ReadAheadCacheTest, ClearDropsEntriesButKeepsLocalCounts) {
   cache.OnLocalAppend(1, w);
   std::vector<WindowChunkEntry> pushed;
   pushed.push_back(WindowChunkEntry{"k", {"v"}});
-  cache.OnPush(1, w, 1, std::move(pushed));
+  cache.OnPush(1, w, std::move(pushed));
 
   cache.Clear();  // reconnect/failover
   EXPECT_EQ(cache.bytes(), 0u);
@@ -188,7 +188,7 @@ TEST(ReadAheadCacheTest, ClearDropsEntriesButKeepsLocalCounts) {
   // hit — the count describes client history, not the dead connection.
   std::vector<WindowChunkEntry> repushed;
   repushed.push_back(WindowChunkEntry{"k", {"v"}});
-  cache.OnPush(1, w, 1, std::move(repushed));
+  cache.OnPush(1, w, std::move(repushed));
   std::vector<WindowChunkEntry> chunk;
   EXPECT_TRUE(cache.TryServe(1, w, &chunk));
 }
@@ -203,10 +203,10 @@ TEST(ReadAheadCacheTest, CapacityBoundEvictsLeastRecentlyPushed) {
 
   std::vector<WindowChunkEntry> big0;
   big0.push_back(WindowChunkEntry{"key0", {std::string(100, 'a')}});
-  cache.OnPush(1, w0, 1, std::move(big0));
+  cache.OnPush(1, w0, std::move(big0));
   std::vector<WindowChunkEntry> big1;
   big1.push_back(WindowChunkEntry{"key1", {std::string(100, 'b')}});
-  cache.OnPush(1, w1, 2, std::move(big1));
+  cache.OnPush(1, w1, std::move(big1));
 
   EXPECT_EQ(cache.counters().evictions, 1);
   EXPECT_LE(cache.bytes(), 200u);

@@ -351,8 +351,6 @@ TEST(NetWireVersionTest, OtherVersionIsRefusedNamingBothVersions) {
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
   EXPECT_NE(s.message().find(theirs), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find(ours), std::string::npos) << s.ToString();
-  s = DecodeRequestBorrowed(WithWireVersion(request, kWireVersion + 1), &decoded_request);
-  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 
   ResponseMessage decoded_response;
   s = DecodeResponse(WithWireVersion(response_payload, kWireVersion + 1), &decoded_response);
@@ -777,28 +775,23 @@ TEST(NetGoldenWireTest, EveryRequestOpEncodesToItsFixedBytes) {
 
     // Decoding back yields, per member, either the golden value or the
     // default (off-wire), and re-encodes to the same bytes.
-    for (const bool borrowed : {false, true}) {
-      RequestMessage decoded;
-      ASSERT_TRUE((borrowed ? DecodeRequestBorrowed(payload, &decoded)
-                            : DecodeRequest(payload, &decoded))
-                      .ok())
-          << OpTypeName(type);
-      ASSERT_EQ(decoded.ops.size(), 1u);
-      const OpRequest& op = decoded.ops[0];
-      EXPECT_EQ(op.type, type);
-      EXPECT_TRUE(op.store_id == 0 || op.store_id == 5);
-      EXPECT_TRUE(op.ns.empty() || op.ns == "ns");
-      EXPECT_TRUE(op.spec.name.empty() || op.spec.name == "op");
-      EXPECT_TRUE(op.key_view().empty() || op.key_view() == Slice("k"));
-      EXPECT_TRUE(op.value_view().empty() || op.value_view() == Slice("val"));
-      EXPECT_TRUE(op.window == Window() || op.window == Window(10, 20));
-      EXPECT_TRUE(op.sources.empty() || op.sources.size() == 2u);
-      EXPECT_TRUE(op.timestamp == 0 || op.timestamp == -7);
-      EXPECT_TRUE(op.path.empty() || op.path == "p");
-      std::string again;
-      EncodeRequest(decoded, &again);
-      EXPECT_EQ(Hex(again), kGolden[t]) << OpTypeName(type);
-    }
+    RequestMessage decoded;
+    ASSERT_TRUE(DecodeRequest(payload, &decoded).ok()) << OpTypeName(type);
+    ASSERT_EQ(decoded.ops.size(), 1u);
+    const OpRequest& op = decoded.ops[0];
+    EXPECT_EQ(op.type, type);
+    EXPECT_TRUE(op.store_id == 0 || op.store_id == 5);
+    EXPECT_TRUE(op.ns.empty() || op.ns == "ns");
+    EXPECT_TRUE(op.spec.name.empty() || op.spec.name == "op");
+    EXPECT_TRUE(op.key.empty() || op.key == "k");
+    EXPECT_TRUE(op.value.empty() || op.value == "val");
+    EXPECT_TRUE(op.window == Window() || op.window == Window(10, 20));
+    EXPECT_TRUE(op.sources.empty() || op.sources.size() == 2u);
+    EXPECT_TRUE(op.timestamp == 0 || op.timestamp == -7);
+    EXPECT_TRUE(op.path.empty() || op.path == "p");
+    std::string again;
+    EncodeRequest(decoded, &again);
+    EXPECT_EQ(Hex(again), kGolden[t]) << OpTypeName(type);
   }
 }
 

@@ -529,33 +529,72 @@ class VectorSource : public SourceIterator {
   size_t index_ = 0;
 };
 
+// 100 events of one key per worker, 10 ms apart.
+std::unique_ptr<SourceIterator> HundredEventsPerWorker(int worker) {
+  std::vector<Event> events;
+  for (int i = 0; i < 100; ++i) {
+    events.emplace_back("k" + std::to_string(worker), "x", i * 10);
+  }
+  return std::make_unique<VectorSource>(std::move(events));
+}
+
+// One stateful operator: a count per 100 ms tumbling window.
+Status CountPerTumblingWindow(int /*worker*/, Pipeline* pipeline) {
+  WindowOperatorConfig config;
+  config.name = "count";
+  config.assigner = std::make_shared<TumblingWindowAssigner>(100);
+  config.aggregate = std::make_shared<CountAggregate>();
+  pipeline->AddOperator(std::make_unique<WindowOperator>(std::move(config)));
+  return Status::Ok();
+}
+
 TEST(JobRunnerTest, MultiWorkerThroughputRun) {
   MemoryBackendFactory factory;
   JobConfig config;
   config.workers = 4;
   config.watermark_interval_events = 10;
-  JobReport report = RunJob(
-      config,
-      [](int worker) -> std::unique_ptr<SourceIterator> {
-        std::vector<Event> events;
-        for (int i = 0; i < 100; ++i) {
-          events.emplace_back("k" + std::to_string(worker), "x", i * 10);
-        }
-        return std::make_unique<VectorSource>(std::move(events));
-      },
-      [](int worker, Pipeline* pipeline) {
-        WindowOperatorConfig config;
-        config.name = "count";
-        config.assigner = std::make_shared<TumblingWindowAssigner>(100);
-        config.aggregate = std::make_shared<CountAggregate>();
-        pipeline->AddOperator(std::make_unique<WindowOperator>(std::move(config)));
-        return Status::Ok();
-      },
-      &factory);
+  JobReport report = RunJob(config, HundredEventsPerWorker, CountPerTumblingWindow, &factory);
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_EQ(report.TotalEventsIn(), 400u);
   EXPECT_EQ(report.TotalResults(), 4u * 10u);  // 10 windows per worker
   EXPECT_GT(report.Throughput(), 0.0);
+  // The job clock spans every worker's run.
+  for (const WorkerReport& w : report.workers) {
+    EXPECT_GE(report.wall_seconds, w.wall_seconds);
+  }
+}
+
+// Fails CreateBackend for one worker, so that worker's pipeline Open fails.
+class FailOneWorkerFactory : public StateBackendFactory {
+ public:
+  explicit FailOneWorkerFactory(int failing_worker) : failing_worker_(failing_worker) {}
+  Status CreateBackend(int worker, const std::string& operator_name,
+                       std::unique_ptr<StateBackend>* out) override {
+    if (worker == failing_worker_) {
+      return Status::IOError("cannot open state for worker " + std::to_string(worker));
+    }
+    return inner_.CreateBackend(worker, operator_name, out);
+  }
+  std::string name() const override { return "fail-one"; }
+
+ private:
+  int failing_worker_;
+  MemoryBackendFactory inner_;
+};
+
+TEST(JobRunnerTest, FailedOpenReturnsItsStatusWithoutHanging) {
+  // Every worker meets at the job-clock barrier after Open; a worker whose
+  // Open fails must still arrive there.
+  FailOneWorkerFactory factory(/*failing_worker=*/1);
+  JobConfig config;
+  config.workers = 2;
+  JobReport report = RunJob(config, HundredEventsPerWorker, CountPerTumblingWindow, &factory);
+  EXPECT_TRUE(report.status.IsIOError()) << report.status.ToString();
+  EXPECT_NE(report.status.message().find("worker 1"), std::string::npos);
+  EXPECT_TRUE(report.workers[0].status.ok()) << report.workers[0].status.ToString();
+  EXPECT_EQ(report.workers[0].events_in, 100u);
+  EXPECT_EQ(report.workers[1].events_in, 0u);
+  EXPECT_GT(report.wall_seconds, 0.0);
 }
 
 TEST(JobRunnerTest, MemoryBackendOomFailsTheJob) {
