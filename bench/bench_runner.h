@@ -88,7 +88,6 @@ struct FigRow {
 
 struct LoopbackRow {
   int clients = 0;
-  int reactor_threads = 0;  // 0 = server default (min(shards, hw threads))
   bool ok = false;
   std::string fail_reason;
   uint64_t requests = 0;  // flushed round trips
@@ -202,16 +201,13 @@ inline std::vector<FigRow> RunFig13(const RunnerScale& scale) {
 // client-side, bytes/op come from the server's own kStats byte counters
 // (delta across the sweep, divided by ops executed).
 
-inline LoopbackRow RunLoopbackPoint(int clients, uint64_t ops_per_client,
-                                    int reactor_threads = 0) {
+inline LoopbackRow RunLoopbackPoint(int clients, uint64_t ops_per_client) {
   LoopbackRow row;
   row.clients = clients;
-  row.reactor_threads = reactor_threads;
 
   net::ServerOptions sopts;
   sopts.data_dir = MakeTempDir("bench_loopback");
   sopts.num_shards = 2;
-  sopts.reactor_threads = reactor_threads;
   // Clients are in-process, so use the unix-socket transport for the data
   // path (the stats fetch below stays on TCP). Same framing either way.
   sopts.unix_socket_path = sopts.data_dir + "/bench.sock";
@@ -533,8 +529,6 @@ inline void AppendFigRow(std::string* out, const FigRow& row) {
 inline void AppendLoopbackRow(std::string* out, const LoopbackRow& row) {
   out->append("{\"clients\":");
   AppendInt(out, row.clients);
-  out->append(",\"reactor_threads\":");
-  AppendInt(out, row.reactor_threads);
   out->append(",\"ok\":");
   out->append(row.ok ? "true" : "false");
   out->append(",\"fail_reason\":");

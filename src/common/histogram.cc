@@ -8,10 +8,12 @@
 namespace flowkv {
 
 const std::vector<double>& Histogram::BucketLimits() {
-  // Geometric bucket boundaries covering [1, ~1e13] with ~4% resolution.
+  // Geometric bucket boundaries covering [1e-3, ~1e13] with ~4% resolution.
+  // Latencies are recorded in ms, so the floor is 1 us: sub-ms samples get
+  // their own buckets instead of all landing in [0, 1).
   static const std::vector<double>* limits = [] {
     auto* v = new std::vector<double>();
-    double x = 1.0;
+    double x = 1e-3;
     while (x < 1e13) {
       v->push_back(x);
       x *= 1.04;

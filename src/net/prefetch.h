@@ -5,8 +5,8 @@
 //
 // The two halves:
 //
-//  - ShardPrefetchScheduler (server side, one per shard, confined to the
-//    shard's owning reactor thread): when a connection registers interest in
+//  - ShardPrefetchScheduler (server side, one per shard, confined to that
+//    shard's reactor thread): when a connection registers interest in
 //    a store (kEttRegister), the scheduler shadow-copies every append into a
 //    per-(store, window) buffer and tracks the store's event-time high-water
 //    mark (the max window.start observed — a tuple in window [s, e) proves
@@ -70,7 +70,7 @@ struct FiredPush {
 // Per-shard prefetch state.
 //
 // INVARIANT(reactor-confined): an instance belongs to one shard and is only
-// ever touched by that shard's owning reactor thread — the same single-writer
+// ever touched by that shard's reactor thread — the same single-writer
 // contract the shard's FlowKvStore instances live under. No mutex; there is
 // nothing for -Wthread-safety to check here, reviewers enforce the
 // confinement (all call sites sit inside ExecuteShardOp / reactor task
@@ -79,7 +79,7 @@ class ShardPrefetchScheduler {
  public:
   // Creates the scheduler's `prefetch.*` instruments in `metrics`, labeled
   // with the calling thread's context (the server constructs each shard's
-  // scheduler under WorkerScope(shard)). Single writer: the owning reactor.
+  // scheduler under WorkerScope(shard)). Single writer: the shard's reactor.
   ShardPrefetchScheduler(size_t shadow_budget_bytes, obs::MetricsRegistry* metrics);
 
   ShardPrefetchScheduler(const ShardPrefetchScheduler&) = delete;

@@ -47,6 +47,9 @@ namespace {
 constexpr char kCurrentName[] = "CURRENT";
 constexpr char kEpochPrefix[] = "epoch_";
 constexpr char kStoresMetaName[] = "stores.meta";
+// Live store data: data_dir/stores/<ns>. A subdirectory, so no namespace can
+// land on a data_dir file of the server's own (CLUSTER_EPOCH, .repl_snapshot).
+constexpr char kStoresDirName[] = "stores";
 // Replication snapshots are staged under the data dir, not the checkpoint
 // dir: they are transient shipping state, never a commit point.
 constexpr char kReplSnapshotDirName[] = ".repl_snapshot";
@@ -173,7 +176,8 @@ class Server::Impl {
 
   struct StoreEntry {
     uint64_t id = 0;
-    // The one shard the store lives on; set at creation, never changed.
+    // The one shard (= reactor) the store lives on; set at creation, never
+    // changed.
     int shard = 0;
     std::string ns;
     OperatorStateSpec spec;
@@ -184,12 +188,12 @@ class Server::Impl {
     // against a store that is not there.
     enum class OpenState { kOpening, kOpen, kFailed };
     OpenState open_state = OpenState::kOpening;
-    // Owned by the shard's reactor once the open is dispatched (by the
+    // Owned by the store's reactor once the open is dispatched (by the
     // pre-thread restore path before that).
     std::unique_ptr<FlowKvStore> kv;
 
     // Cached instruments, labeled (worker=shard, op=spec.name); touched only
-    // by the shard's reactor.
+    // by the store's reactor.
     struct ShardObs {
       obs::Counter* ops = nullptr;
       obs::Counter* errors = nullptr;
@@ -226,10 +230,10 @@ class Server::Impl {
     std::atomic<int64_t> exec_nanos{0};
     std::vector<OpRequest> ops;
     // Result per op, each slot written by exactly one reactor: the one that
-    // answered the op, or the one owning its store's shard.
+    // answered the op, or its store's.
     std::vector<OpResult> results;
     std::atomic<size_t> remaining{0};  // outstanding shard tasks (+1 dispatcher ref)
-    // Set by a shard that posted a push to another reactor while executing
+    // Set by a reactor that posted a push to another reactor while executing
     // this request; the ack must then queue behind it (CompleteRequest).
     std::atomic<bool> push_posted{false};
   };
@@ -268,19 +272,18 @@ class Server::Impl {
   struct ReactorTask {
     enum class Kind {
       kAdoptConn,        // register a freshly accepted connection
-      kShardOps,         // execute a request's ops for one owned shard
+      kShardOps,         // execute a request's ops for this reactor's stores
       kFinish,           // run FinishPending on the connection's owner
       kSendResponse,     // deliver a released parked response
       kReplicaSend,      // write a pre-encoded frame to the replica conn
       kCloseConn,        // close a connection owned by this reactor
-      kCheckpointStore,  // checkpoint one store on its shard, then Done(barrier)
+      kCheckpointStore,  // checkpoint one store on its reactor, then Done(barrier)
       kAttachResume,     // replay deferred requests after a snapshot attach
       kPushSend,         // queue a pre-encoded kPushChunk frame on a conn
       kPrefetchUnsub,    // drop a closed conn's push subscriptions
     };
     Kind kind = Kind::kShardOps;
     std::shared_ptr<Connection> conn;  // kAdoptConn
-    int shard = 0;                     // kShardOps
     int64_t enqueue_nanos = 0;         // kShardOps: queue-wait start
     std::shared_ptr<PendingRequest> pending;  // kShardOps, kFinish, kSendResponse
     std::vector<ShardWorkItem> items;         // kShardOps
@@ -346,23 +349,18 @@ class Server::Impl {
     std::vector<std::pair<uint64_t, RequestMessage>> attach_deferred;
 
     ReactorMetrics metrics;
-  };
 
-  // Per-shard dispatch state, padded so neighboring shards' queue depths do
-  // not false-share.
-  struct alignas(64) ShardState {
-    // Tasks queued (not yet dequeued) for this shard, across all reactors.
-    // Gates inline execution: the owner may only run ops in place when the
-    // shard's queue is empty, otherwise a queued older op could be overtaken.
+    // kShardOps tasks queued (not yet dequeued) for this reactor's stores.
+    // Gates inline execution: the reactor may only run ops in place when
+    // this is 0, otherwise a queued older op could be overtaken.
     std::atomic<size_t> depth{0};
-    // Single-writer (the owning reactor), created under WorkerScope(shard).
+    // Single-writer, created under WorkerScope(index) like ReactorMetrics.
     obs::Counter* shed_deadline = nullptr;
-    // kShardOps tasks this shard ran for a connection on another reactor:
-    // ops for a store that another connection's reactor placed here.
+    // kShardOps tasks run here for a connection on another reactor: ops for
+    // a store that another connection's reactor opened.
     obs::Counter* cross_reactor_dispatches = nullptr;
-    // Push scheduler; same reactor-confined contract as the shard's stores
-    // (only the owning reactor touches it). Idle when prefetch is disabled:
-    // kEttRegister never subscribes anyone.
+    // Push scheduler; same reactor-confined contract as the stores. Idle
+    // when prefetch is disabled: kEttRegister never subscribes anyone.
     std::unique_ptr<ShardPrefetchScheduler> prefetch;
   };
 
@@ -402,19 +400,19 @@ class Server::Impl {
   // anything dispatches or forwards, so the batch executed nowhere.
   void FailBatch(const std::shared_ptr<PendingRequest>& pending, const Status& status);
   // Answers op `i` in place (server-addressed, refused, or unresolvable),
-  // or appends it to the work items of its store's shard.
+  // or appends it to the work items of its store's reactor.
   void RouteOp(Reactor& r, PendingRequest* pending, size_t i, ShardItems* shard_items);
   // Ops addressed to the server, answered on the reactor that read them.
   void AnswerOnReactor(Reactor& r, const OpRequest& op, OpResult* result);
   // The store `op` addresses, or null with result->status set when the op
   // needs no shard (an error, or an idempotent re-open's answer).
   // kOpenStore and kRestoreStore create or reset the store by namespace (a
-  // store they create is placed on a shard of `reactor`); every other op
-  // names an existing store by id.
+  // store they create lives on `reactor`); every other op names an existing
+  // store by id.
   StoreEntry* ResolveStore(const OpRequest& op, int reactor, OpResult* result);
   StoreEntry* PrepareOpen(const OpRequest& op, int reactor, OpResult* result);
   StoreEntry* PrepareRestore(const OpRequest& op, int reactor, OpResult* result);
-  // Run or queue the routed sub-batches (`tasks` non-empty shards); the
+  // Run or queue the routed sub-batches (`tasks` non-empty reactors); the
   // replicated path forwards the batch to the standby first.
   void DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
                      ShardItems* shard_items, size_t tasks);
@@ -434,20 +432,21 @@ class Server::Impl {
   // ----- task plumbing -----
 
   bool PostTask(int reactor_index, ReactorTask task);
+  // Queues a sub-batch on the reactor its stores live on.
   bool PostShardOps(int shard, const std::shared_ptr<PendingRequest>& pending,
                     std::vector<ShardWorkItem> items);
   void DrainTasks(Reactor& r);
   void RunTask(Reactor& r, ReactorTask& task);
-  void AbortTask(ReactorTask& task);
-  // Runs the per-shard sub-batch; caller handles the `remaining` decrement.
-  void ExecuteShardItems(int shard, int64_t enqueue_nanos, PendingRequest* pending,
+  void AbortTask(Reactor& r, ReactorTask& task);
+  // Runs the reactor's sub-batch; caller handles the `remaining` decrement.
+  void ExecuteShardItems(Reactor& r, int64_t enqueue_nanos, PendingRequest* pending,
                          const std::vector<ShardWorkItem>& items);
   void CompleteRequest(const std::shared_ptr<PendingRequest>& pending);
 
   // ----- prefetch push (see src/net/prefetch.h) -----
 
-  // Encodes and routes every window the shard's scheduler fired. Runs on the
-  // shard's owner thread at the tail of ExecuteShardItems — BEFORE the
+  // Encodes and routes every window the reactor's scheduler fired. Runs at
+  // the tail of ExecuteShardItems — BEFORE the
   // triggering request's kFinish is posted — so on any one connection the
   // push frame always precedes the ack of the append that closed the window
   // (inline: queued directly on this reactor's conn; cross-reactor: the
@@ -456,7 +455,7 @@ class Server::Impl {
   // CompleteRequest queues the ack behind the push). A client that has seen
   // its Flush() return has therefore already been handed the push. Returns
   // whether any push was posted to another reactor.
-  bool DispatchFiredPushes(int shard);
+  bool DispatchFiredPushes(Reactor& r);
   // Queues one pre-encoded push frame on a connection this reactor owns;
   // sheds the push (counted) instead of queueing past the outbox budget so a
   // slow consumer degrades to remote reads rather than unbounded buffering.
@@ -508,18 +507,6 @@ class Server::Impl {
   // PromoteInternal (non-null = the calling reactor resumes inline).
   void ReleaseAttachGateAndResume(Reactor* r);
 
-  int OwnerReactor(int shard) const { return shard % num_reactors_; }
-  // The shard a new store lives on: one owned by `reactor`, spread by id
-  // when it owns several; id % num_shards when it owns none (more reactors
-  // than shards, or reactor -1: the startup restore).
-  int PlaceStore(int reactor, uint64_t id) const {
-    const int owned =
-        reactor < 0 ? 0 : (options_.num_shards - reactor + num_reactors_ - 1) / num_reactors_;
-    if (owned == 0) {
-      return static_cast<int>(id % static_cast<uint64_t>(options_.num_shards));
-    }
-    return reactor + num_reactors_ * static_cast<int>(id % static_cast<uint64_t>(owned));
-  }
   StoreEntry* FindStore(uint64_t id) {
     MutexLock lock(&stores_mu_);
     return id < stores_.size() ? stores_[id].get() : nullptr;
@@ -528,20 +515,19 @@ class Server::Impl {
                                 int reactor, bool* created);
   Status DrainCheckpoint();
   // Checkpoints every store into `staged` (layout st<id>) and writes the
-  // stores.meta manifest there. Stores on shards this reactor owns
-  // checkpoint here, the rest via kCheckpointStore tasks joined by a
-  // barrier; after the pool is joined everything runs direct.
+  // stores.meta manifest there. Stores on this reactor checkpoint here, the
+  // rest via kCheckpointStore tasks joined by a barrier; after the pool is
+  // joined everything runs direct.
   Status CheckpointStoresTo(const std::string& staged);
 
-  // ----- shard execution (the store's shard owner thread only) -----
+  // ----- shard execution (the store's reactor thread only) -----
 
   void ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64_t conn_id, OpResult* out);
   Status OpenStoreOnShard(StoreEntry* store, const std::string& restore_from = std::string());
   Status CheckpointStore(StoreEntry* store, const std::string& staged);
 
-  std::string ShardStoreDir(int shard, const std::string& ns) const {
-    return JoinPath(JoinPath(options_.data_dir, "s" + std::to_string(shard)),
-                    SanitizeNs(ns));
+  std::string StoreDir(const std::string& ns) const {
+    return JoinPath(JoinPath(options_.data_dir, kStoresDirName), SanitizeNs(ns));
   }
 
   // ----- checkpoint metadata -----
@@ -572,7 +558,6 @@ class Server::Impl {
   // update it.
   obs::MetricsRegistry metrics_;
   ServerOptions options_;
-  int num_reactors_ = 1;
   int port_ = 0;
   int listen_fd_ = -1;
   int unix_listen_fd_ = -1;  // AF_UNIX listener, -1 when not configured
@@ -580,7 +565,6 @@ class Server::Impl {
   std::vector<std::unique_ptr<Reactor>> reactors_;
   // Immutable after Init; read by the async-signal-safe RequestDrain().
   std::vector<int> wake_fds_;
-  std::unique_ptr<ShardState[]> shard_state_;
 
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<uint32_t> next_reactor_rr_{0};
@@ -682,11 +666,9 @@ class Server::Impl {
 
 Status Server::Impl::Init(const ServerOptions& options) {
   options_ = options;
-  if (options_.num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  if (options_.reactor_threads < 0) {
-    return Status::InvalidArgument("reactor_threads must be >= 0");
+  if (options_.num_shards < 1 || options_.num_shards > kMaxServerShards) {
+    return Status::InvalidArgument("num_shards must be in [1, " +
+                                   std::to_string(kMaxServerShards) + "]");
   }
   if (options_.data_dir.empty()) {
     return Status::InvalidArgument("data_dir is required");
@@ -697,12 +679,6 @@ Status Server::Impl::Init(const ServerOptions& options) {
   cluster_role_.store(options_.start_as_standby ? kRoleStandby : kRolePrimary,
                       std::memory_order_release);
 
-  num_reactors_ = options_.reactor_threads;
-  if (num_reactors_ == 0) {
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    num_reactors_ = std::min(options_.num_shards, std::max(1, hw));
-  }
-
   m_open_conns_ = metrics_.GetGauge("server.open_conns");
   m_request_latency_ms_ = metrics_.GetHistogram("server.request_latency_ms");
   {
@@ -710,21 +686,8 @@ Status Server::Impl::Init(const ServerOptions& options) {
     m_repl_drops_ = metrics_.GetCounter("replication.drops");
   }
 
-  shard_state_ = std::make_unique<ShardState[]>(static_cast<size_t>(options_.num_shards));
-  for (int s = 0; s < options_.num_shards; ++s) {
-    // Created here (before the threads start) so the owning reactor's later
-    // increments happen-after creation; labeled worker=shard like the rest
-    // of the per-shard execution metrics.
-    obs::WorkerScope worker_scope(s);
-    shard_state_[s].shed_deadline = metrics_.GetCounter("server.shed_deadline");
-    shard_state_[s].cross_reactor_dispatches =
-        metrics_.GetCounter("shard.cross_reactor_dispatches");
-    shard_state_[s].prefetch = std::make_unique<ShardPrefetchScheduler>(
-        options_.prefetch_shadow_bytes, &metrics_);
-  }
-
-  reactors_.reserve(static_cast<size_t>(num_reactors_));
-  for (int i = 0; i < num_reactors_; ++i) {
+  reactors_.reserve(static_cast<size_t>(options_.num_shards));
+  for (int i = 0; i < options_.num_shards; ++i) {
     auto r = std::make_unique<Reactor>();
     r->index = i;
     r->epfd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -757,6 +720,10 @@ Status Server::Impl::Init(const ServerOptions& options) {
       r->metrics.pushes_sent = metrics_.GetCounter("prefetch.pushes_sent");
       r->metrics.pushes_dropped = metrics_.GetCounter("prefetch.pushes_dropped");
       r->metrics.fenced_rejects = metrics_.GetCounter("cluster.fenced_rejects");
+      r->shed_deadline = metrics_.GetCounter("server.shed_deadline");
+      r->cross_reactor_dispatches = metrics_.GetCounter("shard.cross_reactor_dispatches");
+      r->prefetch =
+          std::make_unique<ShardPrefetchScheduler>(options_.prefetch_shadow_bytes, &metrics_);
     }
     wake_fds_.push_back(r->wake_fd);
     reactors_.push_back(std::move(r));
@@ -840,13 +807,12 @@ Status Server::Impl::Init(const ServerOptions& options) {
     stats_prev_shard_ops_.assign(static_cast<size_t>(options_.num_shards), 0);
   }
 
-  for (int i = 0; i < num_reactors_; ++i) {
+  for (int i = 0; i < options_.num_shards; ++i) {
     reactors_[static_cast<size_t>(i)]->thread = std::thread(&Impl::ReactorMain, this, i);
   }
 
   FLOWKV_LOG(kInfo) << "flowkv_server listening " << LogKv("port", port_)
-                    << LogKv("shards", options_.num_shards)
-                    << LogKv("reactors", num_reactors_);
+                    << LogKv("shards", options_.num_shards);
   return Status::Ok();
 }
 
@@ -880,33 +846,16 @@ Status Server::Impl::RestoreFromLatestCheckpoint() {
   StoresMeta meta;
   FLOWKV_RETURN_IF_ERROR(DecodeStoresMeta(meta_bytes, &meta));
 
-  // A store restores onto shard id % num_shards, which need not be the
-  // shard it lived on (placement follows the opening connection's reactor,
-  // and the shard count may differ). Its live directory on any other shard
-  // is stale: an AAR store opened there later would read its window logs.
-  std::vector<std::string> names;
-  FLOWKV_RETURN_IF_ERROR(ListDir(options_.data_dir, &names));
-  std::vector<std::string> shard_dirs;
-  for (const std::string& name : names) {
-    if (name.size() > 1 && name[0] == 's' &&
-        name.find_first_not_of("0123456789", 1) == std::string::npos) {
-      shard_dirs.push_back(JoinPath(options_.data_dir, name));
-    }
-  }
-
   // Pre-thread startup path: no reactors run yet, so restoring every store
-  // on this thread keeps the single-writer contract. No key is hashed, so
-  // any shard count restores. The registry lock is uncontended here; holding
-  // it across the opens is harmless and keeps the guarded-field accesses
-  // below analyzable.
+  // on this thread keeps the single-writer contract. A store restores onto
+  // reactor id % num_shards; no key is hashed, so any shard count restores.
+  // The registry lock is uncontended here; holding it across the opens is
+  // harmless and keeps the guarded-field accesses below analyzable.
   MutexLock lock(&stores_mu_);
   for (const StoreMetaEntry& e : meta.stores) {
-    for (const std::string& shard_dir : shard_dirs) {
-      FLOWKV_RETURN_IF_ERROR(RemoveDirRecursively(JoinPath(shard_dir, SanitizeNs(e.ns))));
-    }
     auto entry = std::make_unique<StoreEntry>();
     entry->id = stores_.size();  // == e.id: DecodeStoresMeta enforces density
-    entry->shard = PlaceStore(-1, entry->id);
+    entry->shard = static_cast<int>(entry->id % static_cast<uint64_t>(options_.num_shards));
     entry->ns = e.ns;
     entry->spec = e.spec;
     entry->pattern =
@@ -923,7 +872,7 @@ Status Server::Impl::RestoreFromLatestCheckpoint() {
 }
 
 Status Server::Impl::OpenStoreOnShard(StoreEntry* store, const std::string& restore_from) {
-  const std::string dir = ShardStoreDir(store->shard, store->ns);
+  const std::string dir = StoreDir(store->ns);
   obs::OperatorScope op_scope(store->spec.name);
   std::unique_ptr<FlowKvStore> kv;
   Status s;
@@ -1092,7 +1041,7 @@ void Server::Impl::ReactorShutdownTail(Reactor& r, bool local_draining) {
       r.task_count.store(0, std::memory_order_relaxed);
     }
     for (ReactorTask& t : leftover) {
-      AbortTask(t);
+      AbortTask(r, t);
     }
   }
 
@@ -1185,7 +1134,7 @@ void Server::Impl::AcceptNewConnections(Reactor& r, int listen_fd, bool tcp) {
     auto conn = std::make_shared<Connection>(id, fd, options_.max_outbox_bytes);
     const int target =
         static_cast<int>(next_reactor_rr_.fetch_add(1, std::memory_order_relaxed) %
-                         static_cast<uint32_t>(num_reactors_));
+                         static_cast<uint32_t>(options_.num_shards));
     {
       MutexLock lock(&registry_mu_);
       conn_registry_[id] = {target, conn};
@@ -1380,22 +1329,18 @@ void Server::Impl::CloseConnLocal(Reactor& r, uint64_t conn_id) {
     DropReplica("connection closed");
   }
   if (options_.enable_prefetch_push) {
-    // Push subscriptions die with the connection. This reactor's shards
-    // unregister inline; the rest get a best-effort task (a reactor already
-    // closed is shutting down and its schedulers die with it).
-    for (int s = 0; s < options_.num_shards; ++s) {
-      if (single_threaded_ || OwnerReactor(s) == r.index) {
-        shard_state_[s].prefetch->Unregister(conn_id);
+    // Push subscriptions die with the connection. This reactor's scheduler
+    // unregisters inline; the rest get a best-effort task (a reactor already
+    // closed is shutting down and its scheduler dies with it).
+    for (auto& other : reactors_) {
+      if (single_threaded_ || other.get() == &r) {
+        other->prefetch->Unregister(conn_id);
+        continue;
       }
-    }
-    if (!single_threaded_) {
-      for (int i = 0; i < num_reactors_; ++i) {
-        if (i == r.index) continue;
-        ReactorTask task;
-        task.kind = ReactorTask::Kind::kPrefetchUnsub;
-        task.conn_id = conn_id;
-        PostTask(i, std::move(task));
-      }
+      ReactorTask task;
+      task.kind = ReactorTask::Kind::kPrefetchUnsub;
+      task.conn_id = conn_id;
+      PostTask(other->index, std::move(task));
     }
   }
 }
@@ -1473,7 +1418,7 @@ void Server::Impl::HandleRequest(Reactor& r, Connection* conn, RequestMessage re
   for (int shard = 0; options_.max_shard_queue_depth > 0 && shard < options_.num_shards;
        ++shard) {
     if (!shard_items[static_cast<size_t>(shard)].empty() &&
-        shard_state_[shard].depth.load(std::memory_order_relaxed) >=
+        reactors_[static_cast<size_t>(shard)]->depth.load(std::memory_order_relaxed) >=
             options_.max_shard_queue_depth) {
       r.metrics.shed_overload->Add(1);
       FailBatch(pending, Status::Overloaded("shard queue over bound"));
@@ -1659,21 +1604,17 @@ Server::Impl::StoreEntry* Server::Impl::PrepareRestore(const OpRequest& op, int 
 
 void Server::Impl::DispatchLocal(Reactor& r, const std::shared_ptr<PendingRequest>& pending,
                                  ShardItems* shard_items, size_t tasks) {
-  // Shards owned by this reactor whose queue is empty execute inline, with
-  // no queue hop. Everything else takes the single-writer queue path. The
-  // dispatcher holds one unit of `remaining` so a queued shard finishing
-  // first cannot race FinishPending against the inline execution.
-  const auto inline_ok = [&](int shard) {
-    return OwnerReactor(shard) == r.index &&
-           shard_state_[shard].depth.load(std::memory_order_acquire) == 0;
-  };
+  // This reactor's own stores execute inline, with no queue hop, when none
+  // of their ops are queued. Everything else takes the single-writer queue
+  // path. The dispatcher holds one unit of `remaining` so a queued sub-batch
+  // finishing first cannot race FinishPending against the inline execution.
   pending->remaining.store(tasks + 1, std::memory_order_relaxed);
   const int64_t dispatch_nanos = MonotonicNanos();
   for (int shard = 0; shard < options_.num_shards; ++shard) {
     auto& items = (*shard_items)[static_cast<size_t>(shard)];
     if (items.empty()) continue;
-    if (inline_ok(shard)) {
-      ExecuteShardItems(shard, dispatch_nanos, pending.get(), items);
+    if (shard == r.index && r.depth.load(std::memory_order_acquire) == 0) {
+      ExecuteShardItems(r, dispatch_nanos, pending.get(), items);
       pending->remaining.fetch_sub(1, std::memory_order_acq_rel);
       continue;
     }
@@ -1752,7 +1693,7 @@ Server::Impl::StoreEntry* Server::Impl::FindOrCreateStore(const std::string& ns,
   entry->spec = spec;
   entry->pattern = ClassifyPattern(spec.incremental, spec.window_kind, spec.alignment_hint);
   entry->id = stores_.size();
-  entry->shard = PlaceStore(reactor, entry->id);
+  entry->shard = reactor;
   store_ids_[ns] = entry->id;
   stores_.push_back(std::move(entry));
   return raw;
@@ -1784,16 +1725,16 @@ bool Server::Impl::PostShardOps(int shard, const std::shared_ptr<PendingRequest>
                                 std::vector<ShardWorkItem> items) {
   ReactorTask task;
   task.kind = ReactorTask::Kind::kShardOps;
-  task.shard = shard;
   task.enqueue_nanos = MonotonicNanos();
   task.pending = pending;
   task.items = std::move(items);
-  // Raise the depth before the task is visible: the owner's inline gate reads
-  // it with acquire, so a non-zero depth reliably forces later requests for
-  // this shard onto the queue behind us.
-  shard_state_[shard].depth.fetch_add(1, std::memory_order_release);
-  if (!PostTask(OwnerReactor(shard), std::move(task))) {
-    shard_state_[shard].depth.fetch_sub(1, std::memory_order_release);
+  // Raise the depth before the task is visible: the reactor's inline gate
+  // reads it with acquire, so a non-zero depth reliably forces later
+  // requests for its stores onto the queue behind us.
+  std::atomic<size_t>& depth = reactors_[static_cast<size_t>(shard)]->depth;
+  depth.fetch_add(1, std::memory_order_release);
+  if (!PostTask(shard, std::move(task))) {
+    depth.fetch_sub(1, std::memory_order_release);
     return false;
   }
   return true;
@@ -1822,12 +1763,11 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
       AdoptConn(r, std::move(task.conn));
       break;
     case ReactorTask::Kind::kShardOps: {
-      ShardState& state = shard_state_[task.shard];
-      state.depth.fetch_sub(1, std::memory_order_release);
+      r.depth.fetch_sub(1, std::memory_order_release);
       if (task.pending->conn_reactor != r.index) {
-        state.cross_reactor_dispatches->Add(1);
+        r.cross_reactor_dispatches->Add(1);
       }
-      ExecuteShardItems(task.shard, task.enqueue_nanos, task.pending.get(), task.items);
+      ExecuteShardItems(r, task.enqueue_nanos, task.pending.get(), task.items);
       if (task.pending->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         CompleteRequest(task.pending);
       }
@@ -1871,18 +1811,14 @@ void Server::Impl::RunTask(Reactor& r, ReactorTask& task) {
                     std::move(task.frame_payload));
       break;
     case ReactorTask::Kind::kPrefetchUnsub:
-      // Drop the closed connection's subscriptions from every shard this
-      // reactor owns (schedulers are confined to their shard's owner).
-      for (int s = 0; s < options_.num_shards; ++s) {
-        if (OwnerReactor(s) == r.index) {
-          shard_state_[s].prefetch->Unregister(task.conn_id);
-        }
-      }
+      // Drop the closed connection's subscriptions from this reactor's
+      // scheduler (schedulers are confined to their reactor).
+      r.prefetch->Unregister(task.conn_id);
       break;
   }
 }
 
-void Server::Impl::AbortTask(ReactorTask& task) {
+void Server::Impl::AbortTask(Reactor& r, ReactorTask& task) {
   switch (task.kind) {
     case ReactorTask::Kind::kCheckpointStore:
       // Someone is blocked in Barrier::Wait; a silent drop would hang them.
@@ -1895,7 +1831,7 @@ void Server::Impl::AbortTask(ReactorTask& task) {
       break;
     }
     case ReactorTask::Kind::kShardOps:
-      shard_state_[task.shard].depth.fetch_sub(1, std::memory_order_release);
+      r.depth.fetch_sub(1, std::memory_order_release);
       if (task.pending->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
           task.pending->counted) {
         task.pending->counted = false;
@@ -1913,18 +1849,17 @@ void Server::Impl::AbortTask(ReactorTask& task) {
   }
 }
 
-void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
+void Server::Impl::ExecuteShardItems(Reactor& r, int64_t enqueue_nanos,
                                      PendingRequest* pending,
                                      const std::vector<ShardWorkItem>& items) {
-  // Store execution metrics are labeled worker = shard regardless of which
-  // reactor thread runs the shard.
-  obs::WorkerScope worker_scope(shard);
+  // Store execution metrics are labeled worker = shard (the reactor index).
+  obs::WorkerScope worker_scope(r.index);
   const int64_t dequeue_nanos = MonotonicNanos();
   // Inline execution emits a zero-length queue-wait span (enqueue == now), so
   // a request's trace always shows the dispatch→execute handoff either way.
   obs::TraceCompleteSpan("server_queue_wait", "server", enqueue_nanos, dequeue_nanos,
                          "trace_id", static_cast<int64_t>(pending->trace_id), "shard",
-                         shard);
+                         r.index);
   AtomicMaxRelaxed(&pending->queue_wait_nanos, dequeue_nanos - enqueue_nanos);
   // Deadline shedding: skip work the client has already given up on — unless
   // its ops were forwarded to a standby, which will execute them; the primary
@@ -1932,7 +1867,7 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
   const bool shed = pending->deadline_nanos != 0 && pending->repl_seq == 0 &&
                     dequeue_nanos > pending->deadline_nanos;
   if (shed) {
-    shard_state_[shard].shed_deadline->Add(1);
+    r.shed_deadline->Add(1);
   }
   for (const ShardWorkItem& item : items) {
     const OpRequest& op = pending->ops[item.op_index];
@@ -1946,7 +1881,7 @@ void Server::Impl::ExecuteShardItems(int shard, int64_t enqueue_nanos,
   }
   // Fired windows go out before the caller posts kFinish for this request,
   // so on any one connection the push precedes the triggering append's ack.
-  if (DispatchFiredPushes(shard)) {
+  if (DispatchFiredPushes(r)) {
     pending->push_posted.store(true, std::memory_order_release);
   }
   const int64_t exec_end_nanos = MonotonicNanos();
@@ -1984,8 +1919,8 @@ void Server::Impl::CompleteRequest(const std::shared_ptr<PendingRequest>& pendin
 // Prefetch push
 // ---------------------------------------------------------------------------
 
-bool Server::Impl::DispatchFiredPushes(int shard) {
-  ShardPrefetchScheduler* sched = shard_state_[shard].prefetch.get();
+bool Server::Impl::DispatchFiredPushes(Reactor& r) {
+  ShardPrefetchScheduler* sched = r.prefetch.get();
   if (!sched->has_fired()) {
     return false;
   }
@@ -2236,9 +2171,8 @@ std::string Server::Impl::BuildStatsJson() {
   // Block members: the hand-written ones first, then the instruments.
   std::map<std::string, std::string> blocks;
   blocks["server"] = Format(
-      "\"port\":%d,\"num_shards\":%d,\"reactor_threads\":%d,\"req_per_sec\":%.1f,"
-      "\"pending_requests\":%llu",
-      port_, num_shards, num_reactors_, req_per_sec,
+      "\"port\":%d,\"num_shards\":%d,\"req_per_sec\":%.1f,\"pending_requests\":%llu",
+      port_, num_shards, req_per_sec,
       static_cast<unsigned long long>(pending_count_.load(std::memory_order_relaxed)));
   const int64_t role = cluster_role_.load(std::memory_order_acquire);
   blocks["cluster"] = Format(
@@ -2297,7 +2231,7 @@ std::string Server::Impl::BuildStatsJson() {
   for (size_t s = 0; s < n; ++s) {
     std::string members = Format(
         "\"shard\":%zu,\"queue_depth\":%llu,\"ops_per_sec\":%.1f", s,
-        static_cast<unsigned long long>(shard_state_[s].depth.load(std::memory_order_relaxed)),
+        static_cast<unsigned long long>(reactors_[s]->depth.load(std::memory_order_relaxed)),
         shard_ops_per_sec[s]);
     for (const auto& [field, value] : shard_sums[s]) {
       AppendMember(&members, field, std::to_string(value));
@@ -2437,7 +2371,7 @@ void Server::Impl::HandleReplicaSubscribe(Reactor& r, Connection* conn,
   // Gate down, then replay: deferred requests first (arrival order), then
   // whatever bytes sat buffered on paused connections.
   repl_attach_.store(false, std::memory_order_seq_cst);
-  for (int i = 0; i < num_reactors_; ++i) {
+  for (int i = 0; i < options_.num_shards; ++i) {
     if (i == r.index) continue;
     ReactorTask task;
     task.kind = ReactorTask::Kind::kAttachResume;
@@ -2820,7 +2754,7 @@ Status Server::Impl::PromoteInternal(uint64_t new_epoch, Reactor* r, size_t floo
 
 void Server::Impl::ReleaseAttachGateAndResume(Reactor* r) {
   repl_attach_.store(false, std::memory_order_seq_cst);
-  for (int i = 0; i < num_reactors_; ++i) {
+  for (int i = 0; i < options_.num_shards; ++i) {
     if (r != nullptr && i == r->index) continue;
     ReactorTask task;
     task.kind = ReactorTask::Kind::kAttachResume;
@@ -2877,15 +2811,13 @@ Status Server::Impl::CheckpointStoresTo(const std::string& staged) {
     return WriteFileDurably(JoinPath(staged, kStoresMetaName), SerializeStoresMeta());
   }
 
-  // Live pool (snapshot attach): every store checkpoints on its shard's
-  // owning reactor — here when this reactor owns it, via tasks joined by a
-  // barrier otherwise. Single-writer access to the stores is preserved
-  // either way.
+  // Live pool (snapshot attach): every store checkpoints on its reactor —
+  // here when it is this one, via tasks joined by a barrier otherwise.
+  // Single-writer access to the stores is preserved either way.
   auto barrier = std::make_shared<Barrier>();
   barrier->remaining = entries.size();
   for (StoreEntry* store : entries) {
-    const int owner = OwnerReactor(store->shard);
-    if (owner == tl_reactor) {
+    if (store->shard == tl_reactor) {
       barrier->Done(CheckpointStore(store, staged));
       continue;
     }
@@ -2894,7 +2826,7 @@ Status Server::Impl::CheckpointStoresTo(const std::string& staged) {
     task.store = store;
     task.checkpoint_dir = staged;
     task.barrier = barrier;
-    if (!PostTask(owner, std::move(task))) {
+    if (!PostTask(store->shard, std::move(task))) {
       barrier->Done(Status::FailedPrecondition("server stopping"));
     }
   }
@@ -2948,7 +2880,7 @@ void Server::Impl::ExecuteShardOp(StoreEntry* store, const OpRequest& op, uint64
   }
   const int64_t start = MonotonicNanos();
 
-  ShardPrefetchScheduler* sched = shard_state_[store->shard].prefetch.get();
+  ShardPrefetchScheduler* sched = reactors_[static_cast<size_t>(store->shard)]->prefetch.get();
   switch (op.type) {
     case OpType::kAppendAligned:
       out->status = kv->Append(op.key, op.value, op.window);

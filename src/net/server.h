@@ -1,18 +1,18 @@
 // The FlowKV state server: an epoll-based, thread-per-core reactor pool
-// accepting length-prefixed protocol frames (docs/NETWORK.md). Each of the
-// `reactor_threads` reactors owns one epoll instance; accepted connections
-// are pinned round-robin to a reactor for life, and shard `s` is owned by
-// reactor `s % reactor_threads`.
+// accepting length-prefixed protocol frames (docs/NETWORK.md). The pool has
+// `num_shards` reactors, and shard i is reactor i: each owns one epoll
+// instance, the connections accepted onto it (pinned round-robin for life),
+// and the single-threaded FlowKvStore of every store placed on it.
 //
-// Placement: a store lives on one shard, chosen when the store is created —
-// a shard owned by the reactor whose connection opened (or restored) it. The
-// paper's one single-threaded store per operator holds end to end: a store
-// is only ever touched by its shard's owning reactor thread. A connection
-// that opens its own stores (the remote backend opens one connection per
-// operator) finds them on its own reactor, so its requests execute inline
-// with no queue hop. Ops for a store on another reactor's shard take the
-// single-writer queue path (a FIFO task posted to the owning reactor). A
-// request batch is split into per-shard sub-batches executed in op order.
+// Placement: a store lives on the reactor whose connection opened (or
+// restored) it; stores restored at startup sit on reactor id % num_shards.
+// The paper's one single-threaded store per operator holds end to end: a
+// store is only ever touched by its reactor's thread. A connection that opens
+// its own stores (the remote backend opens one connection per operator) finds
+// them on its own reactor, so its requests execute inline with no queue hop.
+// Ops for a store on another reactor take the single-writer queue path (a
+// FIFO task posted to that reactor). A request batch is split into
+// per-reactor sub-batches executed in op order.
 //
 // Backpressure: per-connection bounded outboxes (reads pause while a
 // connection's responses back up). Shutdown: RequestDrain() — what the
@@ -39,6 +39,10 @@
 namespace flowkv {
 namespace net {
 
+// Upper bound on ServerOptions::num_shards, one thread per shard; Start
+// refuses more before it creates any fd or thread.
+constexpr int kMaxServerShards = 256;
+
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   int port = 0;  // 0 = pick an ephemeral port; see Server::port()
@@ -50,17 +54,12 @@ struct ServerOptions {
   // disables.
   std::string unix_socket_path;
 
-  // Store shards; shard s is owned by reactor s % reactor_threads, which runs
-  // the single-threaded FlowKvStore of every store placed on it.
+  // Store shards, one reactor (event-loop thread) each: shard i is reactor
+  // i, which serves its connections and runs the single-threaded FlowKvStore
+  // of every store placed on it. 1..kMaxServerShards.
   int num_shards = 2;
 
-  // Reactor (event-loop) threads. 0 = min(num_shards, hardware threads).
-  // Values above num_shards are allowed: the extra reactors own no shards
-  // and serve pure connection I/O; a store their connections create lives
-  // on shard id % num_shards.
-  int reactor_threads = 0;
-
-  // Live store data lives under data_dir/s<shard>/<store-ns>.
+  // Live store data lives under data_dir/stores/<store-ns>.
   std::string data_dir;
 
   // Drain checkpoints commit under checkpoint_dir/epoch_<n> + CURRENT;

@@ -2,6 +2,7 @@
 // filesystem env, file wrappers, histogram, LRU cache, arena, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -485,6 +486,26 @@ TEST(HistogramTest, ValuesBeyondLastBucketLandInOverflowBucket) {
   EXPECT_TRUE(std::isfinite(p99));
   EXPECT_GE(p99, h.min());
   EXPECT_LE(p99, h.max());
+}
+
+TEST(HistogramTest, SubMillisecondPercentilesWithinBucketError) {
+  // 10..500 us, recorded in ms as every latency is: the percentiles must
+  // resolve below 1 ms rather than collapse into one bucket.
+  Histogram h;
+  std::vector<double> samples;
+  for (int us = 10; us <= 500; ++us) {
+    for (int rep = 0; rep < 10; ++rep) {
+      samples.push_back(us / 1000.0);
+      h.Add(samples.back());
+    }
+  }
+  std::sort(samples.begin(), samples.end());
+  for (const double p : {50.0, 95.0, 99.0}) {
+    const double exact = samples[static_cast<size_t>(p / 100.0 * (samples.size() - 1))];
+    EXPECT_NEAR(h.Percentile(p), exact, 0.05 * exact) << "p" << p;
+  }
+  EXPECT_LT(h.Percentile(50), h.Percentile(95));
+  EXPECT_LT(h.Percentile(95), h.Percentile(99));
 }
 
 TEST(StoreStatsTest, MergeFromCoversEveryCounterField) {

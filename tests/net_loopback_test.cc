@@ -94,11 +94,9 @@ class NetLoopbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = MakeTempDir("net_loopback");
-    // One reactor per shard: a store lives on a shard of the reactor whose
-    // connection opened it, so stores opened on consecutive connections sit
-    // on different reactors.
+    // A store lives on the reactor whose connection opened it, so stores
+    // opened on consecutive connections sit on different reactors.
     options_.num_shards = 3;
-    options_.reactor_threads = 3;
     options_.data_dir = JoinPath(dir_, "data");
     options_.checkpoint_dir = JoinPath(dir_, "ckpt");
     options_.drain_grace_ms = 5000;
@@ -622,7 +620,6 @@ TEST_F(NetLoopbackTest, DrainCheckpointRestoresIntoAnotherShardCount) {
   }
 
   options_.num_shards = 2;
-  options_.reactor_threads = 2;
   ASSERT_TRUE(Server::Start(options_, &server_).ok());
   auto client = MakeClient();
   for (int c = 0; c < 3; ++c) {
@@ -636,18 +633,18 @@ TEST_F(NetLoopbackTest, DrainCheckpointRestoresIntoAnotherShardCount) {
       EXPECT_EQ(acc, "v" + std::to_string(c) + "." + std::to_string(i));
     }
   }
-  // Each store's live directory is on its new shard only: a copy left on
-  // the shard it lived on before would be stale data an AAR open reads back.
-  // (These namespaces need no escaping, so they are their directory names.)
-  for (const char* ns : {"reshard_h0", "reshard_h1", "reshard_h2", "reshard_aar"}) {
-    int copies = 0;
-    for (int s = 0; s < 3; ++s) {
-      copies += FileExists(JoinPath(JoinPath(options_.data_dir, "s" + std::to_string(s)), ns))
-                    ? 1
-                    : 0;
-    }
-    EXPECT_EQ(copies, 1) << ns;
-  }
+  // Each namespace has one live directory whatever shard its store sits on,
+  // and the restore replaced it: a stale copy would be data an AAR open
+  // reads back. (These namespaces need no escaping, so they are their
+  // directory names.) No per-shard directory exists.
+  std::vector<std::string> top;
+  ASSERT_TRUE(ListDir(options_.data_dir, &top).ok());
+  EXPECT_EQ(top, std::vector<std::string>{"stores"});
+  std::vector<std::string> live;
+  ASSERT_TRUE(ListDir(JoinPath(options_.data_dir, "stores"), &live).ok());
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(live, (std::vector<std::string>{"reshard_aar", "reshard_h0", "reshard_h1",
+                                            "reshard_h2"}));
   uint64_t aar = 0;
   ASSERT_TRUE(client->OpenStore("reshard_aar", AarSpec("reshard-aar"), &aar, nullptr).ok());
   int64_t values = 0;
@@ -699,32 +696,19 @@ TEST_F(NetLoopbackTest, DistinctNamespacesDoNotCollideOnDisk) {
   ASSERT_TRUE(client->RmwGet(h2, "k", w, &acc).ok());
   EXPECT_EQ(acc, "from-underscored");
 
-  // And the two stores occupy two distinct directories on their shard: both
-  // were opened on this client's reactor, so they share one shard.
-  std::vector<size_t> dirs_per_shard;
-  for (int s = 0; s < options_.num_shards; ++s) {
-    const std::string shard_dir = JoinPath(options_.data_dir, "s" + std::to_string(s));
-    std::vector<std::string> entries;
-    if (FileExists(shard_dir)) {
-      ASSERT_TRUE(ListDir(shard_dir, &entries).ok());
-    }
-    dirs_per_shard.push_back(entries.size());
-  }
-  std::sort(dirs_per_shard.begin(), dirs_per_shard.end());
-  EXPECT_EQ(dirs_per_shard, (std::vector<size_t>{0, 0, 2}))
-      << "namespaces collided onto one directory, or the stores split across shards";
+  // And the two stores occupy two distinct directories.
+  std::vector<std::string> entries;
+  ASSERT_TRUE(ListDir(JoinPath(options_.data_dir, "stores"), &entries).ok());
+  EXPECT_EQ(entries.size(), 2u) << "namespaces collided onto one directory";
 }
 
 TEST_F(NetLoopbackTest, FailedOpenIsRetriableNotPoisoned) {
-  // Plant a regular file where the store's directory would go on every
-  // shard, so the open fails on whichever shard the store is placed.
-  std::vector<std::string> blockers;
-  for (int s = 0; s < options_.num_shards; ++s) {
-    const std::string shard_dir = JoinPath(options_.data_dir, "s" + std::to_string(s));
-    ASSERT_TRUE(CreateDirs(shard_dir).ok());
-    blockers.push_back(JoinPath(shard_dir, "failstore"));
-    ASSERT_TRUE(WriteStringToFile(blockers.back(), "in the way").ok());
-  }
+  // Plant a regular file where the store's directory would go, so the
+  // open fails.
+  const std::string stores_dir = JoinPath(options_.data_dir, "stores");
+  ASSERT_TRUE(CreateDirs(stores_dir).ok());
+  const std::string blocker = JoinPath(stores_dir, "failstore");
+  ASSERT_TRUE(WriteStringToFile(blocker, "in the way").ok());
 
   auto client = MakeClient();
   uint64_t h = 0;
@@ -733,9 +717,7 @@ TEST_F(NetLoopbackTest, FailedOpenIsRetriableNotPoisoned) {
   // A failed entry must not satisfy a later open idempotently: once the
   // obstruction is gone, re-opening the same namespace retries the open on
   // the store's shard and the store becomes usable.
-  for (const std::string& blocker : blockers) {
-    ASSERT_EQ(::unlink(blocker.c_str()), 0);
-  }
+  ASSERT_EQ(::unlink(blocker.c_str()), 0);
   ASSERT_TRUE(client->OpenStore("failstore", RmwSpec("fail-op"), &h, nullptr).ok());
   const Window w(0, 1000);
   for (int i = 0; i < 50; ++i) {
@@ -1200,18 +1182,16 @@ TEST(NetClientConnectTest, RefusedConnectionFails) {
   EXPECT_FALSE(s.ok());
 }
 
-// The same multi-client workload against explicit reactor pool sizes:
-// 1 reactor (every shard owned by one thread, everything inline), 3 reactors
-// (one shard each with num_shards=3), and 5 (more reactors than shards, so
-// some connections land on pure-I/O reactors and every request they carry is
-// a cross-reactor hop).
-class NetReactorThreadsTest : public ::testing::TestWithParam<int> {};
+// The same multi-client workload against 1, 3 and 5 shards (one reactor
+// each): 4 clients share one reactor, spread over three, or leave one idle.
+// Each client uses only the store it opened, which lives on its own
+// connection's reactor, so no op ever takes the cross-reactor queue path.
+class NetShardCountTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(NetReactorThreadsTest, ConcurrentClientsAcrossShards) {
+TEST_P(NetShardCountTest, ConcurrentClientsStayOnTheirReactors) {
   const std::string dir = MakeTempDir("net_reactors");
   ServerOptions sopts;
-  sopts.num_shards = 3;
-  sopts.reactor_threads = GetParam();
+  sopts.num_shards = GetParam();
   sopts.data_dir = JoinPath(dir, "data");
   sopts.checkpoint_dir = JoinPath(dir, "ckpt");
   std::unique_ptr<Server> server;
@@ -1260,14 +1240,48 @@ TEST_P(NetReactorThreadsTest, ConcurrentClientsAcrossShards) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(0, failures.load()) << "with reactor_threads=" << GetParam();
+  EXPECT_EQ(0, failures.load()) << "with num_shards=" << GetParam();
+
+  ClientOptions copts;
+  copts.port = server->port();
+  std::unique_ptr<Client> stats_client;
+  ASSERT_TRUE(Client::Connect(copts, &stats_client).ok());
+  const tools::JsonValue stats = FetchStats(stats_client.get());
+  ASSERT_NE(stats.Get("server"), nullptr);
+  EXPECT_EQ(stats.Get("server")->Num("num_shards"), GetParam());
+  EXPECT_EQ(ShardCounter(stats, "cross_reactor_dispatches"),
+            std::vector<int64_t>(static_cast<size_t>(GetParam()), 0));
+  EXPECT_GE(TotalShardOps(stats), 2 * kClients * kOpsPerClient);
 
   server->Stop();
   RemoveDirRecursively(dir).IgnoreError();
 }
 
-INSTANTIATE_TEST_SUITE_P(ReactorPoolSizes, NetReactorThreadsTest,
-                         ::testing::Values(1, 3, 5));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, NetShardCountTest, ::testing::Values(1, 3, 5));
+
+// The pool is one thread per shard, so the shard count is bounded; Start
+// refuses an out-of-range count before it creates any fd or thread.
+TEST(NetShardCountBoundTest, StartRefusesShardCountsOutOfRange) {
+  const std::string dir = MakeTempDir("net_shard_bound");
+  const auto threads = [] {
+    std::vector<std::string> tasks;
+    EXPECT_TRUE(ListDir("/proc/self/task", &tasks).ok());
+    return tasks.size();
+  };
+  const size_t threads_before = threads();
+  for (const int shards : {0, kMaxServerShards + 1}) {
+    ServerOptions sopts;
+    sopts.num_shards = shards;
+    sopts.data_dir = JoinPath(dir, "data");
+    std::unique_ptr<Server> server;
+    const Status s = Server::Start(sopts, &server);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << shards << ": " << s.ToString();
+    EXPECT_EQ(server, nullptr);
+    EXPECT_FALSE(FileExists(sopts.data_dir)) << "refused before touching data_dir";
+  }
+  EXPECT_EQ(threads(), threads_before);
+  RemoveDirRecursively(dir).IgnoreError();
+}
 
 // A connection that opened its stores finds them on its own reactor: its
 // RMW and AAR traffic runs inline, and shard.cross_reactor_dispatches stays
@@ -1277,7 +1291,6 @@ TEST(NetPlacementTest, OwnStoresNeverCrossReactors) {
   const std::string dir = MakeTempDir("net_placement");
   ServerOptions sopts;
   sopts.num_shards = 2;
-  sopts.reactor_threads = 2;
   sopts.data_dir = JoinPath(dir, "data");
   std::unique_ptr<Server> server;
   ASSERT_TRUE(Server::Start(sopts, &server).ok());
@@ -1381,7 +1394,6 @@ TEST(NetPlacementTest, LongFieldsPipelinedAcrossReactorsReadBackByteExact) {
   const std::string dir = MakeTempDir("net_long_fields");
   ServerOptions sopts;
   sopts.num_shards = 2;
-  sopts.reactor_threads = 2;
   sopts.data_dir = JoinPath(dir, "data");
   std::unique_ptr<Server> server;
   ASSERT_TRUE(Server::Start(sopts, &server).ok());

@@ -463,7 +463,6 @@ TEST_F(NetPrefetchE2ETest, ClosedWindowIsServedFromPushedCache) {
 TEST_F(NetPrefetchE2ETest, EveryFlushedWindowIsAHitAcrossReactors) {
   net::ServerOptions options;
   options.num_shards = 2;
-  options.reactor_threads = 2;
   options.data_dir = JoinPath(dir_, "server_data");
   options.enable_prefetch_push = true;
   ASSERT_TRUE(net::Server::Start(options, &server_).ok());

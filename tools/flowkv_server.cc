@@ -2,10 +2,13 @@
 // protocol over TCP; the SPE connects through RemoteBackendFactory.
 //
 //   flowkv_server --data-dir=/var/lib/flowkv [--port=7330] [--shards=4]
-//                 [--reactor-threads=N] [--unix-socket=PATH]
+//                 [--unix-socket=PATH]
 //                 [--checkpoint-dir=DIR] [--no-restore]
 //                 [--metrics-out=FILE.jsonl] [--metrics-interval-ms=1000]
 //                 [--standby-of=HOST:PORT]
+//
+// --shards=N sizes the reactor pool: one event-loop thread per shard, each
+// running the stores its connections open (1..256, default 2).
 //
 // SIGTERM / SIGINT trigger a graceful drain: in-flight requests finish,
 // responses flush, every store checkpoints, and the epoch
@@ -91,7 +94,7 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --data-dir=DIR [--port=N] [--shards=N] [--bind=ADDR]\n"
-               "          [--reactor-threads=N] [--unix-socket=PATH]\n"
+               "          [--unix-socket=PATH]\n"
                "          [--checkpoint-dir=DIR] [--no-restore] [--drain-grace-ms=N]\n"
                "          [--metrics-out=FILE.jsonl] [--metrics-interval-ms=N]\n"
                "          [--read-batch-ratio=F] [--write-buffer-bytes=N]\n"
@@ -127,9 +130,6 @@ int main(int argc, char** argv) {
       options.bind_address = value;
     } else if (ParseFlag(argv[i], "--shards", &value)) {
       options.num_shards = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--reactor-threads", &value)) {
-      // 0 (the default) sizes the pool to min(shards, hardware threads).
-      options.reactor_threads = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--unix-socket", &value)) {
       options.unix_socket_path = value;
     } else if (ParseFlag(argv[i], "--data-dir", &value)) {

@@ -110,8 +110,7 @@ def row_key(bench, row):
         return (row.get("query"), row.get("backend"), row.get("workers"))
     if bench == "remote_prefetch":
         return (row.get("prefetch"),)
-    # loopback: keyed by client count only, so documents written before the
-    # reactor_threads field still match.
+    # loopback: keyed by client count, the one parameter its rows vary.
     return (row.get("clients"),)
 
 
